@@ -28,7 +28,6 @@ from .embedding import (
 )
 from .errors import CharsentError, ConfigError, DataError, NumericalError
 from .network import (
-    ForwardCache,
     LstmParams,
     Model,
     forward_batch,

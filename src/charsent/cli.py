@@ -56,7 +56,7 @@ DEFAULTS: dict = {
         "model": None,
         "history": None,
     },
-    "tokenizer": {"max_len": 120, "min_count": 1, "stop_chars": None},
+    "tokenizer": {"max_len": 120, "min_count": 1},
     "split": {"train_frac": 0.7, "val_frac": 0.15},
     "word2vec": {
         "mode": "cbow",

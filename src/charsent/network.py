@@ -11,14 +11,12 @@ concatenated before the input, in that order):
     o_t       = sigmoid(W_o z_t + b_o)          output gate
     h_t       = o_t * tanh(c_t)
 
-The two cell-state contributions i_t * c_tilde_t and f_t * c_{t-1} are
-kept in the step record so their sum can be checked exactly. The head
-reads the final hidden state: p = sigmoid(w_out . h_T + b_out).
+The head reads the final hidden state: p = sigmoid(w_out . h_T + b_out).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +30,8 @@ from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
 __all__ = [
     "sigmoid",
     "LstmParams",
-    "StepState",
-    "ForwardCache",
+    "Gates",
+    "BatchCache",
     "Model",
     "init_lstm_params",
     "lstm_cell_forward",
@@ -124,52 +122,37 @@ def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
 
 
 @dataclass
-class StepState:
-    """Everything one time step produced, kept for backpropagation."""
+class Gates:
+    """The gate activations of one cell step."""
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
     f: np.ndarray
     i: np.ndarray
     o: np.ndarray
     c_tilde: np.ndarray
-    c_from_input: np.ndarray  # i * c_tilde
-    c_from_past: np.ndarray  # f * c_prev
-    c: np.ndarray
-    h: np.ndarray
 
 
 def lstm_cell_forward(
     x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams
-) -> tuple[np.ndarray, np.ndarray, StepState]:
-    """One cell step; returns (h_t, c_t, full step record)."""
-    h = params.hidden_size
-    if x_t.shape != (params.input_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
+) -> tuple[np.ndarray, np.ndarray, Gates]:
+    """One cell step on one row or on a (B, .) batch of rows; returns
+    (h_t, c_t, gates).
+    """
+    hsize = params.hidden_size
+    if (
+        x_t.shape[-1:] != (params.input_dim,)
+        or h_prev.shape[-1:] != (hsize,)
+        or c_prev.shape != h_prev.shape
+        or x_t.shape[:-1] != h_prev.shape[:-1]
+    ):
         raise DataError("lstm_cell_forward: input shapes do not match params")
-    z = np.concatenate([h_prev, x_t])
-    f = sigmoid(params.w_f @ z + params.b_f)
-    i = sigmoid(params.w_i @ z + params.b_i)
-    c_tilde = np.tanh(params.w_c @ z + params.b_c)
-    c_from_input = i * c_tilde
-    c_from_past = f * c_prev
-    c = c_from_input + c_from_past
-    o = sigmoid(params.w_o @ z + params.b_o)
-    h_t = o * np.tanh(c)
-    state = StepState(
-        x=x_t,
-        h_prev=h_prev,
-        c_prev=c_prev,
-        f=f,
-        i=i,
-        o=o,
-        c_tilde=c_tilde,
-        c_from_input=c_from_input,
-        c_from_past=c_from_past,
-        c=c,
-        h=h_t,
-    )
-    return h_t, c, state
+    z = np.concatenate([h_prev, x_t], axis=-1)
+    f = sigmoid(z @ params.w_f.T + params.b_f)
+    i = sigmoid(z @ params.w_i.T + params.b_i)
+    c_tilde = np.tanh(z @ params.w_c.T + params.b_c)
+    o = sigmoid(z @ params.w_o.T + params.b_o)
+    c = i * c_tilde + f * c_prev
+    h = o * np.tanh(c)
+    return h, c, Gates(f=f, i=i, o=o, c_tilde=c_tilde)
 
 
 @dataclass
@@ -213,54 +196,6 @@ class Model:
 
 
 @dataclass
-class ForwardCache:
-    """Per-step records plus the read-out intermediates of one pass."""
-
-    token_ids: list[int]
-    steps: list[StepState]
-    h_final: np.ndarray
-    dropout_mask: np.ndarray | None
-    h_out: np.ndarray
-    logit: float
-    p: float
-
-
-def sequence_forward(
-    seq: TokenSequence, model: Model, dropout_mask: np.ndarray | None = None
-) -> tuple[float, ForwardCache]:
-    """Run the cell over the non-PAD prefix of `seq` from zero state and
-    classify the final hidden state. PAD positions are never processed,
-    so extra padding cannot change the probability. The dropout mask,
-    when given (training only), multiplies the final hidden state.
-    """
-    if seq.true_length == 0:
-        raise DataError("cannot run the network on an empty sequence")
-    hsize = model.params.hidden_size
-    h = np.zeros(hsize)
-    c = np.zeros(hsize)
-    token_ids = list(seq.ids[: seq.true_length])
-    steps: list[StepState] = []
-    for tid in token_ids:
-        x = model.embeddings.vectors[tid]
-        h, c, state = lstm_cell_forward(x, h, c, model.params)
-        steps.append(state)
-    h_final = h
-    h_out = h_final if dropout_mask is None else h_final * dropout_mask
-    logit = float(model.params.w_out @ h_out + model.params.b_out[0])
-    p = float(sigmoid(logit))
-    cache = ForwardCache(
-        token_ids=token_ids,
-        steps=steps,
-        h_final=h_final,
-        dropout_mask=dropout_mask,
-        h_out=h_out,
-        logit=logit,
-        p=p,
-    )
-    return p, cache
-
-
-@dataclass
 class BatchCache:
     """Stacked per-step activations for a batch, step-major arrays of
     shape (T, B, hidden). `alive[t, b]` marks steps before b's padding.
@@ -289,11 +224,12 @@ def forward_batch(
     model: Model,
     dropout_masks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BatchCache]:
-    """Vectorized equivalent of sequence_forward over a batch.
-
-    Rows whose sequence has ended carry h and c through unchanged, which
-    matches never processing PAD positions. Agreement with the
-    per-example path is pinned by tests.
+    """Run the cell over each sequence's non-PAD prefix from zero state
+    and classify each final hidden state. Rows whose sequence has ended
+    carry h and c through unchanged, so PAD positions are never
+    processed and extra padding cannot change a probability. The
+    dropout masks, when given (training only), multiply the final
+    hidden states.
     """
     if not sequences:
         raise DataError("empty batch")
@@ -322,20 +258,18 @@ def forward_batch(
     c_tildes = np.empty((t_max, batch, hsize))
     cs = np.empty((t_max, batch, hsize))
 
+    all_alive = int(lengths.min())  # steps before the shortest row ends
     for t in range(t_max):
         h_prevs[t] = h
         c_prevs[t] = c
-        z = np.concatenate([h, xs[:, t, :]], axis=1)  # (B, hidden+dim)
-        f = sigmoid(z @ p.w_f.T + p.b_f)
-        i = sigmoid(z @ p.w_i.T + p.b_i)
-        c_tilde = np.tanh(z @ p.w_c.T + p.b_c)
-        o = sigmoid(z @ p.w_o.T + p.b_o)
-        c_new = i * c_tilde + f * c
-        h_new = o * np.tanh(c_new)
-        mask = alive[t][:, None]
-        h = np.where(mask, h_new, h)
-        c = np.where(mask, c_new, c)
-        fs[t], is_[t], os_[t], c_tildes[t], cs[t] = f, i, o, c_tilde, c_new
+        h_new, c_new, g = lstm_cell_forward(xs[:, t, :], h, c, p)
+        if t < all_alive:
+            h, c = h_new, c_new
+        else:
+            mask = alive[t][:, None]
+            h = np.where(mask, h_new, h)
+            c = np.where(mask, c_new, c)
+        fs[t], is_[t], os_[t], c_tildes[t], cs[t] = g.f, g.i, g.o, g.c_tilde, c_new
 
     h_final = h
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
@@ -360,6 +294,17 @@ def forward_batch(
         ps=ps,
     )
     return ps, cache
+
+
+def sequence_forward(
+    seq: TokenSequence, model: Model, dropout_mask: np.ndarray | None = None
+) -> tuple[float, BatchCache]:
+    """forward_batch on a batch of one: the probability of `seq` and the
+    cache of its pass.
+    """
+    masks = None if dropout_mask is None else dropout_mask[None, :]
+    ps, cache = forward_batch([seq], model, masks)
+    return float(ps[0]), cache
 
 
 def predict(

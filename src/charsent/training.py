@@ -6,6 +6,7 @@ dropout and early stopping, and the five-quantity evaluation report
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 from .corpus import Corpus
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .network import BatchCache, ForwardCache, LstmParams, Model, forward_batch
+from .network import BatchCache, LstmParams, Model, forward_batch
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
@@ -75,60 +76,14 @@ def _zero_grads(model: Model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
     return grads
 
 
-def backward(
-    cache: ForwardCache, y: int, model: Model, freeze_embeddings: bool = False
-) -> dict[str, np.ndarray]:
-    """Exact gradients of bce_loss(cache.p, y) for every parameter
-    tensor, and for the embedding rows the sequence touched unless
-    frozen, accumulated backward through all time steps.
-    """
-    p = model.params
-    hsize = p.hidden_size
-    grads = _zero_grads(model, freeze_embeddings)
-
-    dlogit = cache.p - y  # sigmoid + BCE composite derivative
-    grads["w_out"] += dlogit * cache.h_out
-    grads["b_out"] += dlogit
-    dh = dlogit * p.w_out
-    if cache.dropout_mask is not None:
-        dh = dh * cache.dropout_mask
-    dc = np.zeros(hsize)
-
-    for t in range(len(cache.steps) - 1, -1, -1):
-        s = cache.steps[t]
-        tanh_c = np.tanh(s.c)
-        do = dh * tanh_c
-        dc = dc + dh * s.o * (1.0 - tanh_c**2)
-        df = dc * s.c_prev
-        di = dc * s.c_tilde
-        dct = dc * s.i
-        d_f_pre = df * s.f * (1.0 - s.f)
-        d_i_pre = di * s.i * (1.0 - s.i)
-        d_o_pre = do * s.o * (1.0 - s.o)
-        d_ct_pre = dct * (1.0 - s.c_tilde**2)
-        z = np.concatenate([s.h_prev, s.x])
-        grads["w_f"] += np.outer(d_f_pre, z)
-        grads["w_i"] += np.outer(d_i_pre, z)
-        grads["w_o"] += np.outer(d_o_pre, z)
-        grads["w_c"] += np.outer(d_ct_pre, z)
-        grads["b_f"] += d_f_pre
-        grads["b_i"] += d_i_pre
-        grads["b_o"] += d_o_pre
-        grads["b_c"] += d_ct_pre
-        dz = p.w_f.T @ d_f_pre + p.w_i.T @ d_i_pre + p.w_o.T @ d_o_pre + p.w_c.T @ d_ct_pre
-        dh = dz[:hsize]
-        if not freeze_embeddings:
-            grads["embeddings"][cache.token_ids[t]] += dz[hsize:]
-        dc = dc * s.f
-    return grads
-
-
 def backward_batch(
     cache: BatchCache, ys: np.ndarray, model: Model, freeze_embeddings: bool = False
 ) -> dict[str, np.ndarray]:
-    """Vectorized batch gradients, averaged over the batch. Rows past a
-    sequence's end contribute nothing; their upstream gradients pass
-    through to earlier steps, mirroring the per-example path exactly.
+    """Exact gradients of the mean bce_loss over the batch for every
+    parameter tensor, and for the embedding rows the batch touched
+    unless frozen, accumulated backward through all time steps. Steps
+    past a sequence's end contribute nothing; their upstream gradients
+    pass through to earlier steps.
     """
     p = model.params
     hsize = p.hidden_size
@@ -181,6 +136,15 @@ def backward_batch(
             grads["embeddings"], cache.id_matrix[alive_bt], dxs[alive_bt]
         )
     return grads
+
+
+def backward(
+    cache: BatchCache, y: int, model: Model, freeze_embeddings: bool = False
+) -> dict[str, np.ndarray]:
+    """backward_batch on a batch of one: the gradients of
+    bce_loss(p, y) for the cache of sequence_forward.
+    """
+    return backward_batch(cache, np.array([float(y)]), model, freeze_embeddings)
 
 
 @dataclass
@@ -493,9 +457,37 @@ def save_model(model: Model, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(model.embeddings.vectors, dtype="<f4").tobytes())
 
 
+def _check_header(header, path: Path) -> None:
+    """Raise DataError unless every field load_model reads is present
+    with a usable type and range.
+    """
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: model header must be a JSON object")
+
+    def require(key: str, ok: bool) -> None:
+        if not ok:
+            raise DataError(f"{path}: model header field '{key}' is missing or invalid")
+
+    lower_bounds = {"version": 0, "h": 1, "d": 1, "max_len": 1, "min_count": 1, "vocab_size": 2}
+    for key, low in lower_bounds.items():
+        value = header.get(key)
+        require(key, isinstance(value, int) and not isinstance(value, bool) and value >= low)
+    threshold = header.get("threshold")
+    require(
+        "threshold",
+        isinstance(threshold, (int, float))
+        and not isinstance(threshold, bool)
+        and math.isfinite(threshold),
+    )
+    require("vocab_hash", isinstance(header.get("vocab_hash"), str))
+    tokens = header.get("tokens")
+    require("tokens", isinstance(tokens, list) and all(isinstance(t, str) for t in tokens))
+
+
 def load_model(path: str | Path) -> Model:
     """Load an SSM1 model file; inverse of save_model up to float32
-    quantization of the tensors.
+    quantization of the tensors. The file must be exactly as long as
+    its header says.
     """
     path = Path(path)
     if not path.exists():
@@ -503,11 +495,14 @@ def load_model(path: str | Path) -> Model:
     blob = path.read_bytes()
     if blob[:4] != MODEL_MAGIC:
         raise DataError(f"{path}: not an SSM1 model file (bad magic)")
+    if len(blob) < 8:
+        raise DataError(f"{path}: truncated model header")
     (header_len,) = struct.unpack("<I", blob[4:8])
     try:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt model header") from exc
+    _check_header(header, path)
     hsize = header["h"]
     dim = header["d"]
     vocab = Vocabulary.from_tokens(header["tokens"], header["min_count"])
@@ -516,7 +511,6 @@ def load_model(path: str | Path) -> Model:
     if header["vocab_size"] != len(vocab):
         raise DataError(f"{path}: vocabulary size mismatch")
 
-    offset = 8 + header_len
     shapes = [
         ("w_f", (hsize, hsize + dim)),
         ("w_i", (hsize, hsize + dim)),
@@ -528,20 +522,19 @@ def load_model(path: str | Path) -> Model:
         ("b_c", (hsize,)),
         ("w_out", (hsize,)),
         ("b_out", (1,)),
+        ("embeddings", (header["vocab_size"], dim)),
     ]
+    offset = 8 + header_len
+    expected = offset + 4 * sum(math.prod(shape) for _, shape in shapes)
+    if len(blob) != expected:
+        raise DataError(f"{path}: {len(blob)} bytes, but the header describes {expected}")
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if block.size != count:
-            raise DataError(f"{path}: truncated tensor block '{name}'")
         tensors[name] = block.astype(np.float64).reshape(shape)
         offset += 4 * count
-    count = header["vocab_size"] * dim
-    block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    if block.size != count:
-        raise DataError(f"{path}: truncated embedding block")
-    vectors = block.astype(np.float64).reshape(header["vocab_size"], dim)
+    vectors = tensors.pop("embeddings")
 
     params = LstmParams(**tensors)
     embeddings = EmbeddingMatrix(

@@ -3,10 +3,13 @@ import json
 
 import pytest
 
+import charsent as cs
 from charsent import cli
 from charsent.corpus import Corpus, Review, save_corpus
 from charsent.errors import ConfigError
 from charsent.synthetic import generate_corpus
+
+from conftest import make_model
 
 
 def test_build_config_defaults():
@@ -123,6 +126,21 @@ def test_main_bad_model_magic_exits_3(tmp_path, capsys):
         ["evaluate", "--set", f"paths.model={model}", "--set", f"paths.labeled={labeled}"]
     )
     assert code == 3
+
+
+def test_main_truncated_or_padded_model_exits_3(tmp_path, capsys):
+    vocab = cs.build_vocab(["好坏"], min_count=1)
+    model = tmp_path / "tiny.ssm"
+    cs.save_model(make_model(vocab, hidden_size=2, dim=2, max_len=4), model)
+    blob = model.read_bytes()
+    labeled = tmp_path / "l.jsonl"
+    labeled.write_text('{"text": "好", "label": 1}\n', encoding="utf-8")
+    argv = ["evaluate", "--set", f"paths.model={model}", "--set", f"paths.labeled={labeled}"]
+    assert cli.main(argv) == 0
+    for broken in (blob[:6], blob[:40], blob[:-1], blob + b"\x00"):
+        model.write_bytes(broken)
+        assert cli.main(argv) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +303,15 @@ def test_evaluate_unlabeled_corpus_names_the_problem(pipeline, tmp_path, capsys)
     )
     assert code == 3
     assert "labels required" in capsys.readouterr().err
+
+
+def test_removed_stop_chars_key_is_unknown(pipeline, capsys):
+    code = cli.main(
+        ["predict", "--config", str(pipeline / "cfg.json"), "--set", "tokenizer.stop_chars=,",
+         "--text", "好棒"]
+    )
+    assert code == 2
+    assert "unknown config key: tokenizer.stop_chars" in capsys.readouterr().err
 
 
 def test_pipeline_predict_threshold_override(pipeline, capsys):

@@ -95,7 +95,8 @@ def test_cell_forward_matches_scalar_reference(small_vocab):
     xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
     h_ref, p_ref = lstm_sequence_ref(xs, params_to_lists(model.params))
     assert p == pytest.approx(p_ref, abs=1e-12)
-    np.testing.assert_allclose(cache.h_final, h_ref, atol=1e-12)
+    assert cache.h_final.shape == (1, 4)
+    np.testing.assert_allclose(cache.h_final[0], h_ref, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,13 +116,14 @@ def test_cell_state_decomposition_exact(small_vocab):
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
     seq = cs.encode(list("好坏中啊呀很不"), small_vocab, max_len=8)
     _, cache = cs.sequence_forward(seq, model)
-    for step in cache.steps:
-        assert np.array_equal(step.c, step.c_from_input + step.c_from_past)
-        assert np.array_equal(step.c_from_input, step.i * step.c_tilde)
-        assert np.array_equal(step.c_from_past, step.f * step.c_prev)
-        for gate in (step.f, step.i, step.o):
+    assert cache.cs.shape[0] == 7
+    for t in range(7):
+        from_input = cache.is_[t] * cache.c_tildes[t]
+        from_past = cache.fs[t] * cache.c_prevs[t]
+        assert np.array_equal(cache.cs[t], from_input + from_past)
+        for gate in (cache.fs[t], cache.is_[t], cache.os_[t]):
             assert np.all((gate > 0.0) & (gate < 1.0))
-        assert np.all(np.abs(step.c_tilde) < 1.0)
+        assert np.all(np.abs(cache.c_tildes[t]) < 1.0)
 
 
 def test_forget_gate_extremes(small_vocab):
@@ -133,14 +135,12 @@ def test_forget_gate_extremes(small_vocab):
 
     model.params.b_f[:] = 30.0
     _, cache = cs.sequence_forward(seq, model)
-    for step in cache.steps:
-        expected = step.c_prev + step.i * step.c_tilde
-        np.testing.assert_allclose(step.c, expected, atol=1e-12)
+    expected = cache.c_prevs + cache.is_ * cache.c_tildes
+    np.testing.assert_allclose(cache.cs, expected, atol=1e-12)
 
     model.params.b_f[:] = -30.0
     _, cache = cs.sequence_forward(seq, model)
-    for step in cache.steps:
-        assert np.all(np.abs(step.c_from_past) < 1e-12)
+    assert np.all(np.abs(cache.fs * cache.c_prevs) < 1e-12)
 
 
 def test_padding_never_reaches_the_recurrence(small_vocab):
@@ -150,7 +150,20 @@ def test_padding_never_reaches_the_recurrence(small_vocab):
     p_padded, cache_padded = cs.sequence_forward(padded, model)
     p_exact, _ = cs.sequence_forward(exact, model)
     assert p_padded == p_exact
-    assert len(cache_padded.steps) == 3
+    assert cache_padded.fs.shape[0] == 3
+
+
+def test_cell_forward_rejects_mismatched_shapes():
+    params = _random_params(4, 3, np.random.default_rng(31))
+    cs.lstm_cell_forward(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)), params)
+    for x_shape, h_shape, c_shape in (
+        (2, 4, 4),  # input width
+        (3, 5, 5),  # hidden width
+        (3, 4, (1, 4)),  # h and c disagree
+        ((3, 3), (2, 4), (2, 4)),  # batch sizes disagree
+    ):
+        with pytest.raises(DataError):
+            cs.lstm_cell_forward(np.zeros(x_shape), np.zeros(h_shape), np.zeros(c_shape), params)
 
 
 def test_forward_rejects_empty_sequence(small_vocab):
@@ -187,10 +200,15 @@ def test_batch_forward_matches_per_example(seed, lengths):
     model = _random_model(vocab, hsize=5, dim=4, seed=seed, max_len=9)
     pool = list("好坏中啊呀很不太还")
     seqs = [cs.encode(pool[:n], vocab, max_len=9) for n in lengths]
-    ps_batch, _ = cs.forward_batch(seqs, model)
-    for seq, pb in zip(seqs, ps_batch, strict=True):
+    ps_batch, cache = cs.forward_batch(seqs, model)
+    params = params_to_lists(model.params)
+    for row, (seq, pb) in enumerate(zip(seqs, ps_batch, strict=True)):
         p1, _ = cs.sequence_forward(seq, model)
         assert abs(p1 - pb) < 1e-12
+        xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
+        h_ref, p_ref = lstm_sequence_ref(xs, params)
+        assert abs(pb - p_ref) < 1e-12
+        np.testing.assert_allclose(cache.h_final[row], h_ref, rtol=0.0, atol=1e-12)
 
 
 def test_batch_forward_with_dropout_matches_per_example(small_vocab):
@@ -200,9 +218,14 @@ def test_batch_forward_with_dropout_matches_per_example(small_vocab):
     rng = np.random.default_rng(3)
     masks = (rng.random((3, 5)) >= 0.5) / 0.5
     ps_batch, _ = cs.forward_batch(seqs, model, dropout_masks=masks)
+    params = params_to_lists(model.params)
     for row, (seq, pb) in enumerate(zip(seqs, ps_batch, strict=True)):
         p1, _ = cs.sequence_forward(seq, model, dropout_mask=masks[row])
         assert abs(p1 - pb) < 1e-12
+        xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
+        h_ref, _ = lstm_sequence_ref(xs, params)
+        logit = sum(w * m * h for w, m, h in zip(params["w_out"], masks[row], h_ref, strict=True))
+        assert abs(pb - sigmoid_ref(logit + params["b_out"][0])) < 1e-12
 
 
 def test_predict_labels_and_threshold(small_vocab):

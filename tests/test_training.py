@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -91,14 +92,20 @@ def test_backward_freeze_embeddings_omits_rows():
 
 def test_backward_batch_equals_mean_of_per_example():
     model, dataset = _grad_setup(seed=6, n=10)
-    seqs = [s for s, _ in dataset[:7]]
+    # mixed lengths, so most rows run past their end inside the batch
+    lengths = (15, 3, 20, 8, 1, 12, 5)
+    seqs = [
+        cs.encode(cs.decode(seq, model.vocab)[:n], model.vocab, 20)
+        for (seq, _), n in zip(dataset[:7], lengths, strict=True)
+    ]
+    assert [s.true_length for s in seqs] == list(lengths)
     ys = np.array([float(y) for _, y in dataset[:7]])
     rng = np.random.default_rng(9)
     masks = (rng.random((7, 5)) >= 0.3) / 0.7
     _, bcache = cs.forward_batch(seqs, model, dropout_masks=masks)
     batch_grads = cs.backward_batch(bcache, ys, model)
     mean_grads = None
-    for row, (seq, y) in enumerate(dataset[:7]):
+    for row, (seq, y) in enumerate(zip(seqs, ys, strict=True)):
         _, cache = cs.sequence_forward(seq, model, dropout_mask=masks[row])
         g = cs.backward(cache, y, model)
         if mean_grads is None:
@@ -109,6 +116,24 @@ def test_backward_batch_equals_mean_of_per_example():
     for k in mean_grads:
         mean_grads[k] /= 7.0
         np.testing.assert_allclose(batch_grads[k], mean_grads[k], atol=1e-12, err_msg=k)
+
+    def mean_loss():
+        ps, _ = cs.forward_batch(seqs, model, dropout_masks=masks)
+        return float(np.mean([cs.bce_loss(p, y) for p, y in zip(ps, ys, strict=True)]))
+
+    tensors = dict(model.params.tensors())
+    tensors["embeddings"] = model.embeddings.vectors
+    touched = sorted({i for seq in seqs for i in seq.ids[: seq.true_length]})
+    dim = model.embeddings.dim
+    for name, tensor in tensors.items():
+        flat_grad = batch_grads[name].reshape(-1)
+        if name == "embeddings":
+            picks = [row * dim + j for row in touched for j in range(dim)]
+        else:
+            picks = rng.choice(tensor.size, size=min(12, tensor.size), replace=False)
+        for index in picks:
+            num = central_difference(mean_loss, tensor, int(index), step=1e-5)
+            assert relative_error(num, flat_grad[index]) < 1e-4, (name, index)
 
 
 def test_adam_matches_scalar_trace():
@@ -431,6 +456,49 @@ def test_model_file_magic_and_errors(tmp_path, trained_setup):
         cs.load_model(truncated)
     with pytest.raises(DataError):
         cs.load_model(tmp_path / "missing.ssm")
+
+
+def _tiny_model_bytes(tmp_path) -> bytes:
+    vocab = cs.build_vocab(["好坏"], min_count=1)
+    path = tmp_path / "tiny.ssm"
+    cs.save_model(make_model(vocab, hidden_size=2, dim=2, max_len=4), path)
+    return path.read_bytes()
+
+
+def test_load_model_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    blob = _tiny_model_bytes(tmp_path)
+    path = tmp_path / "cut.ssm"
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(DataError):
+            cs.load_model(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(DataError):
+        cs.load_model(path)
+    path.write_bytes(blob)
+    cs.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["version", "h", "d", "max_len", "threshold", "vocab_hash", "vocab_size", "min_count", "tokens"],
+)
+def test_load_model_rejects_missing_or_mistyped_header_fields(tmp_path, key):
+    blob = _tiny_model_bytes(tmp_path)
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    tensors = blob[8 + header_len :]
+    path = tmp_path / "edited.ssm"
+    for edit in ("drop", "x", [None], None):
+        edited = dict(header)
+        if edit == "drop":
+            del edited[key]
+        else:
+            edited[key] = edit
+        raw = json.dumps(edited, ensure_ascii=False).encode("utf-8")
+        path.write_bytes(b"SSM1" + struct.pack("<I", len(raw)) + raw + tensors)
+        with pytest.raises(DataError):
+            cs.load_model(path)
 
 
 def test_history_roundtrip_is_plain_json_array(tmp_path, trained_setup):
