@@ -9,10 +9,11 @@ error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 from .corpus import (
@@ -44,80 +45,92 @@ from .training import (
     train,
 )
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "threshold": 0.5,
-    "paths": {
-        "corpus": None,
-        "lexicon": None,
-        "labeled": None,
-        "vocab": None,
-        "embeddings": None,
-        "model": None,
-        "history": None,
-    },
-    "tokenizer": {"max_len": 120, "min_count": 1},
-    "split": {"train_frac": 0.7, "val_frac": 0.15},
-    "word2vec": {
-        "mode": "cbow",
-        "window": 4,
-        "negatives": 5,
-        "learning_rate": 0.025,
-        "epochs": 5,
-        "dim": 300,
-        "subsample_threshold": None,
-    },
-    "network": {"hidden_size": 128},
-    "training": {
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "epochs": 10,
-        "batch_size": 32,
-        "dropout_rate": 0.5,
-        "patience": 3,
-        "freeze_embeddings": False,
-    },
-}
+
+@dataclass(frozen=True)
+class PathsConfig:
+    corpus: str | None = None
+    lexicon: str | None = None
+    labeled: str | None = None
+    vocab: str | None = None
+    embeddings: str | None = None
+    model: str | None = None
+    history: str | None = None
+
+
+@dataclass(frozen=True)
+class TokenizerConfig:
+    max_len: int = 120
+    min_count: int = 1
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    train_frac: float = 0.7
+    val_frac: float = 0.15
+
+
+@dataclass(frozen=True)
+class NetworkConfig:
+    hidden_size: int = 128
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    seed: int
-    threshold: float
-    paths: dict
-    tokenizer: dict
-    split: dict
-    word2vec: dict
-    network: dict
-    training: dict
-    explicit: frozenset = field(default_factory=frozenset)
+    """Every config key, its default and its type. The top-level seed is
+    the only seed key; `build_config` copies it into both sections.
+    A null threshold means the model's stored one (train stores 0.5).
+    """
 
-    def was_set(self, dotted: str) -> bool:
-        return dotted in self.explicit
+    seed: int = 0
+    threshold: float | None = None
+    paths: PathsConfig = PathsConfig()
+    tokenizer: TokenizerConfig = TokenizerConfig()
+    split: SplitConfig = SplitConfig()
+    network: NetworkConfig = NetworkConfig()
+    word2vec: W2vConfig = W2vConfig()
+    training: TrainConfig = TrainConfig()
 
     def require_path(self, key: str, command: str) -> Path:
-        value = self.paths.get(key)
+        value = getattr(self.paths, key)
         if value is None:
             raise ConfigError(f"paths.{key} is required for '{command}'")
         return Path(value)
 
 
-def _merge(base: dict, override: dict, prefix: str, explicit: set) -> dict:
-    out = copy.deepcopy(base)
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _check_value(value, annotation, dotted: str):
+    """`value` if JSON gave the annotated type: bool is not an int, an
+    int is a float, floats are finite, `| None` admits null.
+    """
+    kinds = typing.get_args(annotation) or (annotation,)
+    if float in kinds and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) in kinds and (type(value) is not float or math.isfinite(value)):
+        return value
+    expected = " or ".join(_TYPE_NAMES.get(k, "null") for k in kinds)
+    raise ConfigError(f"config key {dotted} expects {expected}, got {json.dumps(value)}")
+
+
+def _merge(section, override: dict, prefix: str = ""):
+    """A copy of the config dataclass `section` with `override`'s values,
+    each checked against its field's annotation; `replace` reruns the
+    section's own range checks.
+    """
+    hints = typing.get_type_hints(type(section))
+    changes = {}
     for key, value in override.items():
         dotted = f"{prefix}{key}"
-        if key not in base:
+        if key not in hints or (prefix and key == "seed"):
             raise ConfigError(f"unknown config key: {dotted}")
-        if isinstance(base[key], dict):
+        if is_dataclass(hints[key]):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {dotted} expects an object")
-            out[key] = _merge(base[key], value, dotted + ".", explicit)
+            changes[key] = _merge(getattr(section, key), value, dotted + ".")
         else:
-            out[key] = value
-            explicit.add(dotted)
-    return out
+            changes[key] = _check_value(value, hints[key], dotted)
+    return replace(section, **changes)
 
 
 def _parse_set_value(raw: str):
@@ -139,8 +152,7 @@ def _nest(dotted: str, value) -> dict:
 def build_config(
     config_path: str | None, overrides: list[str], seed_flag: int | None
 ) -> PipelineConfig:
-    merged = copy.deepcopy(DEFAULTS)
-    explicit: set = set()
+    cfg = PipelineConfig()
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -151,26 +163,15 @@ def build_config(
             raise ConfigError(f"{path}: invalid JSON in config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
-        merged = _merge(merged, loaded, "", explicit)
+        cfg = _merge(cfg, loaded)
     for item in overrides or []:
         key, eq, raw = item.partition("=")
         if not eq:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        merged = _merge(merged, _nest(key, _parse_set_value(raw)), "", explicit)
-    if seed_flag is not None:
-        merged["seed"] = seed_flag
-        explicit.add("seed")
-    if not isinstance(merged["seed"], int) or isinstance(merged["seed"], bool):
-        raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
-    return PipelineConfig(explicit=frozenset(explicit), **merged)
-
-
-def _w2v_config(cfg: PipelineConfig) -> W2vConfig:
-    return W2vConfig(seed=cfg.seed, **cfg.word2vec)
-
-
-def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    return TrainConfig(seed=cfg.seed, **cfg.training)
+        cfg = _merge(cfg, _nest(key, _parse_set_value(raw)))
+    seed = cfg.seed if seed_flag is None else seed_flag
+    w2v, training = replace(cfg.word2vec, seed=seed), replace(cfg.training, seed=seed)
+    return replace(cfg, seed=seed, word2vec=w2v, training=training)
 
 
 def _emit(payload: dict) -> None:
@@ -184,7 +185,7 @@ def _note(message: str) -> None:
 def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("corpus", "prelabel")
     out_path = cfg.require_path("labeled", "prelabel")
-    lexicon_path = cfg.paths.get("lexicon")
+    lexicon_path = cfg.paths.lexicon
     if lexicon_path is None:
         lexicon_path = sample_lexicon_path()
         _note(f"no lexicon configured, using bundled sample: {lexicon_path}")
@@ -221,22 +222,21 @@ def cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     vocab_path = cfg.require_path("vocab", "embed")
     emb_path = cfg.require_path("embeddings", "embed")
     corpus = load_corpus(corpus_path)
-    vocab = build_vocab(corpus, min_count=cfg.tokenizer["min_count"])
+    vocab = build_vocab(corpus, min_count=cfg.tokenizer.min_count)
     # full untruncated id streams: clipping to max_len is a classifier
     # concern, not an embedding one
     sequences = [
         [vocab.id_for(t) for t in segment_chars(text)] for text in corpus.texts()
     ]
-    w2v = _w2v_config(cfg)
     epoch_losses: list[float] = []
-    matrix = train_embeddings(sequences, vocab, w2v, epoch_losses=epoch_losses)
+    matrix = train_embeddings(sequences, vocab, cfg.word2vec, epoch_losses=epoch_losses)
     vocab.save(vocab_path)
     save_embeddings(matrix, vocab, emb_path)
     _emit(
         {
             "vocab_size": len(vocab),
             "dim": matrix.dim,
-            "mode": w2v.mode,
+            "mode": cfg.word2vec.mode,
             "epoch_losses": epoch_losses,
             "final_loss": epoch_losses[-1] if epoch_losses else None,
             "vocab_path": str(vocab_path),
@@ -256,30 +256,30 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(vocab_path)
     embeddings, _tokens = load_embeddings(emb_path)
     train_c, val_c, test_c = split(
-        corpus, cfg.split["train_frac"], cfg.split["val_frac"], cfg.seed
+        corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed
     )
     if not train_c.reviews or not val_c.reviews:
         raise DataError(
             f"split produced empty train or validation set from {len(corpus.reviews)} reviews"
         )
-    max_len = cfg.tokenizer["max_len"]
+    max_len = cfg.tokenizer.max_len
     train_set = encode_labeled(train_c, vocab, max_len)
     val_set = encode_labeled(val_c, vocab, max_len)
 
-    params = init_lstm_params(cfg.network["hidden_size"], embeddings.dim, cfg.seed)
+    params = init_lstm_params(cfg.network.hidden_size, embeddings.dim, cfg.seed)
     model = Model(
         vocab=vocab,
         embeddings=embeddings,
         params=params,
         max_len=max_len,
-        threshold=cfg.threshold,
     )
-    tcfg = _train_config(cfg)
+    if cfg.threshold is not None:
+        model.threshold = cfg.threshold
     _note(
         f"training on {len(train_set)} reviews, validating on {len(val_set)}, "
-        f"h={cfg.network['hidden_size']}, d={embeddings.dim}"
+        f"h={cfg.network.hidden_size}, d={embeddings.dim}"
     )
-    best, history = train(train_set, val_set, model, tcfg)
+    best, history = train(train_set, val_set, model, cfg.training)
 
     summary: dict = {
         "best_epoch": history.best_epoch,
@@ -292,7 +292,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         test_set = encode_labeled(test_c, vocab, max_len)
         summary["test"] = evaluate(best, test_set).to_dict()
     save_model(best, model_path)
-    history_path = cfg.paths.get("history")
+    history_path = cfg.paths.history
     if history_path is not None:
         save_history(history, history_path)
         summary["history_path"] = str(history_path)
@@ -306,8 +306,7 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model = load_model(model_path)
     corpus = load_corpus(corpus_path)
     dataset = encode_labeled(corpus, model.vocab, model.max_len)
-    threshold = cfg.threshold if cfg.was_set("threshold") else model.threshold
-    metrics = evaluate(model, dataset, threshold)
+    metrics = evaluate(model, dataset, cfg.threshold)
     _emit(metrics.to_dict())
     return 0
 
@@ -315,11 +314,10 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model_path = cfg.require_path("model", "predict")
     model = load_model(model_path)
-    threshold = cfg.threshold if cfg.was_set("threshold") else model.threshold
     texts = args.text if args.text else (line.rstrip("\n") for line in sys.stdin)
     for text in texts:
         try:
-            label, p = predict(text, model, threshold)
+            label, p = predict(text, model, cfg.threshold)
         except DataError:
             _emit({"error": "empty input"})
             continue

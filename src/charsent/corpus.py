@@ -229,6 +229,8 @@ def load_lexicon(path: str | Path) -> PolarityLexicon:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
             token = record.get("token")
             weight = record.get("weight")
             if not isinstance(token, str) or isinstance(weight, bool) or not isinstance(

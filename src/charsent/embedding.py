@@ -374,31 +374,41 @@ def save_embeddings(
 def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
     """Read either embedding format; returns the matrix (context side
     empty) and the token list in id order for validation by the caller.
+    A binary file must end exactly after its last row.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
     blob = path.read_bytes()
     if blob.startswith(EMBEDDING_MAGIC.encode("utf-8") + b" "):
-        newline = blob.index(b"\n")
-        parts = blob[:newline].decode("utf-8").split(" ")
-        if len(parts) != 4:
+        newline = blob.find(b"\n")
+        parts = blob[:newline].split(b" ")
+        if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
             raise DataError(f"{path}: malformed embedding header")
-        _, v_str, d_str, vocab_hash = parts
-        vocab_size, dim = int(v_str), int(d_str)
+        vocab_size, dim = int(parts[1]), int(parts[2])
+        row_bytes = 4 * dim
+        # each row is at least a 1-byte token, a space, the floats and a newline
+        if dim < 1 or len(blob) - newline - 1 < vocab_size * (row_bytes + 3):
+            raise DataError(
+                f"{path}: {len(blob)} bytes, too short for {vocab_size} rows of dim {dim}"
+            )
         tokens: list[str] = []
         vectors = np.empty((vocab_size, dim))
         offset = newline + 1
-        row_bytes = 4 * dim
-        for i in range(vocab_size):
-            space = blob.index(b" ", offset)
-            tokens.append(blob[offset:space].decode("utf-8"))
-            start = space + 1
-            row = np.frombuffer(blob[start : start + row_bytes], dtype="<f4")
-            if row.size != dim or blob[start + row_bytes : start + row_bytes + 1] != b"\n":
-                raise DataError(f"{path}: truncated embedding record for row {i}")
-            vectors[i] = row.astype(np.float64)
-            offset = start + row_bytes + 1
+        try:
+            vocab_hash = parts[3].decode("utf-8")
+            for i in range(vocab_size):
+                space = blob.index(b" ", offset)
+                tokens.append(blob[offset:space].decode("utf-8"))
+                offset = space + 1 + row_bytes + 1
+                record = blob[space + 1 : offset]
+                if len(record) != row_bytes + 1 or record[-1:] != b"\n":
+                    raise DataError(f"{path}: truncated embedding record for row {i}")
+                vectors[i] = np.frombuffer(record[:-1], dtype="<f4")
+        except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
+            raise DataError(f"{path}: malformed embedding record after byte {offset}") from exc
+        if offset != len(blob):
+            raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last row")
         matrix = EmbeddingMatrix(
             vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash
         )
@@ -411,12 +421,14 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
         ) from exc
     if not isinstance(payload, dict) or payload.get("format") != EMBEDDING_MAGIC:
         raise DataError(f"{path}: not a {EMBEDDING_MAGIC} embedding file")
-    rows = payload["rows"]
-    vectors = np.array([r["vector"] for r in rows], dtype=np.float64)
-    matrix = EmbeddingMatrix(
-        vectors=vectors,
-        context_vectors=None,
-        dim=int(payload["dim"]),
-        vocab_hash=payload["vocab_hash"],
-    )
-    return matrix, [r["token"] for r in rows]
+    try:
+        rows = payload["rows"]
+        vectors = np.array([r["vector"] for r in rows], dtype=np.float64)
+        tokens = [r["token"] for r in rows]
+        dim, vocab_hash = payload["dim"], payload["vocab_hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed JSON embedding file ({exc!r})") from exc
+    if type(dim) is not int or not isinstance(vocab_hash, str):
+        raise DataError(f"{path}: 'dim' must be an integer and 'vocab_hash' a string")
+    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash)
+    return matrix, tokens

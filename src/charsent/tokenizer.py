@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,14 +23,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 
-def segment_chars(text: str, stop_chars: Collection[str] | None = None) -> list[str]:
-    """One token per Unicode scalar value, in order, whitespace dropped.
-
-    `stop_chars` optionally removes a caller-supplied character set;
-    nothing is filtered by default.
-    """
-    if stop_chars:
-        return [c for c in text if not c.isspace() and c not in stop_chars]
+def segment_chars(text: str) -> list[str]:
+    """One token per Unicode scalar value, in order, whitespace dropped."""
     return [c for c in text if not c.isspace()]
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,12 @@ from conftest import make_model
 def test_build_config_defaults():
     cfg = cli.build_config(None, [], None)
     assert cfg.seed == 0
-    assert cfg.threshold == 0.5
-    assert cfg.tokenizer["max_len"] == 120
-    assert cfg.word2vec["dim"] == 300
-    assert cfg.network["hidden_size"] == 128
-    assert cfg.training["batch_size"] == 32
-    assert not cfg.was_set("threshold")
+    assert cfg.threshold is None  # the model's stored threshold
+    assert cfg.tokenizer.max_len == 120
+    assert cfg.word2vec.dim == 300
+    assert cfg.network.hidden_size == 128
+    assert cfg.training.batch_size == 32
+    assert cfg == cli.PipelineConfig()
 
 
 def test_build_config_file_and_overrides(tmp_path):
@@ -31,12 +33,12 @@ def test_build_config_file_and_overrides(tmp_path):
     )
     cfg = cli.build_config(str(path), ["training.epochs=4", "threshold=0.6"], None)
     assert cfg.seed == 5
-    assert cfg.word2vec["dim"] == 32
-    assert cfg.word2vec["window"] == 4  # untouched defaults survive
-    assert cfg.paths["model"] == "m.ssm"
-    assert cfg.training["epochs"] == 4
+    assert cfg.word2vec.dim == 32
+    assert cfg.word2vec.window == 4  # untouched defaults survive
+    assert cfg.paths.model == "m.ssm"
+    assert cfg.training.epochs == 4
     assert cfg.threshold == 0.6
-    assert cfg.was_set("threshold") and cfg.was_set("seed")
+    assert cfg.word2vec.seed == cfg.training.seed == 5  # the pipeline seed reaches both
 
 
 def test_build_config_set_value_types():
@@ -48,21 +50,23 @@ def test_build_config_set_value_types():
             "word2vec.mode=skipgram",
             "paths.model=out dir/model.ssm",
             "training.learning_rate=0.005",
+            "split.train_frac=1",
         ],
         None,
     )
-    assert cfg.training["freeze_embeddings"] is True
-    assert cfg.word2vec["subsample_threshold"] is None
-    assert cfg.word2vec["mode"] == "skipgram"
-    assert cfg.paths["model"] == "out dir/model.ssm"
-    assert cfg.training["learning_rate"] == 0.005
+    assert cfg.training.freeze_embeddings is True
+    assert cfg.word2vec.subsample_threshold is None
+    assert cfg.word2vec.mode == "skipgram"
+    assert cfg.paths.model == "out dir/model.ssm"
+    assert cfg.training.learning_rate == 0.005
+    assert cfg.split.train_frac == 1.0 and type(cfg.split.train_frac) is float
 
 
 def test_build_config_seed_flag_wins(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 5}), encoding="utf-8")
     cfg = cli.build_config(str(path), ["seed=6"], 7)
-    assert cfg.seed == 7
+    assert cfg.seed == cfg.word2vec.seed == cfg.training.seed == 7
 
 
 def test_build_config_rejects_unknown_keys(tmp_path):
@@ -73,6 +77,9 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"wordvec": {}}), encoding="utf-8")
     with pytest.raises(ConfigError):
         cli.build_config(str(path), [], None)
+    for key in ("word2vec.seed", "training.seed"):  # only the pipeline seed is a key
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            cli.build_config(None, [f"{key}=3"], None)
 
 
 def test_build_config_rejects_malformed_inputs(tmp_path):
@@ -90,6 +97,74 @@ def test_build_config_rejects_malformed_inputs(tmp_path):
         cli.build_config(str(arr), [], None)
     with pytest.raises(ConfigError):
         cli.build_config(None, ["seed=1.5"], None)
+    with pytest.raises(ConfigError, match="beta1"):  # section range checks still run
+        cli.build_config(None, ["training.beta1=1"], None)
+    with pytest.raises(ConfigError, match="split.train_frac"):  # an int beyond float range
+        cli.build_config(None, ["split.train_frac=1" + "0" * 400], None)
+
+
+MISTYPED_VALUES = [
+    "word2vec.window=abc",
+    "word2vec.window=1.5",
+    "word2vec.dim=true",
+    "word2vec.negatives=null",
+    "word2vec.epochs=1.5",
+    'word2vec.learning_rate="x"',
+    'word2vec.subsample_threshold="x"',
+    "word2vec.learning_rate=Infinity",
+    'network.hidden_size="x"',
+    "network.hidden_size=2.5",
+    "training.epochs=1.5",
+    "training.patience=1.5",
+    'training.freeze_embeddings="no"',
+    "tokenizer.max_len=2.5",
+    'split.train_frac="x"',
+    "threshold=NaN",
+    "paths.model=5",
+]
+
+
+@pytest.mark.parametrize("override", MISTYPED_VALUES)
+def test_main_mistyped_config_value_exits_2(override, capsys):
+    assert cli.main(["train", "--set", override]) == 2
+    err = capsys.readouterr().err
+    key = override.partition("=")[0]
+    assert err.startswith(f"error: config key {key} expects ")
+    assert "Traceback" not in err
+
+
+def _readme_config_table() -> set[tuple[str, str, str]]:
+    """(section, key, JSON default) triples of README's "Configuration
+    keys" table; a row lists several keys with one default or one each.
+    JSON text keeps 0, 0.0 and false apart.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section_text = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section_text.splitlines() if line.startswith("|")]
+    triples = set()
+    for row in rows[2:]:  # after the heading and rule rows
+        section, keys, defaults = (c.strip().strip("`") for c in row.split("|")[1:4])
+        keys = [k.strip("` ") for k in keys.split(",")]
+        defaults = [json.loads(d.strip("` ")) for d in defaults.split(",")]
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), row
+        triples |= {(section, k, json.dumps(d)) for k, d in zip(keys, defaults)}
+    return triples
+
+
+def test_readme_config_table_matches_pipeline_config():
+    defaults = cli.PipelineConfig()
+    expected = set()
+    for f in dataclasses.fields(defaults):
+        value = getattr(defaults, f.name)
+        if not dataclasses.is_dataclass(value):
+            expected.add(("(top)", f.name, json.dumps(value)))
+            continue
+        for leaf in dataclasses.fields(value):
+            if leaf.name != "seed":  # the pipeline seed is the only seed key
+                expected.add((f.name, leaf.name, json.dumps(getattr(value, leaf.name))))
+    assert _readme_config_table() == expected
 
 
 def test_main_usage_errors_exit_2(capsys):
@@ -280,6 +355,13 @@ def test_train_with_corrupt_embeddings_exits_3(pipeline, tmp_path, capsys):
     )
     assert code == 3
     assert "W2V1" in capsys.readouterr().err
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes((pipeline / "emb.bin").read_bytes()[:-3])
+    code = cli.main(
+        ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={cut}"]
+    )
+    assert code == 3
+    assert f"error: {cut}: " in capsys.readouterr().err
 
 
 def test_evaluate_output_is_reproducible(pipeline, capsys):

@@ -131,6 +131,9 @@ def test_load_lexicon_rejects_nonfinite(tmp_path):
     path.write_text('{"token": "好", "weight": Infinity}\n', encoding="utf-8")
     with pytest.raises(DataError):
         cs.load_lexicon(path)
+    path.write_text('{"token": "好", "weight": 1}\n[1,2]\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"lex\.jsonl:2: expected a JSON object"):
+        cs.load_lexicon(path)
 
 
 def _toy_corpus(n):

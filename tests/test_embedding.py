@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from charsent.embedding import (
     skipgram_step,
     token_counts,
 )
-from charsent.errors import ConfigError, DataError
+from charsent.errors import CharsentError, ConfigError, DataError
 from charsent.rng import substream
 from charsent.tokenizer import PAD_ID
 
@@ -294,6 +295,67 @@ def test_load_embeddings_bad_magic(tmp_path):
     with pytest.raises(DataError) as err:
         cs.load_embeddings(path)
     assert "W2V1" in str(err.value)
+
+
+def _tiny_embedding_bytes(tmp_path, format="binary") -> bytes:
+    vocab = cs.build_vocab(["好坏"], min_count=1)
+    path = tmp_path / f"tiny.{format}"
+    cs.save_embeddings(init_embedding_matrix(vocab, dim=2, seed=1), vocab, path, format=format)
+    return path.read_bytes()
+
+
+def test_load_embeddings_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    blob = _tiny_embedding_bytes(tmp_path)
+    path = tmp_path / "cut.bin"
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(DataError):
+            cs.load_embeddings(path)
+    path.write_bytes(blob + b"\n")
+    with pytest.raises(DataError, match="trailing"):
+        cs.load_embeddings(path)
+    path.write_bytes(blob)
+    cs.load_embeddings(path)
+
+
+@pytest.mark.parametrize("header", [b"W2V1 x 2 h", b"W2V1 4 2.0 h", b"W2V1 -4 2 h", b"W2V1 4 0 h",
+                                    b"W2V1 4 2", b"W2V1 99999999999 2 h"])
+def test_load_embeddings_rejects_bad_header_fields(tmp_path, header):
+    blob = _tiny_embedding_bytes(tmp_path)
+    path = tmp_path / "edited.bin"
+    path.write_bytes(header + blob[blob.index(b"\n") :])
+    with pytest.raises(DataError):
+        cs.load_embeddings(path)
+
+
+@pytest.mark.parametrize("key", ["rows", "dim", "vocab_hash"])
+def test_load_embeddings_json_rejects_missing_or_mistyped_fields(tmp_path, key):
+    payload = json.loads(_tiny_embedding_bytes(tmp_path, "json"))
+    path = tmp_path / "edited.json"
+    for edit in ("drop", True, [None], None):
+        edited = dict(payload)
+        if edit == "drop":
+            del edited[key]
+        else:
+            edited[key] = edit
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        with pytest.raises(DataError):
+            cs.load_embeddings(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4))
+def test_load_embeddings_flipped_bytes_raise_only_charsent_errors(tmp_path_factory, flips):
+    tmp_path = tmp_path_factory.mktemp("flip")
+    blob = bytearray(_tiny_embedding_bytes(tmp_path))
+    for offset, mask in flips:
+        blob[offset % len(blob)] ^= mask
+    path = tmp_path / "flipped.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        cs.load_embeddings(path)
+    except CharsentError:
+        pass
 
 
 def test_w2v_config_validation():

@@ -23,10 +23,6 @@ def test_segment_chars_astral_plane():
     assert cs.segment_chars("好😀坏") == ["好", "😀", "坏"]
 
 
-def test_segment_chars_stop_chars():
-    assert cs.segment_chars("很好,吧", stop_chars={",", "吧"}) == ["很", "好"]
-
-
 @given(st.text(max_size=60))
 def test_segment_chars_covers_non_whitespace(text):
     tokens = cs.segment_chars(text)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsent as cs
-from charsent.errors import ConfigError, DataError, NumericalError
+from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID
 from charsent.training import AdamState, _bce_losses
@@ -477,6 +477,21 @@ def test_load_model_rejects_every_truncation_and_trailing_bytes(tmp_path):
         cs.load_model(path)
     path.write_bytes(blob)
     cs.load_model(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4))
+def test_load_model_flipped_bytes_raise_only_charsent_errors(tmp_path_factory, flips):
+    tmp_path = tmp_path_factory.mktemp("flip")
+    blob = bytearray(_tiny_model_bytes(tmp_path))
+    for offset, mask in flips:
+        blob[offset % len(blob)] ^= mask
+    path = tmp_path / "flipped.ssm"
+    path.write_bytes(bytes(blob))
+    try:
+        cs.load_model(path)
+    except CharsentError:
+        pass
 
 
 @pytest.mark.parametrize(
