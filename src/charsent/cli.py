@@ -116,7 +116,7 @@ def _check_value(value, annotation, dotted: str):
 def _merge(section, override: dict, prefix: str = ""):
     """A copy of the config dataclass `section` with `override`'s values,
     each checked against its field's annotation; `replace` reruns the
-    section's own range checks.
+    section's own range checks, whose errors gain the section's prefix.
     """
     hints = typing.get_type_hints(type(section))
     changes = {}
@@ -130,7 +130,10 @@ def _merge(section, override: dict, prefix: str = ""):
             changes[key] = _merge(getattr(section, key), value, dotted + ".")
         else:
             changes[key] = _check_value(value, hints[key], dotted)
-    return replace(section, **changes)
+    try:
+        return replace(section, **changes)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _parse_set_value(raw: str):

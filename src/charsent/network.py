@@ -197,25 +197,24 @@ class Model:
 
 @dataclass
 class BatchCache:
-    """Stacked per-step activations for a batch, step-major arrays of
-    shape (T, B, hidden). `alive[t, b]` marks steps before b's padding.
+    """Stacked per-step activations for a batch. The gate arrays are
+    step-major, shape (T, B, hidden); `hs` and `cs` have T + 1 rows,
+    row 0 the zero start state, so `hs[t]`/`cs[t]` feed step t and
+    `hs[t + 1]`/`cs[t + 1]` are its outputs.
     """
 
     id_matrix: np.ndarray
     lengths: np.ndarray
-    alive: np.ndarray
     xs: np.ndarray
-    h_prevs: np.ndarray
-    c_prevs: np.ndarray
+    hs: np.ndarray
+    cs: np.ndarray
     fs: np.ndarray
     is_: np.ndarray
     os_: np.ndarray
     c_tildes: np.ndarray
-    cs: np.ndarray
     h_final: np.ndarray
     dropout_masks: np.ndarray | None
     h_out: np.ndarray
-    logits: np.ndarray
     ps: np.ndarray
 
 
@@ -224,12 +223,12 @@ def forward_batch(
     model: Model,
     dropout_masks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BatchCache]:
-    """Run the cell over each sequence's non-PAD prefix from zero state
-    and classify each final hidden state. Rows whose sequence has ended
-    carry h and c through unchanged, so PAD positions are never
-    processed and extra padding cannot change a probability. The
-    dropout masks, when given (training only), multiply the final
-    hidden states.
+    """Run the cell over the batch from zero state and classify each
+    row's hidden state at its own last step. Steps beyond the longest
+    row are never run; rows that have ended keep stepping over the PAD
+    embedding, but the head never reads those states, so padding cannot
+    change a probability. The dropout masks, when given (training
+    only), multiply the final hidden states.
     """
     if not sequences:
         raise DataError("empty batch")
@@ -244,53 +243,34 @@ def forward_batch(
     id_matrix = np.zeros((batch, t_max), dtype=np.int64)
     for b, seq in enumerate(sequences):
         id_matrix[b, : seq.true_length] = seq.ids[: seq.true_length]
-    alive = np.arange(t_max)[None, :] < lengths[:, None]  # (B, T)
-    alive = alive.T.copy()  # (T, B)
 
     xs = model.embeddings.vectors[id_matrix]  # (B, T, dim)
-    h = np.zeros((batch, hsize))
-    c = np.zeros((batch, hsize))
-    h_prevs = np.empty((t_max, batch, hsize))
-    c_prevs = np.empty((t_max, batch, hsize))
+    hs = np.zeros((t_max + 1, batch, hsize))
+    cs = np.zeros((t_max + 1, batch, hsize))
     fs = np.empty((t_max, batch, hsize))
     is_ = np.empty((t_max, batch, hsize))
     os_ = np.empty((t_max, batch, hsize))
     c_tildes = np.empty((t_max, batch, hsize))
-    cs = np.empty((t_max, batch, hsize))
-
-    all_alive = int(lengths.min())  # steps before the shortest row ends
     for t in range(t_max):
-        h_prevs[t] = h
-        c_prevs[t] = c
-        h_new, c_new, g = lstm_cell_forward(xs[:, t, :], h, c, p)
-        if t < all_alive:
-            h, c = h_new, c_new
-        else:
-            mask = alive[t][:, None]
-            h = np.where(mask, h_new, h)
-            c = np.where(mask, c_new, c)
-        fs[t], is_[t], os_[t], c_tildes[t], cs[t] = g.f, g.i, g.o, g.c_tilde, c_new
+        hs[t + 1], cs[t + 1], g = lstm_cell_forward(xs[:, t, :], hs[t], cs[t], p)
+        fs[t], is_[t], os_[t], c_tildes[t] = g.f, g.i, g.o, g.c_tilde
 
-    h_final = h
+    h_final = hs[lengths, np.arange(batch)]
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
-    logits = h_out @ p.w_out + p.b_out[0]
-    ps = sigmoid(logits)
+    ps = sigmoid(h_out @ p.w_out + p.b_out[0])
     cache = BatchCache(
         id_matrix=id_matrix,
         lengths=lengths,
-        alive=alive,
         xs=xs,
-        h_prevs=h_prevs,
-        c_prevs=c_prevs,
+        hs=hs,
+        cs=cs,
         fs=fs,
         is_=is_,
         os_=os_,
         c_tildes=c_tildes,
-        cs=cs,
         h_final=h_final,
         dropout_masks=dropout_masks,
         h_out=h_out,
-        logits=logits,
         ps=ps,
     )
     return ps, cache

@@ -40,8 +40,10 @@ class TrainConfig:
     freeze_embeddings: bool = False
 
     def __post_init__(self):
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ConfigError("beta1 and beta2 must lie strictly between 0 and 1")
+        if not 0 < self.beta1 < 1:
+            raise ConfigError("beta1 must lie strictly between 0 and 1")
+        if not 0 < self.beta2 < 1:
+            raise ConfigError("beta2 must lie strictly between 0 and 1")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be > 0")
         if not self.learning_rate > 0:
@@ -81,9 +83,9 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the mean bce_loss over the batch for every
     parameter tensor, and for the embedding rows the batch touched
-    unless frozen, accumulated backward through all time steps. Steps
-    past a sequence's end contribute nothing; their upstream gradients
-    pass through to earlier steps.
+    unless frozen, accumulated backward through all time steps. Each
+    row's head gradient enters at that row's own last step, so the
+    steps a row ran past its end see zero upstream gradient.
     """
     p = model.params
     hsize = p.hidden_size
@@ -94,29 +96,33 @@ def backward_batch(
     dlogits = (cache.ps - ys) / batch
     grads["w_out"] += cache.h_out.T @ dlogits
     grads["b_out"] += dlogits.sum()
-    dh = dlogits[:, None] * p.w_out[None, :]
+    dh_head = dlogits[:, None] * p.w_out[None, :]
     if cache.dropout_masks is not None:
-        dh = dh * cache.dropout_masks
+        dh_head = dh_head * cache.dropout_masks
+    dh = np.zeros((batch, hsize))
     dc = np.zeros((batch, hsize))
     dxs = np.zeros_like(cache.xs)
+    last_step = cache.lengths - 1
 
+    # Past a row's end its gradients are zeros times its states. That
+    # adds exact zeros only because those states stay finite: h lies in
+    # (-1, 1) and |c_t| <= t, as each step adds at most 1 to |c|.
     for t in range(t_max - 1, -1, -1):
-        mask = cache.alive[t][:, None]
-        dh_t = np.where(mask, dh, 0.0)
-        dc_t = np.where(mask, dc, 0.0)
+        ends = last_step == t
+        dh[ends] = dh_head[ends]
         f, i, o = cache.fs[t], cache.is_[t], cache.os_[t]
-        c_tilde, c = cache.c_tildes[t], cache.cs[t]
+        c_tilde, c = cache.c_tildes[t], cache.cs[t + 1]
         tanh_c = np.tanh(c)
-        do = dh_t * tanh_c
-        dc_full = dc_t + dh_t * o * (1.0 - tanh_c**2)
-        df = dc_full * cache.c_prevs[t]
+        do = dh * tanh_c
+        dc_full = dc + dh * o * (1.0 - tanh_c**2)
+        df = dc_full * cache.cs[t]
         di = dc_full * c_tilde
         dct = dc_full * i
         d_f_pre = df * f * (1.0 - f)
         d_i_pre = di * i * (1.0 - i)
         d_o_pre = do * o * (1.0 - o)
         d_ct_pre = dct * (1.0 - c_tilde**2)
-        z = np.concatenate([cache.h_prevs[t], cache.xs[:, t, :]], axis=1)
+        z = np.concatenate([cache.hs[t], cache.xs[:, t, :]], axis=1)
         grads["w_f"] += d_f_pre.T @ z
         grads["w_i"] += d_i_pre.T @ z
         grads["w_o"] += d_o_pre.T @ z
@@ -127,14 +133,11 @@ def backward_batch(
         grads["b_c"] += d_ct_pre.sum(axis=0)
         dz = d_f_pre @ p.w_f + d_i_pre @ p.w_i + d_o_pre @ p.w_o + d_ct_pre @ p.w_c
         dxs[:, t, :] = dz[:, hsize:]
-        dh = np.where(mask, dz[:, :hsize], dh)
-        dc = np.where(mask, dc_full * f, dc)
+        dh = dz[:, :hsize]
+        dc = dc_full * f
 
     if not freeze_embeddings:
-        alive_bt = cache.alive.T  # (B, T)
-        np.add.at(
-            grads["embeddings"], cache.id_matrix[alive_bt], dxs[alive_bt]
-        )
+        np.add.at(grads["embeddings"], cache.id_matrix, dxs)
     return grads
 
 
@@ -346,9 +349,7 @@ def train(
     records: list[EpochRecord] = []
     best_epoch = 0
     best_loss = np.inf
-    best_params: LstmParams | None = None
-    best_vectors: np.ndarray | None = None
-    best_metrics: Metrics | None = None
+    best: Model | None = None
     since_best = 0
     stopped_early = False
 
@@ -389,9 +390,8 @@ def train(
         if val_metrics.loss < best_loss:
             best_loss = val_metrics.loss
             best_epoch = epoch
-            best_params = work.params.copy()
-            best_vectors = work.embeddings.vectors.copy()
-            best_metrics = val_metrics
+            best = work.copy()
+            best.metrics_snapshot = val_metrics.to_dict()
             since_best = 0
         else:
             since_best += 1
@@ -399,21 +399,7 @@ def train(
                 stopped_early = True
                 break
 
-    best_model = Model(
-        vocab=work.vocab,
-        embeddings=EmbeddingMatrix(
-            vectors=best_vectors,
-            context_vectors=None,
-            dim=work.embeddings.dim,
-            vocab_hash=work.embeddings.vocab_hash,
-        ),
-        params=best_params,
-        max_len=work.max_len,
-        threshold=work.threshold,
-        version=work.version,
-        metrics_snapshot=best_metrics.to_dict(),
-    )
-    return best_model, TrainHistory(
+    return best, TrainHistory(
         records=records, best_epoch=best_epoch, stopped_early=stopped_early
     )
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -124,6 +125,12 @@ MISTYPED_VALUES = [
 ]
 
 
+@pytest.mark.parametrize("key", ["training.learning_rate", "word2vec.learning_rate"])
+def test_main_range_error_names_its_section(key, capsys):
+    assert cli.main(["train", "--set", f"{key}=0"]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be > 0\n"
+
+
 @pytest.mark.parametrize("override", MISTYPED_VALUES)
 def test_main_mistyped_config_value_exits_2(override, capsys):
     assert cli.main(["train", "--set", override]) == 2
@@ -220,7 +227,11 @@ def test_main_truncated_or_padded_model_exits_3(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Run the five commands once over a shared temporary directory."""
+    """A shared temporary directory with a raw corpus and a config, over
+    which prelabel, embed and train have run once, so labeled.jsonl,
+    vocab.json, emb.bin and model.ssm exist whichever test runs first.
+    Each command's exit code and JSON summary are in summaries.json.
+    """
     root = tmp_path_factory.mktemp("pipeline")
     corpus = generate_corpus(160, seed=31)
     raw = Corpus(
@@ -249,18 +260,33 @@ def pipeline(tmp_path_factory):
         "training": {"epochs": 4, "batch_size": 32, "dropout_rate": 0.2},
     }
     (root / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    summaries = {}
+    for command in ("prelabel", "embed", "train"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(root / "cfg.json")])
+        summaries[command] = [code, _last_json_line(stdout.getvalue())]
+    (root / "summaries.json").write_text(json.dumps(summaries), encoding="utf-8")
     return root
+
+
+def _last_json_line(out: str):
+    out = out.strip()
+    return json.loads(out.splitlines()[-1]) if out else None
 
 
 def _run(capsys, argv):
     code = cli.main(argv)
-    out = capsys.readouterr().out.strip()
-    payload = json.loads(out.splitlines()[-1]) if out else None
-    return code, payload
+    return code, _last_json_line(capsys.readouterr().out)
 
 
-def test_pipeline_prelabel(pipeline, capsys):
-    code, out = _run(capsys, ["prelabel", "--config", str(pipeline / "cfg.json")])
+def _summary(pipeline, command):
+    """The exit code and JSON summary of the fixture's run of `command`."""
+    return json.loads((pipeline / "summaries.json").read_text(encoding="utf-8"))[command]
+
+
+def test_pipeline_prelabel(pipeline):
+    code, out = _summary(pipeline, "prelabel")
     assert code == 0
     assert out["dropped"] == 1  # the url-only review
     assert out["newly_labeled"] == 2
@@ -273,8 +299,8 @@ def test_pipeline_prelabel(pipeline, capsys):
     assert not any("http" in r["text"] or "@" in r["text"] or "#" in r["text"] for r in rows)
 
 
-def test_pipeline_embed(pipeline, capsys):
-    code, out = _run(capsys, ["embed", "--config", str(pipeline / "cfg.json")])
+def test_pipeline_embed(pipeline):
+    code, out = _summary(pipeline, "embed")
     assert code == 0
     assert out["dim"] == 12
     assert out["mode"] == "cbow"
@@ -284,8 +310,8 @@ def test_pipeline_embed(pipeline, capsys):
     assert (pipeline / "emb.bin").read_bytes()[:5] == b"W2V1 "
 
 
-def test_pipeline_train(pipeline, capsys):
-    code, out = _run(capsys, ["train", "--config", str(pipeline / "cfg.json")])
+def test_pipeline_train(pipeline):
+    code, out = _summary(pipeline, "train")
     assert code == 0
     assert out["epochs_run"] <= 4
     assert 1 <= out["best_epoch"] <= out["epochs_run"]

@@ -113,14 +113,22 @@ def test_forward_oracle_random_weights(seed, length):
 
 
 def test_cell_state_decomposition_exact(small_vocab):
+    """The identity holds bit for bit on every row of a mixed-length
+    batch, also on rows that keep stepping past their end; the head
+    reads each row at its own last step.
+    """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
-    seq = cs.encode(list("好坏中啊呀很不"), small_vocab, max_len=8)
-    _, cache = cs.sequence_forward(seq, model)
-    assert cache.cs.shape[0] == 7
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
+    _, cache = cs.forward_batch(seqs, model)
+    assert cache.cs.shape == cache.hs.shape == (8, 4, 6)  # zero start state, then 7 steps
+    assert not cache.cs[0].any() and not cache.hs[0].any()
+    for row, seq in enumerate(seqs):
+        assert np.array_equal(cache.h_final[row], cache.hs[seq.true_length, row])
     for t in range(7):
         from_input = cache.is_[t] * cache.c_tildes[t]
-        from_past = cache.fs[t] * cache.c_prevs[t]
-        assert np.array_equal(cache.cs[t], from_input + from_past)
+        from_past = cache.fs[t] * cache.cs[t]
+        assert np.array_equal(cache.cs[t + 1], from_input + from_past)
         for gate in (cache.fs[t], cache.is_[t], cache.os_[t]):
             assert np.all((gate > 0.0) & (gate < 1.0))
         assert np.all(np.abs(cache.c_tildes[t]) < 1.0)
@@ -135,12 +143,12 @@ def test_forget_gate_extremes(small_vocab):
 
     model.params.b_f[:] = 30.0
     _, cache = cs.sequence_forward(seq, model)
-    expected = cache.c_prevs + cache.is_ * cache.c_tildes
-    np.testing.assert_allclose(cache.cs, expected, atol=1e-12)
+    expected = cache.cs[:-1] + cache.is_ * cache.c_tildes
+    np.testing.assert_allclose(cache.cs[1:], expected, atol=1e-12)
 
     model.params.b_f[:] = -30.0
     _, cache = cs.sequence_forward(seq, model)
-    assert np.all(np.abs(cache.fs * cache.c_prevs) < 1e-12)
+    assert np.all(np.abs(cache.fs * cache.cs[:-1]) < 1e-12)
 
 
 def test_padding_never_reaches_the_recurrence(small_vocab):

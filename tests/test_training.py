@@ -136,6 +136,31 @@ def test_backward_batch_equals_mean_of_per_example():
             assert relative_error(num, flat_grad[index]) < 1e-4, (name, index)
 
 
+def test_backward_batch_exact_beside_a_long_ended_row():
+    """A length-1 row runs 44 steps past its end beside a length-45 row.
+    With the forget gate saturated open its cell state keeps growing,
+    yet every gradient stays finite and the batch gradient is the mean
+    of the two batch-of-one gradients.
+    """
+    model, dataset = _grad_setup(seed=7, max_len=48)
+    model.params.b_f[:] = 30.0
+    pool = [token for seq, _ in dataset for token in cs.decode(seq, model.vocab)]
+    seqs = [cs.encode(pool[:n], model.vocab, 48) for n in (1, 45)]
+    assert [s.true_length for s in seqs] == [1, 45]
+    ys = np.array([1.0, 0.0])
+    _, bcache = cs.forward_batch(seqs, model)
+    assert np.abs(bcache.cs[45, 0]).max() > 5.0 * np.abs(bcache.cs[1, 0]).max()
+    batch_grads = cs.backward_batch(bcache, ys, model)
+    singles = [
+        cs.backward(cs.sequence_forward(seq, model)[1], y, model)
+        for seq, y in zip(seqs, ys, strict=True)
+    ]
+    for name, grad in batch_grads.items():
+        assert np.isfinite(grad).all(), name
+        mean = (singles[0][name] + singles[1][name]) / 2.0
+        np.testing.assert_allclose(grad, mean, rtol=0.0, atol=1e-12, err_msg=name)
+
+
 def test_adam_matches_scalar_trace():
     cfg = cs.TrainConfig(learning_rate=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
     rng = np.random.default_rng(12)
