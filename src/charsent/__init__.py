@@ -5,7 +5,6 @@ pipeline.
 """
 
 from .corpus import (
-    CleaningConfig,
     Corpus,
     PolarityLexicon,
     Review,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 from .corpus import (
-    CleaningConfig,
     clean_corpus,
     load_corpus,
     load_lexicon,
@@ -33,6 +32,7 @@ from .embedding import (
     train_embeddings,
 )
 from .errors import ConfigError, DataError, NumericalError
+from .files import read_text
 from .network import Model, init_lstm_params, predict
 from .tokenizer import Vocabulary, build_vocab, segment_chars
 from .training import (
@@ -158,10 +158,8 @@ def build_config(
     cfg = PipelineConfig()
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            loaded = json.loads(read_text(path, "config file", ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON in config file: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -194,7 +192,7 @@ def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         _note(f"no lexicon configured, using bundled sample: {lexicon_path}")
     lexicon = load_lexicon(lexicon_path)
     corpus = load_corpus(corpus_path)
-    cleaned, dropped = clean_corpus(corpus, CleaningConfig())
+    cleaned, dropped = clean_corpus(corpus)
     labeled = []
     newly = 0
     for review in cleaned.reviews:

@@ -8,6 +8,7 @@ preserved on load so seeded splits are reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .files import read_text, write_atomic
 from .rng import substream
 from .tokenizer import segment_chars
 
@@ -69,15 +71,6 @@ class PolarityLexicon:
         return PolarityLexicon({t: w * factor for t, w in self.entries.items()})
 
 
-@dataclass(frozen=True)
-class CleaningConfig:
-    """Which cleaning rules to apply; all on by default."""
-
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    strip_hashtag_marks: bool = True
-
-
 def _parse_label(value, where: str) -> int | None:
     if value is None:
         return None
@@ -88,79 +81,72 @@ def _parse_label(value, where: str) -> int | None:
     return value
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
-    """Load a corpus file in `format` ('jsonl' or 'csv'; inferred from
-    the suffix when omitted). One Review per record, file order kept.
+def _json_lines(path: Path, what: str):
+    """(where, parsed value) for each non-blank line of a JSONL file,
+    `where` being `path:lineno`. Lines end at LF, CR LF or CR, as in a
+    file read in text mode, and not at U+2028 or U+0085.
+    """
+    content = read_text(path, what)
+    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+        yield where, record
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus file: CSV when the suffix is `.csv` in any case,
+    JSONL otherwise. One Review per record, file order kept.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise ConfigError(f"unknown corpus format {format!r}")
-
     reviews: list[Review] = []
-    if format == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(record, dict) or "text" not in record:
-                    raise DataError(f"{where}: record must be an object with a 'text' field")
-                text = record["text"]
-                if not isinstance(text, str):
-                    raise DataError(f"{where}: 'text' must be a string")
-                label = _parse_label(record.get("label"), where)
-                source_id = record.get("source_id")
-                if source_id is not None and not isinstance(source_id, str):
-                    raise DataError(f"{where}: 'source_id' must be a string")
-                reviews.append(Review(text=text, label=label, source_id=source_id))
+    if path.suffix.lower() != ".csv":
+        for where, record in _json_lines(path, "corpus file"):
+            if not isinstance(record, dict) or "text" not in record:
+                raise DataError(f"{where}: record must be an object with a 'text' field")
+            text = record["text"]
+            if not isinstance(text, str):
+                raise DataError(f"{where}: 'text' must be a string")
+            label = _parse_label(record.get("label"), where)
+            source_id = record.get("source_id")
+            if source_id is not None and not isinstance(source_id, str):
+                raise DataError(f"{where}: 'source_id' must be a string")
+            reviews.append(Review(text=text, label=label, source_id=source_id))
     else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "text" not in reader.fieldnames:
-                raise DataError(f"{path}: CSV header must include a 'text' column")
-            for lineno, row in enumerate(reader, start=2):
-                where = f"{path}:{lineno}"
-                text = row.get("text")
-                if text is None:
-                    raise DataError(f"{where}: missing 'text' value")
-                raw_label = row.get("label")
-                if raw_label in (None, ""):
-                    label = None
-                elif raw_label in ("0", "1"):
-                    label = int(raw_label)
-                else:
-                    raise DataError(f"{where}: label must be 0 or 1, got {raw_label!r}")
-                source_id = row.get("source_id") or None
-                reviews.append(Review(text=text, label=label, source_id=source_id))
+        reader = csv.DictReader(io.StringIO(read_text(path, "corpus file"), newline=""))
+        if reader.fieldnames is None or "text" not in reader.fieldnames:
+            raise DataError(f"{path}: CSV header must include a 'text' column")
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{path}:{lineno}"
+            text = row.get("text")
+            if text is None:
+                raise DataError(f"{where}: missing 'text' value")
+            raw_label = row.get("label")
+            if raw_label in (None, ""):
+                label = None
+            elif raw_label in ("0", "1"):
+                label = int(raw_label)
+            else:
+                raise DataError(f"{where}: label must be 0 or 1, got {raw_label!r}")
+            source_id = row.get("source_id") or None
+            reviews.append(Review(text=text, label=label, source_id=source_id))
     return Corpus(reviews=reviews, name=path.stem)
 
 
-def clean_text(raw: str, rules: CleaningConfig = CleaningConfig()) -> str:
-    """Strip URLs, @-mentions, and '#' marks per `rules`; collapse
-    whitespace runs to single spaces and trim. Total and idempotent.
+def clean_text(raw: str) -> str:
+    """Strip URLs, then @-mentions, then '#' marks; collapse whitespace
+    runs to single spaces and trim. Total and idempotent.
     """
-    text = raw
-    if rules.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if rules.strip_mentions:
-        text = _MENTION_RE.sub(" ", text)
-    if rules.strip_hashtag_marks:
-        text = text.replace("#", "")
+    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", raw)).replace("#", "")
     return _WS_RE.sub(" ", text).strip()
 
 
-def clean_corpus(
-    corpus: Corpus, rules: CleaningConfig = CleaningConfig()
-) -> tuple[Corpus, int]:
+def clean_corpus(corpus: Corpus) -> tuple[Corpus, int]:
     """Clean every review; drop those whose text cleans to empty.
 
     Returns the cleaned corpus and the dropped-review count (real feeds
@@ -169,7 +155,7 @@ def clean_corpus(
     kept: list[Review] = []
     dropped = 0
     for review in corpus.reviews:
-        cleaned = clean_text(review.text, rules)
+        cleaned = clean_text(review.text)
         if cleaned:
             kept.append(replace(review, text=cleaned))
         else:
@@ -216,44 +202,33 @@ def split(
 def load_lexicon(path: str | Path) -> PolarityLexicon:
     """Load a JSONL lexicon of {"token": str, "weight": finite float}."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"lexicon file not found: {path}")
     entries: dict[str, float] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
-            token = record.get("token")
-            weight = record.get("weight")
-            if not isinstance(token, str) or isinstance(weight, bool) or not isinstance(
-                weight, (int, float)
-            ):
-                raise DataError(f"{where}: expected fields 'token' (string) and 'weight' (number)")
-            if not math.isfinite(weight):
-                raise DataError(f"{where}: weight for {token!r} is not finite")
-            entries[token] = float(weight)
+    for where, record in _json_lines(path, "lexicon file"):
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
+        token = record.get("token")
+        weight = record.get("weight")
+        if not isinstance(token, str) or isinstance(weight, bool) or not isinstance(
+            weight, (int, float)
+        ):
+            raise DataError(f"{where}: expected fields 'token' (string) and 'weight' (number)")
+        if not math.isfinite(weight):
+            raise DataError(f"{where}: weight for {token!r} is not finite")
+        entries[token] = float(weight)
     return PolarityLexicon(entries)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as JSONL (text, label when present, source_id when present)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for review in corpus.reviews:
-            record: dict = {"text": review.text}
-            if review.label is not None:
-                record["label"] = review.label
-            if review.source_id is not None:
-                record["source_id"] = review.source_id
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    lines = []
+    for review in corpus.reviews:
+        record: dict = {"text": review.text}
+        if review.label is not None:
+            record["label"] = review.label
+        if review.source_id is not None:
+            record["source_id"] = review.source_id
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def sample_lexicon_path() -> Path:

@@ -8,7 +8,6 @@ the output-side (context) matrix only exists while training.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import read_bytes, write_atomic
 from .numerics import sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary
@@ -337,98 +337,58 @@ def nearest_neighbors(
     return [(vocab.id_to_token[i], float(cosines[i])) for i in ranked[:k]]
 
 
-def save_embeddings(
-    matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path, format: str = "binary"
-) -> None:
-    """Write the input-side matrix; binary rows are `token ` followed by
-    dim little-endian float32 values, or an equivalent JSON debug form.
+def save_embeddings(matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -> None:
+    """Write the input-side matrix as a W2V1 file: a header line, then
+    per id the token, a space, dim little-endian float32 values and a
+    newline.
     """
-    path = Path(path)
-    if format == "binary":
-        with path.open("wb") as fh:
-            header = f"{EMBEDDING_MAGIC} {matrix.vocab_size} {matrix.dim} {matrix.vocab_hash}\n"
-            fh.write(header.encode("utf-8"))
-            for i in range(matrix.vocab_size):
-                fh.write(vocab.id_to_token[i].encode("utf-8") + b" ")
-                fh.write(matrix.vectors[i].astype("<f4").tobytes())
-                fh.write(b"\n")
-    elif format == "json":
-        payload = {
-            "format": EMBEDDING_MAGIC,
-            "vocab_size": matrix.vocab_size,
-            "dim": matrix.dim,
-            "vocab_hash": matrix.vocab_hash,
-            "rows": [
-                {
-                    "token": vocab.id_to_token[i],
-                    "vector": [float(v) for v in matrix.vectors[i].astype("<f4")],
-                }
-                for i in range(matrix.vocab_size)
-            ],
-        }
-        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown embedding format {format!r}")
+    header = f"{EMBEDDING_MAGIC} {matrix.vocab_size} {matrix.dim} {matrix.vocab_hash}\n"
+    chunks = [header.encode("utf-8")]
+    for i in range(matrix.vocab_size):
+        chunks.append(vocab.id_to_token[i].encode("utf-8") + b" ")
+        chunks.append(matrix.vectors[i].astype("<f4").tobytes())
+        chunks.append(b"\n")
+    write_atomic(path, b"".join(chunks))
 
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
-    """Read either embedding format; returns the matrix (context side
-    empty) and the token list in id order for validation by the caller.
-    A binary file must end exactly after its last row.
+    """Read a W2V1 file; returns the matrix (context side empty) and the
+    token list in id order for validation by the caller. The file must
+    end exactly after its last row.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"embedding file not found: {path}")
-    blob = path.read_bytes()
-    if blob.startswith(EMBEDDING_MAGIC.encode("utf-8") + b" "):
-        newline = blob.find(b"\n")
-        parts = blob[:newline].split(b" ")
-        if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
-            raise DataError(f"{path}: malformed embedding header")
-        vocab_size, dim = int(parts[1]), int(parts[2])
-        row_bytes = 4 * dim
-        # each row is at least a 1-byte token, a space, the floats and a newline
-        if dim < 1 or len(blob) - newline - 1 < vocab_size * (row_bytes + 3):
-            raise DataError(
-                f"{path}: {len(blob)} bytes, too short for {vocab_size} rows of dim {dim}"
-            )
-        tokens: list[str] = []
-        vectors = np.empty((vocab_size, dim))
-        offset = newline + 1
-        try:
-            vocab_hash = parts[3].decode("utf-8")
-            for i in range(vocab_size):
-                space = blob.index(b" ", offset)
-                tokens.append(blob[offset:space].decode("utf-8"))
-                offset = space + 1 + row_bytes + 1
-                record = blob[space + 1 : offset]
-                if len(record) != row_bytes + 1 or record[-1:] != b"\n":
-                    raise DataError(f"{path}: truncated embedding record for row {i}")
-                vectors[i] = np.frombuffer(record[:-1], dtype="<f4")
-        except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
-            raise DataError(f"{path}: malformed embedding record after byte {offset}") from exc
-        if offset != len(blob):
-            raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last row")
-        matrix = EmbeddingMatrix(
-            vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash
-        )
-        return matrix, tokens
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    blob = read_bytes(path, "embedding file")
+    if not blob.startswith(EMBEDDING_MAGIC.encode("utf-8") + b" "):
+        raise DataError(f"{path}: not a {EMBEDDING_MAGIC} embedding file (bad magic)")
+    newline = blob.find(b"\n")
+    parts = blob[:newline].split(b" ")
+    if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
+        raise DataError(f"{path}: malformed embedding header")
+    vocab_size, dim = int(parts[1]), int(parts[2])
+    row_bytes = 4 * dim
+    # each row is at least a 1-byte token, a space, the floats and a newline
+    if dim < 1 or len(blob) - newline - 1 < vocab_size * (row_bytes + 3):
         raise DataError(
-            f"{path}: not a {EMBEDDING_MAGIC} embedding file (bad magic, not JSON)"
-        ) from exc
-    if not isinstance(payload, dict) or payload.get("format") != EMBEDDING_MAGIC:
-        raise DataError(f"{path}: not a {EMBEDDING_MAGIC} embedding file")
+            f"{path}: {len(blob)} bytes, too short for {vocab_size} rows of dim {dim}"
+        )
+    tokens: list[str] = []
+    vectors = np.empty((vocab_size, dim))
+    offset = newline + 1
     try:
-        rows = payload["rows"]
-        vectors = np.array([r["vector"] for r in rows], dtype=np.float64)
-        tokens = [r["token"] for r in rows]
-        dim, vocab_hash = payload["dim"], payload["vocab_hash"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed JSON embedding file ({exc!r})") from exc
-    if type(dim) is not int or not isinstance(vocab_hash, str):
-        raise DataError(f"{path}: 'dim' must be an integer and 'vocab_hash' a string")
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash)
+        vocab_hash = parts[3].decode("utf-8")
+        for i in range(vocab_size):
+            space = blob.index(b" ", offset)
+            tokens.append(blob[offset:space].decode("utf-8"))
+            offset = space + 1 + row_bytes + 1
+            record = blob[space + 1 : offset]
+            if len(record) != row_bytes + 1 or record[-1:] != b"\n":
+                raise DataError(f"{path}: truncated embedding record for row {i}")
+            vectors[i] = np.frombuffer(record[:-1], dtype="<f4")
+    except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
+        raise DataError(f"{path}: malformed embedding record after byte {offset}") from exc
+    if offset != len(blob):
+        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last row")
+    matrix = EmbeddingMatrix(
+        vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash
+    )
     return matrix, tokens

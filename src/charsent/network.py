@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CleaningConfig, clean_text
+from .corpus import clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .numerics import sigmoid
@@ -40,8 +40,21 @@ __all__ = [
     "predict",
 ]
 
-# Order in which parameter tensors are serialized and optimized.
-PARAM_NAMES = ("w_f", "w_i", "w_o", "w_c", "b_f", "b_i", "b_o", "b_c", "w_out", "b_out")
+
+def param_shapes(hidden_size: int, input_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor, in the order they are
+    serialized and optimized: gate weights over [h_prev, x], gate
+    biases, then the read-out weights and bias.
+    """
+    gate, row = (hidden_size, hidden_size + input_dim), (hidden_size,)
+    return {
+        "w_f": gate, "w_i": gate, "w_o": gate, "w_c": gate,
+        "b_f": row, "b_i": row, "b_o": row, "b_c": row,
+        "w_out": row, "b_out": (1,),
+    }
+
+
+PARAM_NAMES = tuple(param_shapes(1, 1))
 
 
 @dataclass
@@ -63,15 +76,9 @@ class LstmParams:
 
     def __post_init__(self):
         h, hd = self.w_f.shape
-        for name in ("w_i", "w_o", "w_c"):
-            if getattr(self, name).shape != (h, hd):
-                raise DataError(f"{name} shape mismatch")
-        for name in ("b_f", "b_i", "b_o", "b_c", "w_out"):
-            if getattr(self, name).shape != (h,):
-                raise DataError(f"{name} shape mismatch")
-        if self.b_out.shape != (1,):
-            raise DataError("b_out must have shape (1,)")
-        for name in PARAM_NAMES:
+        for name, shape in param_shapes(h, hd - h).items():
+            if getattr(self, name).shape != shape:
+                raise DataError(f"{name} shape mismatch, expected {shape}")
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"{name} contains non-finite entries")
 
@@ -158,7 +165,7 @@ def lstm_cell_forward(
 @dataclass
 class Model:
     """A complete classifier: vocabulary, embeddings, cell parameters,
-    and the inference fingerprint (max_len, threshold, version).
+    and the inference fingerprint (max_len, threshold).
     """
 
     vocab: Vocabulary
@@ -166,7 +173,6 @@ class Model:
     params: LstmParams
     max_len: int
     threshold: float = 0.5
-    version: int = 1
     metrics_snapshot: dict | None = None
 
     def __post_init__(self):
@@ -190,7 +196,6 @@ class Model:
             params=self.params.copy(),
             max_len=self.max_len,
             threshold=self.threshold,
-            version=self.version,
             metrics_snapshot=self.metrics_snapshot,
         )
 
@@ -276,30 +281,22 @@ def forward_batch(
     return ps, cache
 
 
-def sequence_forward(
-    seq: TokenSequence, model: Model, dropout_mask: np.ndarray | None = None
-) -> tuple[float, BatchCache]:
-    """forward_batch on a batch of one: the probability of `seq` and the
-    cache of its pass.
+def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:
+    """forward_batch on a batch of one, without dropout: the probability
+    of `seq` and the cache of its pass.
     """
-    masks = None if dropout_mask is None else dropout_mask[None, :]
-    ps, cache = forward_batch([seq], model, masks)
+    ps, cache = forward_batch([seq], model)
     return float(ps[0]), cache
 
 
-def predict(
-    text: str,
-    model: Model,
-    threshold: float | None = None,
-    cleaning: CleaningConfig = CleaningConfig(),
-) -> tuple[int, float]:
+def predict(text: str, model: Model, threshold: float | None = None) -> tuple[int, float]:
     """Full pipeline on one string: clean, segment, encode, forward (no
     dropout). Returns (label, p) with label 1 iff p >= threshold; the
     threshold defaults to the one stored in the model.
     """
     if threshold is None:
         threshold = model.threshold
-    cleaned = clean_text(text, cleaning)
+    cleaned = clean_text(text)
     tokens = segment_chars(cleaned)
     if not tokens:
         raise DataError("text is empty after cleaning")

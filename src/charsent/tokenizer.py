@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .files import read_text, write_atomic
 
 PAD_ID = 0
 UNK_ID = 1
@@ -73,22 +74,23 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         payload = {"min_count": self.min_count, "tokens": list(self.tokens)}
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"vocabulary file not found: {path}")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(read_text(path, "vocabulary file"))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid vocabulary JSON ({exc.msg})") from exc
         if not isinstance(payload, dict) or "tokens" not in payload or "min_count" not in payload:
             raise DataError(f"{path}: vocabulary JSON needs 'min_count' and 'tokens'")
-        return cls.from_tokens(payload["tokens"], int(payload["min_count"]))
+        min_count, tokens = payload["min_count"], payload["tokens"]
+        if type(min_count) is not int or min_count < 1:
+            raise DataError(f"{path}: vocabulary field 'min_count' must be an integer >= 1")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{path}: vocabulary field 'tokens' must be a list of strings")
+        return cls.from_tokens(tokens, min_count)
 
 
 @dataclass(frozen=True)

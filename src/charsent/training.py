@@ -16,7 +16,8 @@ import numpy as np
 from .corpus import Corpus
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .network import BatchCache, LstmParams, Model, forward_batch
+from .files import read_bytes, write_atomic
+from .network import BatchCache, LstmParams, Model, forward_batch, param_shapes
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
@@ -407,7 +408,7 @@ def train(
 def save_history(history: TrainHistory, path: str | Path) -> None:
     """Write the per-epoch records as a plot-ready JSON array."""
     payload = [asdict(r) for r in history.records]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def load_history(path: str | Path) -> list[EpochRecord]:
@@ -434,13 +435,9 @@ def save_model(model: Model, path: str | Path) -> None:
         "metrics": model.metrics_snapshot,
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for name, tensor in model.params.tensors().items():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.embeddings.vectors, dtype="<f4").tobytes())
+    tensors = [*model.params.tensors().values(), model.embeddings.vectors]
+    blocks = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors)
+    write_atomic(path, MODEL_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + blocks)
 
 
 def _check_header(header, path: Path) -> None:
@@ -476,9 +473,7 @@ def load_model(path: str | Path) -> Model:
     its header says.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    blob = path.read_bytes()
+    blob = read_bytes(path, "model file")
     if blob[:4] != MODEL_MAGIC:
         raise DataError(f"{path}: not an SSM1 model file (bad magic)")
     if len(blob) < 8:
@@ -497,25 +492,13 @@ def load_model(path: str | Path) -> Model:
     if header["vocab_size"] != len(vocab):
         raise DataError(f"{path}: vocabulary size mismatch")
 
-    shapes = [
-        ("w_f", (hsize, hsize + dim)),
-        ("w_i", (hsize, hsize + dim)),
-        ("w_o", (hsize, hsize + dim)),
-        ("w_c", (hsize, hsize + dim)),
-        ("b_f", (hsize,)),
-        ("b_i", (hsize,)),
-        ("b_o", (hsize,)),
-        ("b_c", (hsize,)),
-        ("w_out", (hsize,)),
-        ("b_out", (1,)),
-        ("embeddings", (header["vocab_size"], dim)),
-    ]
+    shapes = param_shapes(hsize, dim) | {"embeddings": (header["vocab_size"], dim)}
     offset = 8 + header_len
-    expected = offset + 4 * sum(math.prod(shape) for _, shape in shapes)
+    expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(blob) != expected:
         raise DataError(f"{path}: {len(blob)} bytes, but the header describes {expected}")
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         count = math.prod(shape)
         block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         tensors[name] = block.astype(np.float64).reshape(shape)
@@ -532,6 +515,5 @@ def load_model(path: str | Path) -> Model:
         params=params,
         max_len=header["max_len"],
         threshold=header["threshold"],
-        version=header["version"],
         metrics_snapshot=header.get("metrics"),
     )

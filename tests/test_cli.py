@@ -435,3 +435,81 @@ def test_pipeline_predict_threshold_override(pipeline, capsys):
          "--text", "好棒妙"],
     )
     assert code == 0 and high["label"] == 0
+
+
+def test_train_with_json_embeddings_exits_3(pipeline, tmp_path, capsys):
+    # the JSON debug form that save_embeddings(format="json") used to write
+    matrix, tokens = cs.load_embeddings(pipeline / "emb.bin")
+    payload = {
+        "format": "W2V1",
+        "vocab_size": matrix.vocab_size,
+        "dim": matrix.dim,
+        "vocab_hash": matrix.vocab_hash,
+        "rows": [
+            {"token": t, "vector": [float(v) for v in row]}
+            for t, row in zip(tokens, matrix.vectors, strict=True)
+        ],
+    }
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    code = cli.main(
+        ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={path}"]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {path}: not a W2V1 embedding file (bad magic)\n"
+
+
+NOT_UTF8 = b'{"text": "\xe5\xa5\xbd\xff", "label": 1}\n'
+
+# (command, the key that names the file, file name, its bytes or None
+# for a directory, exit code)
+UNREADABLE_INPUTS = [
+    pytest.param("evaluate", "paths.model", "model.ssm", None, 3, id="model-is-a-directory"),
+    pytest.param("train", "paths.labeled", "labeled.jsonl", None, 3, id="labeled-is-a-directory"),
+    pytest.param("train", "paths.embeddings", "emb.bin", None, 3, id="embeddings-is-a-directory"),
+    pytest.param("train", "--config", "cfg.json", None, 2, id="config-is-a-directory"),
+    pytest.param("train", "paths.labeled", "labeled.jsonl", NOT_UTF8, 3, id="jsonl-not-utf8"),
+    pytest.param("train", "paths.labeled", "labeled.csv", b"text,label\n\xff,1\n", 3, id="csv-not-utf8"),
+    pytest.param("prelabel", "paths.lexicon", "lex.jsonl", b'{"token": "\xff", "weight": 1}\n', 3,
+                 id="lexicon-not-utf8"),
+    pytest.param("train", "paths.vocab", "vocab.json", b'{"min_count": 1, "tokens": ["\xff"]}', 3,
+                 id="vocab-not-utf8"),
+    pytest.param("train", "--config", "cfg.json", b'{"seed": "\xff"}', 2, id="config-not-utf8"),
+    pytest.param("train", "paths.vocab", "vocab.json", b'{"min_count": "x", "tokens": []}', 3,
+                 id="vocab-min-count-string"),
+    pytest.param("train", "paths.vocab", "vocab.json", b'{"min_count": 1, "tokens": 5}', 3,
+                 id="vocab-tokens-number"),
+]
+
+
+@pytest.mark.parametrize("command, key, name, content, code", UNREADABLE_INPUTS)
+def test_main_unreadable_input_exits_with_error_line(
+    pipeline, tmp_path, capsys, command, key, name, content, code
+):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if key == "--config":
+        argv = [command, "--config", str(path)]
+    else:
+        # a train that got past its inputs would write here, not to the fixture
+        argv = [command, "--config", str(pipeline / "cfg.json"),
+                "--set", f"paths.model={tmp_path / 'out.ssm'}", "--set", f"{key}={path}"]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "emb.bin"
+    code = cli.main(
+        ["embed", "--config", str(pipeline / "cfg.json"),
+         "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={missing}"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]

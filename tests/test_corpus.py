@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import charsent as cs
-from charsent.corpus import CleaningConfig, Corpus, PolarityLexicon, Review
+from charsent.corpus import Corpus, PolarityLexicon, Review
 from charsent.corpus import sample_lexicon_path
 from charsent.errors import ConfigError, DataError
 from charsent.rng import substream
@@ -27,16 +27,9 @@ def test_clean_text_strips_urls_mentions_hashtags():
     assert "强烈推荐" in out
     assert "  " not in out
     assert out == out.strip()
-
-
-def test_clean_text_targets_are_configurable():
-    raw = "看 http://x.example/z @a #b#"
-    keep_urls = cs.clean_text(raw, CleaningConfig(strip_urls=False))
-    assert "http://x.example/z" in keep_urls
-    keep_all = cs.clean_text(
-        raw, CleaningConfig(strip_urls=False, strip_mentions=False, strip_hashtag_marks=False)
-    )
-    assert keep_all == raw
+    # URLs go before mentions: the URL is cut out of "@http://...",
+    # which leaves a bare "@" that is no mention
+    assert cs.clean_text("看 @http://x.example/z 好") == "看 @ 好"
 
 
 @given(st.text(max_size=80))
@@ -103,6 +96,20 @@ def test_load_corpus_csv(tmp_path):
     path.write_text('text,label\n"很好,很棒",1\n糟糕,0\n', encoding="utf-8")
     corpus = cs.load_corpus(path)
     assert [(r.text, r.label) for r in corpus.reviews] == [("很好,很棒", 1), ("糟糕", 0)]
+
+
+def test_load_corpus_csv_suffix_in_any_case(tmp_path):
+    path = tmp_path / "x.CSV"
+    path.write_text('text,label\n"多行\n文本",1\n', encoding="utf-8")
+    assert [(r.text, r.label) for r in cs.load_corpus(path).reviews] == [("多行\n文本", 1)]
+
+
+def test_load_corpus_splits_jsonl_on_newlines_only(tmp_path):
+    path = tmp_path / "c.jsonl"
+    texts = ["好\u2028坏", "中\u0085啊", "行\x0c列"]
+    lines = [json.dumps({"text": t, "label": 1}, ensure_ascii=False) for t in texts]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    assert cs.load_corpus(path).texts() == texts
 
 
 def test_prelabel_scores_characters():

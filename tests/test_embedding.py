@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -276,11 +275,10 @@ def test_nearest_neighbors_errors():
         cs.nearest_neighbors(vocab.id_to_token[2], 2, matrix, vocab)  # zero vector
 
 
-@pytest.mark.parametrize("format", ["binary", "json"])
-def test_embeddings_roundtrip(tmp_path, format):
+def test_embeddings_roundtrip(tmp_path):
     vocab, matrix, _ = _train_setup("cbow", epochs=1)
-    path = tmp_path / f"emb.{format}"
-    cs.save_embeddings(matrix, vocab, path, format=format)
+    path = tmp_path / "emb.bin"
+    cs.save_embeddings(matrix, vocab, path)
     back, tokens = cs.load_embeddings(path)
     assert tokens == list(vocab.id_to_token)
     assert back.dim == matrix.dim
@@ -297,10 +295,10 @@ def test_load_embeddings_bad_magic(tmp_path):
     assert "W2V1" in str(err.value)
 
 
-def _tiny_embedding_bytes(tmp_path, format="binary") -> bytes:
+def _tiny_embedding_bytes(tmp_path) -> bytes:
     vocab = cs.build_vocab(["好坏"], min_count=1)
-    path = tmp_path / f"tiny.{format}"
-    cs.save_embeddings(init_embedding_matrix(vocab, dim=2, seed=1), vocab, path, format=format)
+    path = tmp_path / "tiny.bin"
+    cs.save_embeddings(init_embedding_matrix(vocab, dim=2, seed=1), vocab, path)
     return path.read_bytes()
 
 
@@ -326,21 +324,6 @@ def test_load_embeddings_rejects_bad_header_fields(tmp_path, header):
     path.write_bytes(header + blob[blob.index(b"\n") :])
     with pytest.raises(DataError):
         cs.load_embeddings(path)
-
-
-@pytest.mark.parametrize("key", ["rows", "dim", "vocab_hash"])
-def test_load_embeddings_json_rejects_missing_or_mistyped_fields(tmp_path, key):
-    payload = json.loads(_tiny_embedding_bytes(tmp_path, "json"))
-    path = tmp_path / "edited.json"
-    for edit in ("drop", True, [None], None):
-        edited = dict(payload)
-        if edit == "drop":
-            del edited[key]
-        else:
-            edited[key] = edit
-        path.write_text(json.dumps(edited), encoding="utf-8")
-        with pytest.raises(DataError):
-            cs.load_embeddings(path)
 
 
 @settings(max_examples=200, deadline=None)

@@ -188,11 +188,11 @@ def test_dropout_mask_applies_to_final_state_only(small_vocab):
     seq = cs.encode(list("好坏中啊"), small_vocab, max_len=6)
     p_plain, cache_plain = cs.sequence_forward(seq, model)
     ones = np.ones(5)
-    p_ones, _ = cs.sequence_forward(seq, model, dropout_mask=ones)
-    assert p_ones == p_plain
+    ps_ones, _ = cs.forward_batch([seq], model, ones[None])
+    assert ps_ones[0] == p_plain
     zeros = np.zeros(5)
-    p_zeros, cache_zeros = cs.sequence_forward(seq, model, dropout_mask=zeros)
-    assert p_zeros == pytest.approx(cs.sigmoid(model.params.b_out[0]), abs=0.0)
+    ps_zeros, cache_zeros = cs.forward_batch([seq], model, zeros[None])
+    assert ps_zeros[0] == pytest.approx(cs.sigmoid(model.params.b_out[0]), abs=0.0)
     # the recurrence itself is untouched by the mask
     np.testing.assert_array_equal(cache_zeros.h_final, cache_plain.h_final)
     assert np.all(cache_zeros.h_out == 0.0)
@@ -228,8 +228,8 @@ def test_batch_forward_with_dropout_matches_per_example(small_vocab):
     ps_batch, _ = cs.forward_batch(seqs, model, dropout_masks=masks)
     params = params_to_lists(model.params)
     for row, (seq, pb) in enumerate(zip(seqs, ps_batch, strict=True)):
-        p1, _ = cs.sequence_forward(seq, model, dropout_mask=masks[row])
-        assert abs(p1 - pb) < 1e-12
+        p1, _ = cs.forward_batch([seq], model, masks[row][None])
+        assert abs(p1[0] - pb) < 1e-12
         xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
         h_ref, _ = lstm_sequence_ref(xs, params)
         logit = sum(w * m * h for w, m, h in zip(params["w_out"], masks[row], h_ref, strict=True))

@@ -1,0 +1,28 @@
+import importlib.util
+from pathlib import Path
+
+import charsent as cs
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scripts_run_end_to_end(tmp_path, capsys):
+    experiment = _load_script("run_synthetic_experiment")
+    argv = ["--reviews", "200", "--epochs", "2", "--w2v-epochs", "1", "--dim", "8",
+            "--hidden-size", "8", "--out-dir", str(tmp_path)]
+    assert experiment.main(argv) == 0
+    model = cs.load_model(tmp_path / "model.bin")
+    assert model.params.hidden_size == 8 and model.embeddings.dim == 8
+    assert "test: loss" in capsys.readouterr().out
+
+    neighbors = _load_script("inspect_neighbors")
+    assert neighbors.main(["--embeddings", str(tmp_path / "embeddings.w2v"), "--queries", "好"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("好: ") and "not in vocabulary" not in out

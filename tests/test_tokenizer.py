@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,3 +130,22 @@ def test_vocab_hash_sensitive_to_content():
 def test_vocab_load_missing(tmp_path):
     with pytest.raises(DataError):
         Vocabulary.load(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"min_count": "x", "tokens": ["好"]}, "min_count"),
+        ({"min_count": 1.5, "tokens": ["好"]}, "min_count"),
+        ({"min_count": True, "tokens": ["好"]}, "min_count"),
+        ({"min_count": 0, "tokens": ["好"]}, "min_count"),
+        ({"min_count": 1, "tokens": 5}, "tokens"),
+        ({"min_count": 1, "tokens": "好坏"}, "tokens"),
+        ({"min_count": 1, "tokens": ["好", 2]}, "tokens"),
+    ],
+)
+def test_vocab_load_rejects_mistyped_fields(tmp_path, payload, field):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=f"'{field}'"):
+        Vocabulary.load(path)

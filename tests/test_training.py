@@ -66,12 +66,12 @@ def test_backward_with_dropout_mask_matches_finite_differences():
     model, dataset = _grad_setup(seed=3)
     seq, y = dataset[0]
     mask = (np.random.default_rng(5).random(5) >= 0.4) / 0.6
-    _, cache = cs.sequence_forward(seq, model, dropout_mask=mask)
+    _, cache = cs.forward_batch([seq], model, mask[None])
     grads = cs.backward(cache, y, model)
 
     def loss_fn():
-        p, _ = cs.sequence_forward(seq, model, dropout_mask=mask)
-        return cs.bce_loss(p, y)
+        ps, _ = cs.forward_batch([seq], model, mask[None])
+        return cs.bce_loss(float(ps[0]), y)
 
     for name in ("w_f", "w_out", "b_c", "embeddings"):
         tensor = model.embeddings.vectors if name == "embeddings" else getattr(model.params, name)
@@ -106,7 +106,7 @@ def test_backward_batch_equals_mean_of_per_example():
     batch_grads = cs.backward_batch(bcache, ys, model)
     mean_grads = None
     for row, (seq, y) in enumerate(zip(seqs, ys, strict=True)):
-        _, cache = cs.sequence_forward(seq, model, dropout_mask=masks[row])
+        _, cache = cs.forward_batch([seq], model, masks[row][None])
         g = cs.backward(cache, y, model)
         if mean_grads is None:
             mean_grads = {k: v.copy() for k, v in g.items()}
