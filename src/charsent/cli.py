@@ -9,6 +9,7 @@ error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -315,10 +316,16 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model_path = cfg.require_path("model", "predict")
     model = load_model(model_path)
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(errors="surrogateescape")  # as argv: bad bytes become surrogates
     texts = args.text if args.text else (line.rstrip("\n") for line in sys.stdin)
     for text in texts:
         try:
+            text.encode("utf-8")  # fails on the surrogates of undecodable bytes
             label, p = predict(text, model, cfg.threshold)
+        except UnicodeEncodeError:
+            _emit({"error": "invalid UTF-8"})
+            continue
         except DataError:
             _emit({"error": "empty input"})
             continue

@@ -2,13 +2,16 @@
 binary classification head.
 
 Cell equations, with z_t = [h_{t-1}, x_t] (previous hidden state
-concatenated before the input, in that order):
+concatenated before the input, in that order) and the four gates'
+weights and biases stacked in one matrix and one vector,
+W = [W_f; W_i; W_o; W_c] and b = [b_f; b_i; b_o; b_c]:
 
-    f_t       = sigmoid(W_f z_t + b_f)          forget gate
-    i_t       = sigmoid(W_i z_t + b_i)          input gate
-    c_tilde_t = tanh(W_c z_t + b_c)             candidate state
+    [a_f; a_i; a_o; a_c] = W z_t + b            four blocks of `hidden` rows
+    f_t       = sigmoid(a_f)                    forget gate
+    i_t       = sigmoid(a_i)                    input gate
+    o_t       = sigmoid(a_o)                    output gate
+    c_tilde_t = tanh(a_c)                       candidate state
     c_t       = i_t * c_tilde_t + f_t * c_{t-1} cell state
-    o_t       = sigmoid(W_o z_t + b_o)          output gate
     h_t       = o_t * tanh(c_t)
 
 The head reads the final hidden state: p = sigmoid(w_out . h_T + b_out).
@@ -30,7 +33,6 @@ from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
 __all__ = [
     "sigmoid",
     "LstmParams",
-    "Gates",
     "BatchCache",
     "Model",
     "init_lstm_params",
@@ -43,14 +45,15 @@ __all__ = [
 
 def param_shapes(hidden_size: int, input_dim: int) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter tensor, in the order they are
-    serialized and optimized: gate weights over [h_prev, x], gate
-    biases, then the read-out weights and bias.
+    serialized and optimized: the gate matrix over [h_prev, x] and the
+    gate biases, each stacked f, i, o, c, then the read-out weights and
+    bias.
     """
-    gate, row = (hidden_size, hidden_size + input_dim), (hidden_size,)
     return {
-        "w_f": gate, "w_i": gate, "w_o": gate, "w_c": gate,
-        "b_f": row, "b_i": row, "b_o": row, "b_c": row,
-        "w_out": row, "b_out": (1,),
+        "w_gates": (4 * hidden_size, hidden_size + input_dim),
+        "b_gates": (4 * hidden_size,),
+        "w_out": (hidden_size,),
+        "b_out": (1,),
     }
 
 
@@ -59,24 +62,18 @@ PARAM_NAMES = tuple(param_shapes(1, 1))
 
 @dataclass
 class LstmParams:
-    """Gate weights over [h_prev, x], gate biases, and the classifier
-    read-out. Weight matrices have shape (hidden, hidden + dim).
+    """The gate matrix over [h_prev, x], shape (4 hidden, hidden + dim),
+    the gate biases (4 hidden,), both stacked f, i, o, c, and the
+    classifier read-out.
     """
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    w_gates: np.ndarray
+    b_gates: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
 
     def __post_init__(self):
-        h, hd = self.w_f.shape
-        for name, shape in param_shapes(h, hd - h).items():
+        for name, shape in param_shapes(self.hidden_size, self.input_dim).items():
             if getattr(self, name).shape != shape:
                 raise DataError(f"{name} shape mismatch, expected {shape}")
             if not np.isfinite(getattr(self, name)).all():
@@ -84,11 +81,11 @@ class LstmParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.w_gates.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+        return self.w_gates.shape[1] - self.hidden_size
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -98,8 +95,9 @@ class LstmParams:
 
 
 def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
-    """Glorot-uniform gate weights, zero biases except the forget bias
-    at +1.0 (starts with long memory), Glorot read-out.
+    """Glorot-uniform gate weights (each gate's own fan-out), zero
+    biases except the forget bias at +1.0 (starts with long memory),
+    Glorot read-out.
     """
     if hidden_size < 1:
         raise ConfigError(f"hidden_size must be >= 1, got {hidden_size}")
@@ -107,20 +105,12 @@ def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
         raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
     rng = substream(seed, "lstm_init")
     fan_in = hidden_size + input_dim
-
-    def glorot(fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
+    limit = np.sqrt(6.0 / (fan_in + hidden_size))
+    b_gates = np.zeros(4 * hidden_size)
+    b_gates[:hidden_size] = 1.0
     return LstmParams(
-        w_f=glorot(hidden_size),
-        w_i=glorot(hidden_size),
-        w_o=glorot(hidden_size),
-        w_c=glorot(hidden_size),
-        b_f=np.ones(hidden_size),
-        b_i=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size),
-        b_c=np.zeros(hidden_size),
+        w_gates=rng.uniform(-limit, limit, size=(4 * hidden_size, fan_in)),
+        b_gates=b_gates,
         w_out=rng.uniform(
             -np.sqrt(6.0 / (hidden_size + 1)), np.sqrt(6.0 / (hidden_size + 1)), size=hidden_size
         ),
@@ -128,21 +118,12 @@ def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
     )
 
 
-@dataclass
-class Gates:
-    """The gate activations of one cell step."""
-
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    c_tilde: np.ndarray
-
-
 def lstm_cell_forward(
     x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams
-) -> tuple[np.ndarray, np.ndarray, Gates]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One cell step on one row or on a (B, .) batch of rows; returns
-    (h_t, c_t, gates).
+    (h_t, c_t, gates), where gates stacks the activations f, i, o and
+    c_tilde on a leading axis of 4, each block shaped like h_t.
     """
     hsize = params.hidden_size
     if (
@@ -153,13 +134,17 @@ def lstm_cell_forward(
     ):
         raise DataError("lstm_cell_forward: input shapes do not match params")
     z = np.concatenate([h_prev, x_t], axis=-1)
-    f = sigmoid(z @ params.w_f.T + params.b_f)
-    i = sigmoid(z @ params.w_i.T + params.b_i)
-    c_tilde = np.tanh(z @ params.w_c.T + params.b_c)
-    o = sigmoid(z @ params.w_o.T + params.b_o)
+    # one matmul over the gate matrix's four row blocks gives each gate
+    # as a contiguous block, gates[k] = z @ W_k.T + b_k, whose elementwise
+    # steps run faster than on column slices of a (B, 4 hidden) product
+    w = params.w_gates.reshape(4, hsize, -1).swapaxes(1, 2)
+    gates = z @ w + params.b_gates.reshape((4,) + (1,) * (z.ndim - 1) + (hsize,))
+    sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    f, i, o, c_tilde = gates
     c = i * c_tilde + f * c_prev
     h = o * np.tanh(c)
-    return h, c, Gates(f=f, i=i, o=o, c_tilde=c_tilde)
+    return h, c, gates
 
 
 @dataclass
@@ -202,8 +187,9 @@ class Model:
 
 @dataclass
 class BatchCache:
-    """Stacked per-step activations for a batch. The gate arrays are
-    step-major, shape (T, B, hidden); `hs` and `cs` have T + 1 rows,
+    """Stacked per-step activations for a batch, step-major: `gates`
+    has shape (T, 4, B, hidden), f, i, o and c_tilde as the cell
+    returns them; `hs` and `cs` have T + 1 rows,
     row 0 the zero start state, so `hs[t]`/`cs[t]` feed step t and
     `hs[t + 1]`/`cs[t + 1]` are its outputs.
     """
@@ -213,10 +199,7 @@ class BatchCache:
     xs: np.ndarray
     hs: np.ndarray
     cs: np.ndarray
-    fs: np.ndarray
-    is_: np.ndarray
-    os_: np.ndarray
-    c_tildes: np.ndarray
+    gates: np.ndarray
     h_final: np.ndarray
     dropout_masks: np.ndarray | None
     h_out: np.ndarray
@@ -252,13 +235,9 @@ def forward_batch(
     xs = model.embeddings.vectors[id_matrix]  # (B, T, dim)
     hs = np.zeros((t_max + 1, batch, hsize))
     cs = np.zeros((t_max + 1, batch, hsize))
-    fs = np.empty((t_max, batch, hsize))
-    is_ = np.empty((t_max, batch, hsize))
-    os_ = np.empty((t_max, batch, hsize))
-    c_tildes = np.empty((t_max, batch, hsize))
+    gates = np.empty((t_max, 4, batch, hsize))
     for t in range(t_max):
-        hs[t + 1], cs[t + 1], g = lstm_cell_forward(xs[:, t, :], hs[t], cs[t], p)
-        fs[t], is_[t], os_[t], c_tildes[t] = g.f, g.i, g.o, g.c_tilde
+        hs[t + 1], cs[t + 1], gates[t] = lstm_cell_forward(xs[:, t, :], hs[t], cs[t], p)
 
     h_final = hs[lengths, np.arange(batch)]
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
@@ -269,10 +248,7 @@ def forward_batch(
         xs=xs,
         hs=hs,
         cs=cs,
-        fs=fs,
-        is_=is_,
-        os_=os_,
-        c_tildes=c_tildes,
+        gates=gates,
         h_final=h_final,
         dropout_masks=dropout_masks,
         h_out=h_out,

@@ -9,9 +9,12 @@ import numpy as np
 SIGMOID_CLAMP = 30.0
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Componentwise logistic 1/(1+exp(-z)) with arguments clamped to
-    +/-30. Accepts scalars or arrays; output lies in (0, 1).
+    +/-30. Accepts scalars or arrays; output lies in (0, 1). Given an
+    array `out` of z's shape (z itself allowed), every step writes
+    there and no temporary is made.
     """
-    z = np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    return 1.0 / (1.0 + np.exp(-z))
+    z = np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP, out=out)
+    e = np.exp(np.negative(z, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, e, out=out), out=out)

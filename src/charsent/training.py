@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Corpus
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .files import read_bytes, write_atomic
+from .files import read_bytes, read_text, write_atomic
 from .network import BatchCache, LstmParams, Model, forward_batch, param_shapes
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
@@ -91,7 +91,7 @@ def backward_batch(
     p = model.params
     hsize = p.hidden_size
     batch = cache.ps.shape[0]
-    t_max = cache.fs.shape[0]
+    t_max = cache.gates.shape[0]
     grads = _zero_grads(model, freeze_embeddings)
 
     dlogits = (cache.ps - ys) / batch
@@ -111,28 +111,23 @@ def backward_batch(
     for t in range(t_max - 1, -1, -1):
         ends = last_step == t
         dh[ends] = dh_head[ends]
-        f, i, o = cache.fs[t], cache.is_[t], cache.os_[t]
-        c_tilde, c = cache.c_tildes[t], cache.cs[t + 1]
-        tanh_c = np.tanh(c)
-        do = dh * tanh_c
+        f, i, o, c_tilde = cache.gates[t]
+        tanh_c = np.tanh(cache.cs[t + 1])
         dc_full = dc + dh * o * (1.0 - tanh_c**2)
-        df = dc_full * cache.cs[t]
-        di = dc_full * c_tilde
-        dct = dc_full * i
-        d_f_pre = df * f * (1.0 - f)
-        d_i_pre = di * i * (1.0 - i)
-        d_o_pre = do * o * (1.0 - o)
-        d_ct_pre = dct * (1.0 - c_tilde**2)
+        # gradients at the gates' pre-activations, stacked f, i, o, c
+        d_pre = np.concatenate(
+            [
+                dc_full * cache.cs[t] * f * (1.0 - f),
+                dc_full * c_tilde * i * (1.0 - i),
+                dh * tanh_c * o * (1.0 - o),
+                dc_full * i * (1.0 - c_tilde**2),
+            ],
+            axis=1,
+        )
         z = np.concatenate([cache.hs[t], cache.xs[:, t, :]], axis=1)
-        grads["w_f"] += d_f_pre.T @ z
-        grads["w_i"] += d_i_pre.T @ z
-        grads["w_o"] += d_o_pre.T @ z
-        grads["w_c"] += d_ct_pre.T @ z
-        grads["b_f"] += d_f_pre.sum(axis=0)
-        grads["b_i"] += d_i_pre.sum(axis=0)
-        grads["b_o"] += d_o_pre.sum(axis=0)
-        grads["b_c"] += d_ct_pre.sum(axis=0)
-        dz = d_f_pre @ p.w_f + d_i_pre @ p.w_i + d_o_pre @ p.w_o + d_ct_pre @ p.w_c
+        grads["w_gates"] += d_pre.T @ z
+        grads["b_gates"] += d_pre.sum(axis=0)
+        dz = d_pre @ p.w_gates
         dxs[:, t, :] = dz[:, hsize:]
         dh = dz[:, :hsize]
         dc = dc_full * f
@@ -412,15 +407,28 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
 
 
 def load_history(path: str | Path) -> list[EpochRecord]:
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [EpochRecord(**r) for r in records]
+    """Read the records save_history wrote; DataError unless the file is
+    a JSON array of objects with exactly the EpochRecord fields.
+    """
+    path = Path(path)
+    try:
+        rows = json.loads(read_text(path, "history file"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid history JSON ({exc.msg})") from exc
+    if not isinstance(rows, list):
+        raise DataError(f"{path}: history must be a JSON array of epoch records")
+    keys = {f.name for f in fields(EpochRecord)}
+    for n, row in enumerate(rows):
+        if not isinstance(row, dict) or set(row) != keys:
+            raise DataError(f"{path}: history entry {n} must be an object with keys {sorted(keys)}")
+    return [EpochRecord(**row) for row in rows]
 
 
 def save_model(model: Model, path: str | Path) -> None:
     """Serialize a model: magic, length-prefixed JSON header, then the
-    tensor blocks as little-endian float32 in a fixed order (the four
-    gate matrices, four gate biases, read-out weights and bias, then
-    the embedding matrix).
+    tensor blocks as little-endian float32 in a fixed order (the gate
+    matrix and the gate biases, each stacked f, i, o, c, the read-out
+    weights and bias, then the embedding matrix).
     """
     header = {
         "version": MODEL_VERSION,

@@ -47,20 +47,16 @@ def lstm_sequence_ref(xs, params):
 
 def params_to_lists(params) -> dict:
     """Convert an LstmParams-like object to the plain-list layout the
-    scalar reference consumes.
+    scalar reference consumes, splitting the stacked gate matrix and
+    biases into their f, i, o, c blocks of hidden rows.
     """
-    return {
-        "w_f": params.w_f.tolist(),
-        "w_i": params.w_i.tolist(),
-        "w_o": params.w_o.tolist(),
-        "w_c": params.w_c.tolist(),
-        "b_f": params.b_f.tolist(),
-        "b_i": params.b_i.tolist(),
-        "b_o": params.b_o.tolist(),
-        "b_c": params.b_c.tolist(),
-        "w_out": params.w_out.tolist(),
-        "b_out": params.b_out.tolist(),
-    }
+    hsize = len(params.w_out)
+    out = {"w_out": params.w_out.tolist(), "b_out": params.b_out.tolist()}
+    for k, gate in enumerate("fioc"):
+        rows = slice(k * hsize, (k + 1) * hsize)
+        out[f"w_{gate}"] = params.w_gates[rows].tolist()
+        out[f"b_{gate}"] = params.b_gates[rows].tolist()
+    return out
 
 
 def central_difference(loss_fn, array, flat_index: int, step: float = 1e-5) -> float:

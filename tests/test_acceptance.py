@@ -41,14 +41,8 @@ CHARS = "好坏中啊呀很不太还挺真假冷热高低"
 
 def _random_instance(rng, hsize, dim, length, vocab_size=18, scale=0.5):
     params = LstmParams(
-        w_f=rng.normal(0, scale, (hsize, hsize + dim)),
-        w_i=rng.normal(0, scale, (hsize, hsize + dim)),
-        w_o=rng.normal(0, scale, (hsize, hsize + dim)),
-        w_c=rng.normal(0, scale, (hsize, hsize + dim)),
-        b_f=rng.normal(0, scale, hsize),
-        b_i=rng.normal(0, scale, hsize),
-        b_o=rng.normal(0, scale, hsize),
-        b_c=rng.normal(0, scale, hsize),
+        w_gates=rng.normal(0, scale, (4 * hsize, hsize + dim)),
+        b_gates=rng.normal(0, scale, 4 * hsize),
         w_out=rng.normal(0, scale, hsize),
         b_out=rng.normal(0, scale, 1),
     )
@@ -115,21 +109,16 @@ def test_criterion_02_bptt_gradients_match_finite_differences():
 
 def test_criterion_03_closed_form_cell_cases():
     hsize, dim = 4, 3
-    zeros = {
-        name: np.zeros((hsize, hsize + dim)) for name in ("w_f", "w_i", "w_o", "w_c")
-    }
     params = LstmParams(
-        **zeros,
-        b_f=np.zeros(hsize),
-        b_i=np.zeros(hsize),
-        b_o=np.zeros(hsize),
-        b_c=np.zeros(hsize),
+        w_gates=np.zeros((4 * hsize, hsize + dim)),
+        b_gates=np.zeros(4 * hsize),
         w_out=np.zeros(hsize),
         b_out=np.zeros(1),
     )
     x = np.ones(dim)
-    h_t, c_t, state = lstm_cell_forward(x, np.zeros(hsize), np.zeros(hsize), params)
-    for gate in (state.f, state.i, state.o):
+    h_t, c_t, gates = lstm_cell_forward(x, np.zeros(hsize), np.zeros(hsize), params)
+    f, i, o, _ = gates
+    for gate in (f, i, o):
         assert np.max(np.abs(gate - 0.5)) <= 1e-12
     assert np.max(np.abs(h_t)) <= 1e-12
     assert np.max(np.abs(c_t)) <= 1e-12

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -353,6 +356,45 @@ def test_pipeline_predict_stdin(pipeline, capsys, monkeypatch):
     assert rows[1] == {"error": "empty input"}
     assert rows[2] == {"error": "empty input"}
     assert "label" in rows[3]
+
+
+def test_pipeline_predict_invalid_utf8_text_flag(pipeline, capsys):
+    """Undecodable argv bytes arrive as lone surrogates; that text gets
+    an error line and the next one is still scored.
+    """
+    code = cli.main(
+        ["predict", "--config", str(pipeline / "cfg.json"), "--text", "好\udcff棒", "--text", "好棒"]
+    )
+    assert code == 0
+    rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert rows[0] == {"error": "invalid UTF-8"}
+    assert set(rows[1]) == {"label", "p"}
+
+
+@pytest.mark.parametrize("io_encoding", [None, "utf-8:strict"])
+def test_pipeline_predict_invalid_utf8_stdin(pipeline, io_encoding):
+    """Each stdin line that is not UTF-8 gets an error line, whether the
+    interpreter decodes stdin strictly or with surrogateescape.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONIOENCODING", None)
+    if io_encoding is not None:
+        env["PYTHONIOENCODING"] = io_encoding
+    done = subprocess.run(
+        [sys.executable, "-m", "charsent.cli", "predict", "--config", str(pipeline / "cfg.json")],
+        # a good line, two undecodable ones (the second a cut-off 好), an empty one, a good one
+        input=b"\n".join(["好棒".encode(), b"\xff\xfe", "好".encode()[:2], b"", "太差".encode()]) + b"\n",
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(l) for l in done.stdout.decode().splitlines()]
+    assert [sorted(r) for r in rows] == [
+        ["label", "p"], ["error"], ["error"], ["error"], ["label", "p"]
+    ]
+    assert rows[1] == rows[2] == {"error": "invalid UTF-8"}
+    assert rows[3] == {"error": "empty input"}
 
 
 def test_prelabel_empty_corpus_succeeds(tmp_path, capsys):

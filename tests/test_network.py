@@ -15,16 +15,9 @@ from oracles import lstm_sequence_ref, params_to_lists, sigmoid_ref
 
 
 def _random_params(hsize, dim, rng, scale=0.4):
-    shape = (hsize, hsize + dim)
     return LstmParams(
-        w_f=rng.normal(0, scale, shape),
-        w_i=rng.normal(0, scale, shape),
-        w_o=rng.normal(0, scale, shape),
-        w_c=rng.normal(0, scale, shape),
-        b_f=rng.normal(0, scale, hsize),
-        b_i=rng.normal(0, scale, hsize),
-        b_o=rng.normal(0, scale, hsize),
-        b_c=rng.normal(0, scale, hsize),
+        w_gates=rng.normal(0, scale, (4 * hsize, hsize + dim)),
+        b_gates=rng.normal(0, scale, 4 * hsize),
         w_out=rng.normal(0, scale, hsize),
         b_out=rng.normal(0, scale, 1),
     )
@@ -66,19 +59,24 @@ def test_sigmoid_matches_reference_and_clamps():
 
 def test_init_lstm_params_biases_and_bounds():
     params = cs.init_lstm_params(16, 8, seed=5)
-    assert np.all(params.b_f == 1.0)
-    assert np.all(params.b_i == 0.0)
-    assert np.all(params.b_o == 0.0)
-    assert np.all(params.b_c == 0.0)
+    b_f, b_i, b_o, b_c = np.split(params.b_gates, 4)
+    assert np.all(b_f == 1.0)
+    assert np.all(b_i == 0.0)
+    assert np.all(b_o == 0.0)
+    assert np.all(b_c == 0.0)
     assert params.b_out[0] == 0.0
     bound = math.sqrt(6.0 / (16 + 8 + 16))
-    for w in (params.w_f, params.w_i, params.w_o, params.w_c):
+    for w in np.split(params.w_gates, 4):
         assert np.all(np.abs(w) <= bound)
         assert np.any(w != 0.0)
+    # one draw for the stacked matrix is the four per-gate draws in order
+    rng = cs.substream(5, "lstm_init")
+    per_gate = [rng.uniform(-bound, bound, size=(16, 24)) for _ in "fioc"]
+    assert np.array_equal(params.w_gates, np.vstack(per_gate))
     again = cs.init_lstm_params(16, 8, seed=5)
-    assert np.array_equal(params.w_f, again.w_f)
+    assert np.array_equal(params.w_gates, again.w_gates)
     other = cs.init_lstm_params(16, 8, seed=6)
-    assert not np.array_equal(params.w_f, other.w_f)
+    assert not np.array_equal(params.w_gates, other.w_gates)
 
 
 def test_init_lstm_params_validation():
@@ -126,29 +124,32 @@ def test_cell_state_decomposition_exact(small_vocab):
     for row, seq in enumerate(seqs):
         assert np.array_equal(cache.h_final[row], cache.hs[seq.true_length, row])
     for t in range(7):
-        from_input = cache.is_[t] * cache.c_tildes[t]
-        from_past = cache.fs[t] * cache.cs[t]
+        f, i, o, c_tilde = cache.gates[t]
+        from_input = i * c_tilde
+        from_past = f * cache.cs[t]
         assert np.array_equal(cache.cs[t + 1], from_input + from_past)
-        for gate in (cache.fs[t], cache.is_[t], cache.os_[t]):
+        for gate in (f, i, o):
             assert np.all((gate > 0.0) & (gate < 1.0))
-        assert np.all(np.abs(cache.c_tildes[t]) < 1.0)
+        assert np.all(np.abs(c_tilde) < 1.0)
 
 
 def test_forget_gate_extremes(small_vocab):
     """A saturated forget gate either preserves or erases the carried state."""
     hsize, dim = 4, 3
     model = _random_model(small_vocab, hsize=hsize, dim=dim, seed=29)
-    model.params.w_f[:] = 0.0
+    model.params.w_gates[:hsize] = 0.0  # the forget gate's rows
     seq = cs.encode(list("好坏中啊呀"), small_vocab, max_len=6)
 
-    model.params.b_f[:] = 30.0
+    model.params.b_gates[:hsize] = 30.0
     _, cache = cs.sequence_forward(seq, model)
-    expected = cache.cs[:-1] + cache.is_ * cache.c_tildes
+    f, i, _, c_tilde = cache.gates.swapaxes(0, 1)
+    expected = cache.cs[:-1] + i * c_tilde
     np.testing.assert_allclose(cache.cs[1:], expected, atol=1e-12)
 
-    model.params.b_f[:] = -30.0
+    model.params.b_gates[:hsize] = -30.0
     _, cache = cs.sequence_forward(seq, model)
-    assert np.all(np.abs(cache.fs * cache.cs[:-1]) < 1e-12)
+    f = cache.gates[:, 0]
+    assert np.all(np.abs(f * cache.cs[:-1]) < 1e-12)
 
 
 def test_padding_never_reaches_the_recurrence(small_vocab):
@@ -158,7 +159,7 @@ def test_padding_never_reaches_the_recurrence(small_vocab):
     p_padded, cache_padded = cs.sequence_forward(padded, model)
     p_exact, _ = cs.sequence_forward(exact, model)
     assert p_padded == p_exact
-    assert cache_padded.fs.shape[0] == 3
+    assert cache_padded.gates.shape[0] == 3
 
 
 def test_cell_forward_rejects_mismatched_shapes():
@@ -283,9 +284,9 @@ def test_model_validates_embedding_match(small_vocab):
 def test_model_copy_is_independent(small_vocab):
     model = _random_model(small_vocab, seed=23)
     clone = model.copy()
-    clone.params.w_f[0, 0] += 1.0
+    clone.params.w_gates[0, 0] += 1.0
     clone.embeddings.vectors[2, 0] += 1.0
-    assert model.params.w_f[0, 0] != clone.params.w_f[0, 0]
+    assert model.params.w_gates[0, 0] != clone.params.w_gates[0, 0]
     assert model.embeddings.vectors[2, 0] != clone.embeddings.vectors[2, 0]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,16 @@ from charsent.tokenizer import PAD_ID
 from charsent.training import AdamState, _bce_losses
 
 from conftest import make_model
-from oracles import adam_trace_ref, bce_ref, central_difference, confusion_ref, relative_error
+from oracles import (
+    adam_trace_ref,
+    bce_ref,
+    central_difference,
+    confusion_ref,
+    lstm_sequence_ref,
+    relative_error,
+)
+
+FIXTURES = Path(__file__).with_name("data")
 
 
 def test_bce_loss_values_and_clamping():
@@ -73,7 +83,7 @@ def test_backward_with_dropout_mask_matches_finite_differences():
         ps, _ = cs.forward_batch([seq], model, mask[None])
         return cs.bce_loss(float(ps[0]), y)
 
-    for name in ("w_f", "w_out", "b_c", "embeddings"):
+    for name in ("w_gates", "w_out", "b_gates", "embeddings"):
         tensor = model.embeddings.vectors if name == "embeddings" else getattr(model.params, name)
         flat_grad = grads[name].reshape(-1)
         for index in range(0, tensor.size, max(1, tensor.size // 8)):
@@ -143,7 +153,7 @@ def test_backward_batch_exact_beside_a_long_ended_row():
     of the two batch-of-one gradients.
     """
     model, dataset = _grad_setup(seed=7, max_len=48)
-    model.params.b_f[:] = 30.0
+    model.params.b_gates[: model.params.hidden_size] = 30.0  # forget gate open
     pool = [token for seq, _ in dataset for token in cs.decode(seq, model.vocab)]
     seqs = [cs.encode(pool[:n], model.vocab, 48) for n in (1, 45)]
     assert [s.true_length for s in seqs] == [1, 45]
@@ -201,11 +211,11 @@ def test_adam_updates_in_place_and_tracks_tensors_independently():
 
 def test_adam_rejects_nonfinite_gradients():
     cfg = cs.TrainConfig()
-    tensors = {"w_f": np.zeros(2)}
+    tensors = {"w_gates": np.zeros(2)}
     state = AdamState.for_tensors(tensors)
     with pytest.raises(NumericalError) as err:
-        cs.adam_step(tensors, {"w_f": np.array([1.0, np.nan])}, state, cfg)
-    assert "w_f" in str(err.value)
+        cs.adam_step(tensors, {"w_gates": np.array([1.0, np.nan])}, state, cfg)
+    assert "w_gates" in str(err.value)
 
 
 def test_backward_zero_params_gives_readout_residual():
@@ -385,7 +395,7 @@ def test_train_is_deterministic_per_seed():
     a, ha = cs.train(train_set, val_set, model, cfg)
     b, hb = cs.train(train_set, val_set, model, cfg)
     assert ha.records == hb.records
-    assert np.array_equal(a.params.w_f, b.params.w_f)
+    assert np.array_equal(a.params.w_gates, b.params.w_gates)
     assert np.array_equal(a.embeddings.vectors, b.embeddings.vectors)
     c, hc = cs.train(train_set, val_set, model, cs.TrainConfig(epochs=2, batch_size=16, dropout_rate=0.4, patience=5, seed=8))
     assert ha.records != hc.records
@@ -396,8 +406,8 @@ def test_train_zero_epochs_returns_copy():
     best, history = cs.train(train_set, val_set, model, cs.TrainConfig(epochs=0))
     assert history.records == [] and history.best_epoch == 0
     assert not history.stopped_early
-    assert np.array_equal(best.params.w_f, model.params.w_f)
-    assert best.params.w_f is not model.params.w_f
+    assert np.array_equal(best.params.w_gates, model.params.w_gates)
+    assert best.params.w_gates is not model.params.w_gates
 
 
 def test_train_freeze_embeddings():
@@ -405,7 +415,7 @@ def test_train_freeze_embeddings():
     cfg = cs.TrainConfig(epochs=2, batch_size=16, dropout_rate=0.0, patience=5, seed=2, freeze_embeddings=True)
     best, _ = cs.train(train_set, val_set, model, cfg)
     assert np.array_equal(best.embeddings.vectors, model.embeddings.vectors)
-    assert not np.array_equal(best.params.w_f, model.params.w_f)
+    assert not np.array_equal(best.params.w_gates, model.params.w_gates)
 
 
 def test_train_keeps_pad_row_at_zero():
@@ -552,6 +562,48 @@ def test_history_roundtrip_is_plain_json_array(tmp_path, trained_setup):
 
     back = load_history(path)
     assert back == history.records
+
+
+def test_ssm1_per_gate_file_loads_as_stacked_f_i_o_c(tmp_path):
+    """ssm1_h2_d2.ssm was written when each gate had its own tensor
+    (w_f, w_i, w_o, w_c, then b_f, b_i, b_o, b_c); the JSON beside it
+    holds those tensors. Its bytes load as the stacked gate matrix, the
+    cell reads the blocks as forget, input, output and candidate (the
+    per-gate scalar oracle agrees), and saving writes the same bytes.
+    """
+    blob = (FIXTURES / "ssm1_h2_d2.ssm").read_bytes()
+    per_gate = json.loads((FIXTURES / "ssm1_h2_d2.json").read_text(encoding="utf-8"))
+    model = cs.load_model(FIXTURES / "ssm1_h2_d2.ssm")
+    params = model.params
+    assert (params.hidden_size, params.input_dim) == (2, 2)
+    assert np.array_equal(params.w_gates, np.vstack([per_gate[f"w_{g}"] for g in "fioc"]))
+    assert np.array_equal(params.b_gates, np.concatenate([per_gate[f"b_{g}"] for g in "fioc"]))
+    assert np.array_equal(params.w_out, per_gate["w_out"])
+    assert np.array_equal(params.b_out, per_gate["b_out"])
+    assert np.array_equal(model.embeddings.vectors, per_gate["embeddings"])
+
+    seq = cs.encode(list("好差好好差"), model.vocab, model.max_len)
+    p, _ = cs.sequence_forward(seq, model)
+    xs = [per_gate["embeddings"][i] for i in seq.ids[: seq.true_length]]
+    _, p_ref = lstm_sequence_ref(xs, per_gate)
+    assert abs(p - p_ref) < 1e-12
+
+    cs.save_model(model, tmp_path / "again.ssm")
+    assert (tmp_path / "again.ssm").read_bytes() == blob
+
+
+@pytest.mark.parametrize(
+    "content", [None, '[{"epoch": 1}]', '{"a": 1}', "[1]", "[{", '[{"epoch": 1, "x": 2}]']
+)
+def test_load_history_rejects_missing_or_malformed_files(tmp_path, content):
+    from charsent.training import load_history
+
+    path = tmp_path / "history.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_history(path)
+    assert str(path) in str(err.value)
 
 
 def test_trained_model_beats_chance(trained_setup):
