@@ -7,7 +7,8 @@ numpy build and CPU match the recorded fingerprint, since another BLAS
 may sum the same products in another order.
 
 After a change that moves these numbers on purpose, rewrite the file
-with `python3 tests/test_golden.py` and say why in the change log.
+with `PYTHONPATH=src python3 tests/test_golden.py` and say why in the
+change log.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from charsent import cli
+from charsent.corpus import save_corpus
+from charsent.synthetic import generate_corpus
+from charsent.training import load_history, load_model
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ARTIFACTS = ("emb.bin", "model.ssm", "history.json")
@@ -42,11 +48,6 @@ def blas_fingerprint() -> dict:
 
 def golden_run(root: Path) -> dict:
     """Run the two stages in `root` and return what golden.json records."""
-    from charsent import cli
-    from charsent.corpus import save_corpus
-    from charsent.synthetic import generate_corpus
-    from charsent.training import load_history, load_model
-
     save_corpus(generate_corpus(200, seed=7), root / "labeled.jsonl")
     config = {
         "seed": 7,
@@ -90,23 +91,21 @@ def test_golden_run(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     run = golden_run(tmp_path)
 
-    approx = lambda value: pytest.approx(value, rel=TOLERANCE, abs=TOLERANCE)  # noqa: E731
     assert len(run["history"]) == len(golden["history"])
     for got, want in zip(run["history"], golden["history"]):
         assert got["epoch"] == want["epoch"]
         for key in ("train_loss", "train_acc", "val_loss", "val_acc"):
-            assert got[key] == approx(want[key]), f"epoch {want['epoch']} {key}"
+            assert got[key] == pytest.approx(want[key], rel=TOLERANCE, abs=TOLERANCE), (
+                f"epoch {want['epoch']} {key}"
+            )
     for key, want in golden["sums"].items():
-        assert run["sums"][key] == approx(want), key
+        assert run["sums"][key] == pytest.approx(want, rel=TOLERANCE, abs=TOLERANCE), key
 
     if blas_fingerprint() == golden["fingerprint"]:
         assert run["sha256"] == golden["sha256"]
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         record = {"fingerprint": blas_fingerprint(), **golden_run(Path(tmp))}
     GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -55,6 +55,10 @@ def test_sigmoid_matches_reference_and_clamps():
     assert cs.sigmoid(-30.0) < 1e-13
     for z in (-4.1, -0.3, 0.0, 2.6):
         assert cs.sigmoid(z) + cs.sigmoid(-z) == pytest.approx(1.0, abs=1e-15)
+    z = np.array([[-100.0, -3.2, 0.0], [1.7, 30.0, 80.0]])
+    want = cs.sigmoid(z)
+    assert cs.sigmoid(z, out=z) is z  # in place, the same values
+    assert np.array_equal(z, want)
 
 
 def test_init_lstm_params_biases_and_bounds():
@@ -142,7 +146,7 @@ def test_forget_gate_extremes(small_vocab):
 
     model.params.b_gates[:hsize] = 30.0
     _, cache = cs.sequence_forward(seq, model)
-    f, i, _, c_tilde = cache.gates.swapaxes(0, 1)
+    _, i, _, c_tilde = cache.gates.swapaxes(0, 1)
     expected = cache.cs[:-1] + i * c_tilde
     np.testing.assert_allclose(cache.cs[1:], expected, atol=1e-12)
 
