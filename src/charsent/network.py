@@ -73,6 +73,11 @@ class LstmParams:
     b_out: np.ndarray
 
     def __post_init__(self):
+        if self.w_gates.ndim != 2 or self.hidden_size < 1 or self.input_dim < 1:
+            raise DataError(
+                f"w_gates shape {self.w_gates.shape} is not (4 hidden, hidden + dim)"
+                " with hidden and dim >= 1"
+            )
         for name, shape in param_shapes(self.hidden_size, self.input_dim).items():
             if getattr(self, name).shape != shape:
                 raise DataError(f"{name} shape mismatch, expected {shape}")

@@ -24,7 +24,7 @@ from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 MODEL_MAGIC = b"SSM1"
 MODEL_VERSION = 1
 _P_CLAMP = 1e-12
-_EVAL_CHUNK = 512
+_EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -278,13 +278,21 @@ def encode_labeled(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Dataset:
 
 
 def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
-    """Probabilities for many sequences, chunked through the batched
-    forward pass; no dropout.
+    """Probabilities for many sequences, in input order; no dropout.
+    The sequences run through the batched forward pass in order of
+    length (stable), split into ceil(n / 256) parts whose sizes differ
+    by at most one, so each part steps only to its own longest row.
+    A row's hidden state does not depend on its part or position; the
+    read-out's matrix-vector product can round a logit by the row's
+    position in its part, so a probability may move in the last bit
+    with the set it is scored in.
     """
     ps = np.empty(len(sequences))
-    for start in range(0, len(sequences), _EVAL_CHUNK):
-        chunk = sequences[start : start + _EVAL_CHUNK]
-        ps[start : start + len(chunk)], _ = forward_batch(chunk, model)
+    if not sequences:
+        return ps
+    order = np.argsort([s.true_length for s in sequences], kind="stable")
+    for part in np.array_split(order, math.ceil(len(order) / _EVAL_CHUNK)):
+        ps[part], _ = forward_batch([sequences[i] for i in part], model)
     return ps
 
 

@@ -179,6 +179,16 @@ def test_cell_forward_rejects_mismatched_shapes():
             cs.lstm_cell_forward(np.zeros(x_shape), np.zeros(h_shape), np.zeros(c_shape), params)
 
 
+@pytest.mark.parametrize(
+    "w_gates",
+    [np.zeros(8), np.zeros((2, 4, 3)), np.zeros((0, 3)), np.zeros((8, 2)), np.zeros((8, 1))],
+    ids=["1-D", "3-D", "no rows", "no input columns", "too few columns"],
+)
+def test_lstm_params_reject_malformed_gate_matrix(w_gates):
+    with pytest.raises(DataError):
+        LstmParams(w_gates=w_gates, b_gates=np.zeros(8), w_out=np.zeros(2), b_out=np.zeros(1))
+
+
 def test_forward_rejects_empty_sequence(small_vocab):
     model = _random_model(small_vocab)
     empty = TokenSequence(ids=(PAD_ID,) * 4, true_length=0)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsent as cs
+from charsent import training
 from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
 from charsent.synthetic import generate_corpus
-from charsent.tokenizer import PAD_ID
-from charsent.training import AdamState, _bce_losses
+from charsent.tokenizer import PAD_ID, TokenSequence
+from charsent.training import _EVAL_CHUNK, AdamState, _bce_losses
 
 from conftest import make_model
 from oracles import (
@@ -354,6 +355,61 @@ def test_evaluate_agrees_with_per_example_forward():
     want = cs.compute_metrics(np.array(ps), ys, 0.5)
     assert metrics.loss == pytest.approx(want.loss, abs=1e-12)
     assert (metrics.tp, metrics.fp, metrics.fn, metrics.tn) == (want.tp, want.fp, want.fn, want.tn)
+
+
+def _mixed_length_sequences(n=600, max_len=40, seed=5):
+    """A model and n sequences of shuffled lengths 1..max_len, enough
+    for more than two scoring parts.
+    """
+    corpus = generate_corpus(60, seed=seed)
+    vocab = cs.build_vocab(corpus, min_count=1)
+    model = make_model(vocab, hidden_size=5, dim=6, max_len=max_len, seed=seed, scale=0.4)
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for length in rng.integers(1, max_len + 1, size=n):
+        ids = rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()
+        seqs.append(TokenSequence(ids=tuple(ids) + (PAD_ID,) * (max_len - length), true_length=length))
+    return model, seqs
+
+
+def test_predict_proba_matches_single_forward_in_input_order():
+    model, seqs = _mixed_length_sequences()
+    assert len(seqs) > 2 * _EVAL_CHUNK
+    ps = training.predict_proba(model, seqs)
+    assert ps.shape == (len(seqs),)
+    for i, seq in enumerate(seqs):
+        p1, _ = cs.forward_batch([seq], model)
+        assert abs(ps[i] - p1[0]) < 1e-12
+
+
+def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
+    model, seqs = _mixed_length_sequences()
+    index_of = {id(seq): i for i, seq in enumerate(seqs)}
+    calls = []
+    real_forward_batch = training.forward_batch
+
+    def recording_forward_batch(batch, model):
+        calls.append([index_of[id(seq)] for seq in batch])
+        return real_forward_batch(batch, model)
+
+    monkeypatch.setattr(training, "forward_batch", recording_forward_batch)
+    training.predict_proba(model, seqs)
+
+    assert len(calls) == math.ceil(len(seqs) / _EVAL_CHUNK)
+    sizes = [len(call) for call in calls]
+    assert max(sizes) <= _EVAL_CHUNK
+    assert max(sizes) - min(sizes) <= 1
+    flat = [i for call in calls for i in call]
+    assert sorted(flat) == list(range(len(seqs)))
+    lengths = [seqs[i].true_length for i in flat]
+    assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+    # stable: equal lengths keep their input order
+    assert flat == sorted(range(len(seqs)), key=lambda i: seqs[i].true_length)
+
+
+def test_predict_proba_of_nothing_is_empty(tiny_model):
+    ps = training.predict_proba(tiny_model, [])
+    assert ps.shape == (0,)
 
 
 def _quick_sets(seed=41, n=80, hsize=8, dim=8):
