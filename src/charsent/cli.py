@@ -199,11 +199,11 @@ def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     for review in cleaned.reviews:
         if review.label is None:
             label, _score = prelabel(review.text, lexicon)
-            labeled.append(type(review)(text=review.text, label=label))
+            labeled.append(replace(review, label=label))
             newly += 1
         else:
             labeled.append(review)
-    out = type(cleaned)(reviews=labeled, name=cleaned.name)
+    out = replace(cleaned, reviews=labeled)
     save_corpus(out, out_path)
     positive = sum(1 for r in labeled if r.label == 1)
     _emit(

@@ -1,9 +1,11 @@
 """Character embeddings trained with Word2Vec-style negative sampling.
 
 Both training modes are provided: averaged-context prediction of the
-center token (CBOW) and center-to-context prediction (skip-gram). The
-input-side matrix is the product consumed by the classifier network;
-the output-side (context) matrix only exists while training.
+center token (CBOW) and center-to-context prediction (skip-gram). They
+share one objective and one update: a skip-gram example is a CBOW
+update whose context is the center token alone. The input-side matrix
+is the product consumed by the classifier network; the output-side
+(context) matrix only exists while training.
 """
 
 from __future__ import annotations
@@ -111,79 +113,56 @@ def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _positive_negative_grads(h, positive_id, negative_ids, context_matrix):
-    """Shared core of both objectives: with hidden vector h and positive
-    output row `positive_id`, returns (loss, dL/dh, {output row id: grad}).
+def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
+    """Loss and exact gradients of the negative-sampling objective around
+    h, the mean of the context's input rows, without touching the
+    matrices:
 
-    loss = -ln s(u_pos . h) - sum_neg ln s(-u_neg . h)
+        loss = -ln s(u_center . h) - sum_neg ln s(-u_neg . h)
+
+    Returns (loss, input-row grads, output-row grads) as {row id: grad}
+    dicts with duplicate ids accumulated.
     """
-    u_pos = context_matrix[positive_id]
+    # take() gathers rows faster than a list index; the sum and division
+    # give the bits of .mean(axis=0)
+    h = matrix.vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
+    u_pos = matrix.context_vectors[center_id]
     s_pos = sigmoid(u_pos @ h)
     loss = -math.log(max(s_pos, 1e-300))
-    g_pos = s_pos - 1.0  # d loss / d (u_pos . h)
+    g_pos = s_pos - 1.0  # d loss / d (u_center . h)
     dh = g_pos * u_pos
-    out_grads: dict[int, np.ndarray] = {positive_id: g_pos * h}
+    out_grads: dict[int, np.ndarray] = {center_id: g_pos * h}
     for neg in negative_ids:
-        u_neg = context_matrix[neg]
+        u_neg = matrix.context_vectors[neg]
         s_neg = sigmoid(u_neg @ h)
         loss += -math.log(max(1.0 - s_neg, 1e-300))
         dh = dh + s_neg * u_neg
-        if neg in out_grads:
-            out_grads[neg] = out_grads[neg] + s_neg * h
-        else:
-            out_grads[neg] = s_neg * h
-    return loss, dh, out_grads
-
-
-def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
-    """Loss and exact gradients of the averaged-context objective,
-    without touching the matrices. Returns (loss, input-row grads,
-    output-row grads) with duplicate ids accumulated.
-    """
-    h = matrix.vectors[list(context_ids)].mean(axis=0)
-    loss, dh, out_grads = _positive_negative_grads(
-        h, center_id, negative_ids, matrix.context_vectors
-    )
+        out_grads[neg] = out_grads[neg] + s_neg * h if neg in out_grads else s_neg * h
     per_context = dh / len(context_ids)
     in_grads: dict[int, np.ndarray] = {}
     for cid in context_ids:
-        if cid in in_grads:
-            in_grads[cid] = in_grads[cid] + per_context
-        else:
-            in_grads[cid] = per_context.copy()
+        in_grads[cid] = in_grads[cid] + per_context if cid in in_grads else per_context
     return loss, in_grads, out_grads
 
 
 def skipgram_gradients(center_id, context_id, negative_ids, matrix: EmbeddingMatrix):
-    """Loss and exact gradients of the center-to-context objective;
-    the hidden vector is the center token's input row.
-    """
-    h = matrix.vectors[center_id]
-    loss, dh, out_grads = _positive_negative_grads(
-        h, context_id, negative_ids, matrix.context_vectors
-    )
-    return loss, {center_id: dh}, out_grads
-
-
-def _apply_row_updates(matrix: EmbeddingMatrix, in_grads, out_grads, lr: float) -> None:
-    for rid, grad in in_grads.items():
-        matrix.vectors[rid] -= lr * grad
-    for rid, grad in out_grads.items():
-        matrix.context_vectors[rid] -= lr * grad
+    """The skip-gram objective: CBOW on the one-token context [center_id]."""
+    return cbow_gradients([center_id], context_id, negative_ids, matrix)
 
 
 def cbow_step(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix, lr: float) -> float:
     """One SGD step on a CBOW example; returns the pre-update loss."""
     loss, in_grads, out_grads = cbow_gradients(context_ids, center_id, negative_ids, matrix)
-    _apply_row_updates(matrix, in_grads, out_grads, lr)
+    for rid, grad in in_grads.items():
+        matrix.vectors[rid] -= lr * grad
+    for rid, grad in out_grads.items():
+        matrix.context_vectors[rid] -= lr * grad
     return loss
 
 
 def skipgram_step(center_id, context_id, negative_ids, matrix: EmbeddingMatrix, lr: float) -> float:
-    """One SGD step on a skip-gram example; returns the pre-update loss."""
-    loss, in_grads, out_grads = skipgram_gradients(center_id, context_id, negative_ids, matrix)
-    _apply_row_updates(matrix, in_grads, out_grads, lr)
-    return loss
+    """One SGD step on a skip-gram example: a CBOW step on [center_id]."""
+    return cbow_step([center_id], context_id, negative_ids, matrix, lr)
 
 
 class NegativeSampler:
@@ -202,16 +181,21 @@ class NegativeSampler:
         self.probabilities = weights / total
         self._cumulative = np.cumsum(self.probabilities)
         self._cumulative[-1] = 1.0
+        self._support = set(np.flatnonzero(weights).tolist())
         self._rng = rng
 
     def sample(self, k: int, exclude=()) -> list[int]:
         exclude = set(exclude)
+        # the size check inside <= settles this at once for real vocabularies
+        if self._support <= exclude:
+            raise DataError(
+                "cannot draw negatives: every counted token is excluded; "
+                "the corpus needs more distinct tokens"
+            )
         out: list[int] = []
         while len(out) < k:
-            draws = np.searchsorted(
-                self._cumulative, self._rng.random(k - len(out)), side="right"
-            )
-            out.extend(int(i) for i in draws if int(i) not in exclude)
+            draws = self._cumulative.searchsorted(self._rng.random(k - len(out)), side="right")
+            out += [i for i in draws.tolist() if i not in exclude]
         return out
 
 
@@ -242,6 +226,21 @@ def _subsample(sequence_ids, counts, total, threshold, rng):
     return kept
 
 
+def _examples(windows, mode: str):
+    """One epoch's examples as (input ids, target id, excluded negatives).
+
+    CBOW predicts each center from its context. Skip-gram predicts each
+    context token from the center alone, a one-token CBOW context, and
+    also keeps that context token out of the negatives.
+    """
+    for center, context in windows:
+        if mode == "cbow":
+            yield context, center, (center,)
+        else:
+            for ctx in context:
+                yield [center], ctx, (center, ctx)
+
+
 def train_embeddings(
     sequences,
     vocab: Vocabulary,
@@ -250,10 +249,11 @@ def train_embeddings(
 ) -> EmbeddingMatrix:
     """Train embeddings over encoded sequences or plain id lists.
 
-    Runs `config.epochs` passes of cbow_step or skipgram_step over all
-    windows in corpus order, negatives drawn from unigram^(3/4), with
-    the learning rate decaying linearly to MIN_LEARNING_RATE. Averaged
-    per-epoch losses are appended to `epoch_losses` when supplied.
+    Runs `config.epochs` passes of cbow_step over every example of the
+    chosen mode, windows in corpus order, negatives drawn from
+    unigram^(3/4), with the learning rate decaying linearly per example
+    to MIN_LEARNING_RATE. Averaged per-epoch losses are appended to
+    `epoch_losses` when supplied.
     """
     if not sequences:
         raise DataError("cannot train embeddings on an empty corpus")
@@ -266,47 +266,30 @@ def train_embeddings(
     rng_sub = substream(config.seed, "subsample")
     total_tokens = int(counts.sum())
 
-    base_windows = [extract_windows(seq, config.window) for seq in sequences]
-    per_epoch = sum(len(w) for w in base_windows)
-    if config.mode == "skipgram":
-        per_epoch = sum(len(ctx) for ws in base_windows for _, ctx in ws)
+    windows = [w for seq in sequences for w in extract_windows(seq, config.window)]
+    per_epoch = sum(1 for _ in _examples(windows, config.mode))
     total_steps = max(1, config.epochs * per_epoch)
     lr0 = config.learning_rate
     lr_floor = min(MIN_LEARNING_RATE, lr0)
 
     step = 0
     for _ in range(config.epochs):
+        epoch_windows = windows
         if config.subsample_threshold is not None:
-            epoch_windows = []
-            for seq in sequences:
-                ids = _subsample(
-                    seq, counts, total_tokens, config.subsample_threshold, rng_sub
-                )
-                epoch_windows.append(extract_windows(ids, config.window))
-        else:
-            epoch_windows = base_windows
-
+            kept = (
+                _subsample(seq, counts, total_tokens, config.subsample_threshold, rng_sub)
+                for seq in sequences
+            )
+            epoch_windows = [w for seq in kept for w in extract_windows(seq, config.window)]
         epoch_loss = 0.0
-        epoch_examples = 0
-        for windows in epoch_windows:
-            for center, context in windows:
-                if config.mode == "cbow":
-                    lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
-                    negatives = sampler.sample(config.negatives, exclude={center})
-                    epoch_loss += cbow_step(context, center, negatives, matrix, lr)
-                    epoch_examples += 1
-                    step += 1
-                else:
-                    for ctx in context:
-                        lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
-                        negatives = sampler.sample(
-                            config.negatives, exclude={center, ctx}
-                        )
-                        epoch_loss += skipgram_step(center, ctx, negatives, matrix, lr)
-                        epoch_examples += 1
-                        step += 1
+        epoch_start = step
+        for inputs, target, exclude in _examples(epoch_windows, config.mode):
+            lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
+            negatives = sampler.sample(config.negatives, exclude=exclude)
+            epoch_loss += cbow_step(inputs, target, negatives, matrix, lr)
+            step += 1
         if epoch_losses is not None:
-            epoch_losses.append(epoch_loss / max(1, epoch_examples))
+            epoch_losses.append(epoch_loss / max(1, step - epoch_start))
 
     matrix.vocab_hash = vocab.content_hash()
     return matrix

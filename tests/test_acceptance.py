@@ -26,7 +26,7 @@ from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID
 from charsent.training import AdamState, load_history
 
-from conftest import make_model
+from helpers import make_model
 from oracles import (
     adam_trace_ref,
     central_difference,

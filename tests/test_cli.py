@@ -15,7 +15,7 @@ from charsent.corpus import Corpus, Review, save_corpus
 from charsent.errors import ConfigError
 from charsent.synthetic import generate_corpus
 
-from conftest import make_model
+from helpers import make_model
 
 
 def test_build_config_defaults():
@@ -409,6 +409,46 @@ def test_prelabel_empty_corpus_succeeds(tmp_path, capsys):
     )
     assert code == 0
     assert out["positive"] == 0 and out["negative"] == 0 and out["reviews"] == 0
+
+
+def test_prelabel_keeps_source_ids(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"text": "好好 http://x.y/z", "source_id": "a1"}\n'
+        '{"text": "太差", "label": 0, "source_id": "b2"}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "labeled.jsonl"
+    code, summary = _run(
+        capsys, ["prelabel", "--set", f"paths.corpus={corpus}", "--set", f"paths.labeled={out}"]
+    )
+    assert code == 0 and summary["newly_labeled"] == 1
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["text"], r["source_id"]) for r in rows] == [("好好", "a1"), ("太差", "b2")]
+
+
+def test_embed_one_character_corpus_exits_3(tmp_path):
+    """Every negative draw would be the excluded center; the run must
+    stop with a data error instead of redrawing forever.
+    """
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text(
+        '{"text": "好好好好", "label": 1}\n{"text": "好好", "label": 0}\n', encoding="utf-8"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "charsent.cli", "embed",
+         "--set", f"paths.labeled={labeled}",
+         "--set", f"paths.vocab={tmp_path / 'vocab.json'}",
+         "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+         "--set", "word2vec.dim=4", "--set", "word2vec.epochs=1"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.decode().startswith("error: cannot draw negatives")
+    assert not (tmp_path / "emb.bin").exists()
 
 
 def test_train_with_corrupt_embeddings_exits_3(pipeline, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import charsent as cs
 from charsent.embedding import (
+    MIN_LEARNING_RATE,
     EmbeddingMatrix,
     NegativeSampler,
     cbow_gradients,
@@ -157,6 +158,16 @@ def test_sampler_respects_exclusions_and_pad():
     assert set(drawn) <= {3, 4, 6}
 
 
+def test_sampler_raises_when_exclusions_cover_every_counted_id():
+    counts = np.array([40, 0, 6, 0, 2], dtype=np.float64)
+    sampler = NegativeSampler(counts, substream(0, "negative_sampling"))
+    with pytest.raises(DataError, match="distinct tokens"):
+        sampler.sample(3, exclude={2, 4})
+    with pytest.raises(DataError, match="distinct tokens"):
+        sampler.sample(1, exclude=(4, 3, 2))
+    assert sampler.sample(3, exclude={2}) == [4, 4, 4]
+
+
 def test_sampler_tracks_powered_unigram():
     counts = np.zeros(6)
     counts[2], counts[3], counts[4] = 81.0, 16.0, 1.0
@@ -212,6 +223,57 @@ def test_training_reduces_average_loss(mode):
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
     assert np.all(matrix.vectors[PAD_ID] == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+def test_training_replays_the_scalar_step_stream(mode):
+    """train_embeddings is the documented schedule of one-example steps:
+    windows in corpus order, the seeded sampler excluding the center (and
+    the context token for skip-gram), and the linear lr decay per step.
+    """
+    corpus = ["好棒好棒极了", "坏差坏差极了", "好棒妙", "坏差糟"] * 3
+    vocab = cs.build_vocab(corpus, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in corpus]
+    cfg = cs.W2vConfig(mode=mode, window=2, negatives=3, epochs=2, dim=8, seed=6)
+    losses: list[float] = []
+    got = cs.train_embeddings(seqs, vocab, cfg, epoch_losses=losses)
+
+    want = init_embedding_matrix(vocab, cfg.dim, cfg.seed)
+    sampler = NegativeSampler(
+        token_counts(seqs, len(vocab)), substream(cfg.seed, "negative_sampling")
+    )
+    examples = []
+    for seq in seqs:
+        for center, context in extract_windows(seq, cfg.window):
+            if mode == "cbow":
+                examples.append((cbow_step, context, center, {center}))
+            else:
+                examples.extend((skipgram_step, center, ctx, {center, ctx}) for ctx in context)
+    lr0 = cfg.learning_rate
+    floor = min(MIN_LEARNING_RATE, lr0)
+    total = cfg.epochs * len(examples)
+    want_losses = []
+    step = 0
+    for _ in range(cfg.epochs):
+        loss = 0.0
+        for step_fn, first, second, exclude in examples:
+            lr = lr0 - (lr0 - floor) * (step / total)
+            negatives = sampler.sample(cfg.negatives, exclude=exclude)
+            loss += step_fn(first, second, negatives, want, lr)
+            step += 1
+        want_losses.append(loss / len(examples))
+    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.context_vectors, want.context_vectors)
+    assert losses == want_losses
+
+
+@pytest.mark.parametrize("mode, texts", [("cbow", ["好好好好", "好好"]), ("skipgram", ["好坏好坏"])])
+def test_training_without_a_drawable_negative_raises(mode, texts):
+    vocab = cs.build_vocab(texts, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in texts]
+    cfg = cs.W2vConfig(mode=mode, window=2, negatives=2, epochs=1, dim=4)
+    with pytest.raises(DataError, match="distinct tokens"):
+        cs.train_embeddings(seqs, vocab, cfg)
 
 
 def test_training_is_deterministic():

@@ -7,7 +7,7 @@ from charsent.corpus import Corpus, Review
 from charsent.errors import DataError
 from charsent.training import EpochRecord
 
-from conftest import make_model
+from helpers import make_model
 
 
 def _savers():

@@ -15,7 +15,7 @@ from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
 from charsent.training import _EVAL_CHUNK, AdamState, _bce_losses
 
-from conftest import make_model
+from helpers import make_model
 from oracles import (
     adam_trace_ref,
     bce_ref,
