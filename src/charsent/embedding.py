@@ -3,15 +3,19 @@
 Both training modes are provided: averaged-context prediction of the
 center token (CBOW) and center-to-context prediction (skip-gram). They
 share one objective and one update: a skip-gram example is a CBOW
-update whose context is the center token alone. The input-side matrix
-is the product consumed by the classifier network; the output-side
-(context) matrix only exists while training.
+update whose context is the center token alone. Training is one SGD
+step per example, in corpus order; a step gathers its k+1 output rows
+once and updates each matrix with one np.subtract.at call, and still
+gives every value the bits of a row-by-row loop. The input-side
+matrix is the product consumed by the classifier network; the
+output-side (context) matrix only exists while training.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from .tokenizer import PAD_ID, TokenSequence, Vocabulary
 MIN_LEARNING_RATE = 1e-4
 NOISE_POWER = 0.75
 EMBEDDING_MAGIC = "W2V1"
+SAMPLE_BLOCK = 4096  # uniforms per draw of NegativeSampler
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,54 @@ def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
     return out
 
 
+def _objective(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
+    """The one-example kernel of cbow_gradients and cbow_step, a fixed
+    number of array calls: returns (loss, the gradient of each context
+    position's input row, the output ids [center, *negatives], their
+    gradients as rows in that order). Every float is rounded as by a
+    loop over the output rows, one scalar sigmoid and update per row.
+    """
+    # take() gathers rows faster than a list index; the sum and division
+    # give the bits of .mean(axis=0)
+    h = matrix.vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
+    out_ids = [center_id, *negative_ids]
+    u = matrix.context_vectors.take(out_ids, axis=0)
+    # one dot per row: a single u @ h product rounds differently
+    coef = sigmoid(np.fromiter(map(h.dot, u), np.float64, len(out_ids)))
+    # the clamp keeps s and 1 - s above 9e-14, so every log is finite
+    s_pos, *s_negs = coef.tolist()
+    loss = -math.log(s_pos)
+    for s_neg in s_negs:
+        loss += -math.log(1.0 - s_neg)
+    coef[0] -= 1.0  # d loss / d (u_center . h); the negatives' is s_neg
+    coef = coef[:, None]
+    # accumulate adds row by row; .sum(axis=0) would add pairwise at d=1
+    dh = np.add.accumulate(coef * u, axis=0)[-1]
+    return loss, dh / len(context_ids), out_ids, coef * h
+
+
+def _row_sums(ids, grads) -> dict[int, np.ndarray]:
+    """{id: the sum of the grads at its positions, added left to right},
+    ids in first-seen order.
+    """
+    sums: dict[int, np.ndarray] = {}
+    for rid, grad in zip(ids, grads):
+        sums[rid] = sums[rid] + grad if rid in sums else grad
+    return sums
+
+
+def _subtract_rows(target: np.ndarray, ids: list, grads: np.ndarray, lr: float) -> None:
+    """target[i] -= lr * g for each distinct id i, where g sums left to
+    right the grads at i's positions in ids; grads holds one row per id,
+    or is one row shared by all of them.
+    """
+    if len(set(ids)) < len(ids):
+        sums = _row_sums(ids, grads if grads.ndim == 2 else [grads] * len(ids))
+        ids, grads = list(sums), np.array(list(sums.values()))
+    # the ids are distinct here, so this is target[ids] -= lr * grads, only faster
+    np.subtract.at(target, np.array(ids), lr * grads)
+
+
 def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
     """Loss and exact gradients of the negative-sampling objective around
     h, the mean of the context's input rows, without touching the
@@ -123,26 +176,11 @@ def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix
     Returns (loss, input-row grads, output-row grads) as {row id: grad}
     dicts with duplicate ids accumulated.
     """
-    # take() gathers rows faster than a list index; the sum and division
-    # give the bits of .mean(axis=0)
-    h = matrix.vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
-    u_pos = matrix.context_vectors[center_id]
-    s_pos = sigmoid(u_pos @ h)
-    loss = -math.log(max(s_pos, 1e-300))
-    g_pos = s_pos - 1.0  # d loss / d (u_center . h)
-    dh = g_pos * u_pos
-    out_grads: dict[int, np.ndarray] = {center_id: g_pos * h}
-    for neg in negative_ids:
-        u_neg = matrix.context_vectors[neg]
-        s_neg = sigmoid(u_neg @ h)
-        loss += -math.log(max(1.0 - s_neg, 1e-300))
-        dh = dh + s_neg * u_neg
-        out_grads[neg] = out_grads[neg] + s_neg * h if neg in out_grads else s_neg * h
-    per_context = dh / len(context_ids)
-    in_grads: dict[int, np.ndarray] = {}
-    for cid in context_ids:
-        in_grads[cid] = in_grads[cid] + per_context if cid in in_grads else per_context
-    return loss, in_grads, out_grads
+    loss, per_context, out_ids, out_grads = _objective(
+        context_ids, center_id, negative_ids, matrix
+    )
+    in_grads = _row_sums(context_ids, [per_context] * len(context_ids))
+    return loss, in_grads, _row_sums(out_ids, out_grads)
 
 
 def skipgram_gradients(center_id, context_id, negative_ids, matrix: EmbeddingMatrix):
@@ -152,11 +190,11 @@ def skipgram_gradients(center_id, context_id, negative_ids, matrix: EmbeddingMat
 
 def cbow_step(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix, lr: float) -> float:
     """One SGD step on a CBOW example; returns the pre-update loss."""
-    loss, in_grads, out_grads = cbow_gradients(context_ids, center_id, negative_ids, matrix)
-    for rid, grad in in_grads.items():
-        matrix.vectors[rid] -= lr * grad
-    for rid, grad in out_grads.items():
-        matrix.context_vectors[rid] -= lr * grad
+    loss, per_context, out_ids, out_grads = _objective(
+        context_ids, center_id, negative_ids, matrix
+    )
+    _subtract_rows(matrix.vectors, context_ids, per_context, lr)
+    _subtract_rows(matrix.context_vectors, out_ids, out_grads, lr)
     return loss
 
 
@@ -169,7 +207,10 @@ class NegativeSampler:
     """Draws noise tokens from the unigram^(3/4) distribution.
 
     PAD never appears; ids named in `exclude` are rejected and redrawn,
-    which renormalizes the distribution over the remaining ids.
+    which renormalizes the distribution over the remaining ids. Uniforms
+    are drawn SAMPLE_BLOCK at a time and mapped to ids in one search;
+    ids are handed out in draw order and only as many as are still
+    needed, so the ids returned are those of drawing one uniform per id.
     """
 
     def __init__(self, counts: np.ndarray, rng: np.random.Generator):
@@ -183,6 +224,8 @@ class NegativeSampler:
         self._cumulative[-1] = 1.0
         self._support = set(np.flatnonzero(weights).tolist())
         self._rng = rng
+        self._block: list[int] = []
+        self._next = 0
 
     def sample(self, k: int, exclude=()) -> list[int]:
         exclude = set(exclude)
@@ -194,8 +237,13 @@ class NegativeSampler:
             )
         out: list[int] = []
         while len(out) < k:
-            draws = self._cumulative.searchsorted(self._rng.random(k - len(out)), side="right")
-            out += [i for i in draws.tolist() if i not in exclude]
+            if self._next == len(self._block):
+                uniforms = self._rng.random(SAMPLE_BLOCK)
+                self._block = self._cumulative.searchsorted(uniforms, side="right").tolist()
+                self._next = 0
+            # never more ids than are still missing, so no draw is skipped
+            start, self._next = self._next, min(self._next + k - len(out), len(self._block))
+            out += [tid for tid in self._block[start : self._next] if tid not in exclude]
         return out
 
 
@@ -207,13 +255,13 @@ def _as_id_list(sequence) -> list[int]:
 
 def token_counts(sequences, vocab_size: int) -> np.ndarray:
     """Occurrence counts of every id over the non-PAD tokens of encoded
-    sequences or plain id lists.
+    sequences or plain id lists; an id outside the vocabulary raises
+    DataError.
     """
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    for seq in sequences:
-        for tid in _as_id_list(seq):
-            counts[tid] += 1
-    return counts
+    ids = np.fromiter(chain.from_iterable(map(_as_id_list, sequences)), dtype=np.int64)
+    if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
+        raise DataError(f"token ids must lie in [0, {vocab_size}), got {ids.min()}..{ids.max()}")
+    return np.bincount(ids, minlength=vocab_size)
 
 
 def _subsample(sequence_ids, counts, total, threshold, rng):
@@ -267,6 +315,10 @@ def train_embeddings(
     total_tokens = int(counts.sum())
 
     windows = [w for seq in sequences for w in extract_windows(seq, config.window)]
+    if not windows:
+        raise DataError(
+            f"cannot train embeddings: no token has a neighbor within window {config.window}"
+        )
     per_epoch = sum(1 for _ in _examples(windows, config.mode))
     total_steps = max(1, config.epochs * per_epoch)
     lr0 = config.learning_rate

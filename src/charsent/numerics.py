@@ -15,7 +15,8 @@ def sigmoid(z, out=None):
     array `out` of z's shape (z itself allowed), every step writes
     there and no temporary is made; the values are the same.
     """
-    z = np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP, out=out)
+    # the two ufuncs give np.clip's bits without its Python wrapper
+    z = np.minimum(np.maximum(z, -SIGMOID_CLAMP, out=out), SIGMOID_CLAMP, out=out)
     if out is None:  # the operator form is faster on numpy scalars
         return 1.0 / (1.0 + np.exp(-z))
     np.exp(np.negative(z, out=out), out=out)

@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the
 package. Everything here is deliberately written in plain Python with
 scalar loops and math.*, sharing no code with the library under test.
+The Word2Vec step and sampler at the end are row-by-row numpy instead:
+they fix the rounding that the vectorized code must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def sigmoid_ref(z: float) -> float:
@@ -118,3 +122,62 @@ def confusion_ref(ps, ys, threshold: float):
         else:
             tn += 1
     return tp, fp, fn, tn
+
+
+def _sigmoid_np(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+
+
+def cbow_step_rowwise_ref(context_ids, center_id, negative_ids, vectors, context_vectors, lr):
+    """One negative-sampling SGD step written row by row in numpy, the
+    rounding that charsent's vectorized step must reproduce bit for bit:
+    h is the mean of the context rows, each score its own dot product,
+    dh a running sum, and repeated ids' gradients added in first-seen
+    order before one update per row. Updates both matrices in place and
+    returns the pre-update loss.
+    """
+    h = vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
+    u_pos = context_vectors[center_id]
+    s_pos = _sigmoid_np(u_pos @ h)
+    loss = -math.log(max(s_pos, 1e-300))
+    g_pos = s_pos - 1.0
+    dh = g_pos * u_pos
+    out_grads = {center_id: g_pos * h}
+    for neg in negative_ids:
+        u_neg = context_vectors[neg]
+        s_neg = _sigmoid_np(u_neg @ h)
+        loss += -math.log(max(1.0 - s_neg, 1e-300))
+        dh = dh + s_neg * u_neg
+        out_grads[neg] = out_grads[neg] + s_neg * h if neg in out_grads else s_neg * h
+    per_context = dh / len(context_ids)
+    in_grads = {}
+    for cid in context_ids:
+        in_grads[cid] = in_grads[cid] + per_context if cid in in_grads else per_context
+    for rid, grad in in_grads.items():
+        vectors[rid] -= lr * grad
+    for rid, grad in out_grads.items():
+        context_vectors[rid] -= lr * grad
+    return loss
+
+
+class NegativeSamplerRef:
+    """Unigram^(3/4) noise draws, one searchsorted call per round of
+    exactly as many uniforms as are still missing, with excluded ids
+    dropped and redrawn.
+    """
+
+    def __init__(self, counts, rng):
+        weights = np.asarray(counts, dtype=np.float64) ** 0.75
+        weights[0] = 0.0  # PAD
+        cumulative = np.cumsum(weights / weights.sum())
+        cumulative[-1] = 1.0
+        self.cumulative = cumulative
+        self.rng = rng
+
+    def sample(self, k, exclude=()):
+        exclude = set(exclude)
+        out = []
+        while len(out) < k:
+            draws = self.cumulative.searchsorted(self.rng.random(k - len(out)), side="right")
+            out += [i for i in draws.tolist() if i not in exclude]
+        return out

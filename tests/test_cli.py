@@ -451,6 +451,28 @@ def test_embed_one_character_corpus_exits_3(tmp_path):
     assert not (tmp_path / "emb.bin").exists()
 
 
+def test_embed_corpus_without_a_window_exits_3(tmp_path):
+    """One-character reviews give no (center, context) pair; the run
+    must stop with a data error instead of reporting a loss of 0.
+    """
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text('{"text": "好", "label": 1}\n{"text": "坏", "label": 0}\n', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "charsent.cli", "embed",
+         "--set", f"paths.labeled={labeled}",
+         "--set", f"paths.vocab={tmp_path / 'vocab.json'}",
+         "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+         "--set", "word2vec.dim=4", "--set", "word2vec.epochs=1"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.decode().startswith("error: cannot train embeddings: no token has a neighbor")
+    assert not (tmp_path / "emb.bin").exists()
+
+
 def test_train_with_corrupt_embeddings_exits_3(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"GARBAGE\x00\x01")

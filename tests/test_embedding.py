@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import charsent as cs
 from charsent.embedding import (
     MIN_LEARNING_RATE,
+    SAMPLE_BLOCK,
     EmbeddingMatrix,
     NegativeSampler,
     cbow_gradients,
@@ -22,7 +23,13 @@ from charsent.errors import CharsentError, ConfigError, DataError
 from charsent.rng import substream
 from charsent.tokenizer import PAD_ID
 
-from oracles import central_difference, negative_sampling_loss_ref, relative_error
+from oracles import (
+    NegativeSamplerRef,
+    cbow_step_rowwise_ref,
+    central_difference,
+    negative_sampling_loss_ref,
+    relative_error,
+)
 
 
 def _random_matrix(vocab_size=12, dim=8, seed=0, scale=0.5):
@@ -144,6 +151,49 @@ def test_step_returns_pre_update_loss():
     assert got == pytest.approx(want, abs=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 8, 16, 64])
+def test_step_matches_the_rowwise_reference_bit_for_bit(dim):
+    """Random examples over a 9-id vocabulary, so context ids and
+    negatives repeat and negatives hit the center; the vectorized step
+    must round every value as the row-by-row step does.
+    """
+    rng = np.random.default_rng(dim)
+    matrix = _random_matrix(vocab_size=9, dim=dim, seed=dim)
+    ref_vectors = matrix.vectors.copy()
+    ref_context = matrix.context_vectors.copy()
+    repeats = 0
+    for _ in range(300):
+        context = rng.integers(1, 9, size=rng.integers(1, 9)).tolist()
+        center = int(rng.integers(1, 9))
+        negatives = rng.integers(1, 9, size=rng.choice([1, 5, 15])).tolist()
+        repeats += len(set(context)) < len(context) and len(set(negatives)) < len(negatives)
+        lr = float(rng.uniform(0.001, 0.5))
+        want = cbow_step_rowwise_ref(context, center, negatives, ref_vectors, ref_context, lr)
+        assert cbow_step(context, center, negatives, matrix, lr) == want
+        assert np.array_equal(matrix.vectors, ref_vectors)
+        assert np.array_equal(matrix.context_vectors, ref_context)
+    assert repeats >= 30
+
+
+def test_sampler_matches_the_one_draw_per_round_reference():
+    """Block draws hand out the ids of the reference's per-call rounds,
+    across block refills, with and without exclusions.
+    """
+    counts = np.array([0, 40, 9, 3, 0, 1, 17, 5], dtype=np.float64)
+    sampler = NegativeSampler(counts, substream(4, "negative_sampling"))
+    ref = NegativeSamplerRef(counts, substream(4, "negative_sampling"))
+    rng = np.random.default_rng(0)
+    drawn = 0
+    while drawn < 3 * SAMPLE_BLOCK:
+        k = int(rng.integers(1, 16))
+        exclude = set(rng.choice([1, 2, 3, 6, 7], size=rng.integers(0, 3)).tolist())
+        got = sampler.sample(k, exclude=exclude)
+        assert got == ref.sample(k, exclude=exclude)
+        drawn += len(got)
+    # one call that spans a refill
+    assert sampler.sample(SAMPLE_BLOCK + 7, exclude={1}) == ref.sample(SAMPLE_BLOCK + 7, exclude={1})
+
+
 def test_sampler_respects_exclusions_and_pad():
     counts = np.array([99, 0, 10, 5, 1, 0, 3], dtype=np.float64)
     sampler = NegativeSampler(counts, substream(0, "negative_sampling"))
@@ -201,6 +251,17 @@ def test_token_counts_ignores_padding():
     assert counts[PAD_ID] == 0
     assert counts[vocab.id_for("好")] == 2
     assert counts[vocab.id_for("坏")] == 1
+    assert counts.dtype == np.int64 and counts.shape == (len(vocab),)
+    new_id = len(vocab)
+    mixed = token_counts([[new_id, PAD_ID, new_id], seqs[0], []], len(vocab) + 2)
+    assert mixed.tolist() == [*counts.tolist(), 2, 0]
+    assert token_counts([], 3).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_token_counts_rejects_ids_outside_the_vocabulary(bad):
+    with pytest.raises(DataError, match=r"\[0, 4\)"):
+        token_counts([[2, 3], [bad]], 4)
 
 
 def _train_setup(mode, epochs=3, dim=8, subsample=None):
@@ -274,6 +335,13 @@ def test_training_without_a_drawable_negative_raises(mode, texts):
     cfg = cs.W2vConfig(mode=mode, window=2, negatives=2, epochs=1, dim=4)
     with pytest.raises(DataError, match="distinct tokens"):
         cs.train_embeddings(seqs, vocab, cfg)
+
+
+def test_training_without_a_window_raises():
+    vocab = cs.build_vocab(["好", "坏"], min_count=1)
+    seqs = [[vocab.id_for("好")], [vocab.id_for("坏")], [vocab.id_for("好")]]
+    with pytest.raises(DataError, match="no token has a neighbor"):
+        cs.train_embeddings(seqs, vocab, cs.W2vConfig(dim=4, epochs=1))
 
 
 def test_training_is_deterministic():

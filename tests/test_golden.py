@@ -4,7 +4,8 @@ corpus, compared with the numbers recorded in golden.json.
 The history floats and a few parameter sums are always checked, to
 TOLERANCE. The SHA-256 of each artifact is checked only when this
 numpy build and CPU match the recorded fingerprint, since another BLAS
-may sum the same products in another order.
+may sum the same products in another order; otherwise the test warns,
+naming the artifacts whose bytes went unchecked.
 
 After a change that moves these numbers on purpose, rewrite the file
 with `PYTHONPATH=src python3 tests/test_golden.py` and say why in the
@@ -18,6 +19,7 @@ import hashlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,12 @@ def test_golden_run(tmp_path):
 
     if blas_fingerprint() == golden["fingerprint"]:
         assert run["sha256"] == golden["sha256"]
+    else:
+        warnings.warn(
+            "numpy/BLAS/SIMD fingerprint differs from golden.json; SHA-256 not checked for "
+            + ", ".join(f"{name} ({digest[:12]}...)" for name, digest in golden["sha256"].items()),
+            stacklevel=1,
+        )
 
 
 if __name__ == "__main__":

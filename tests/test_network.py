@@ -59,6 +59,11 @@ def test_sigmoid_matches_reference_and_clamps():
     want = cs.sigmoid(z)
     assert cs.sigmoid(z, out=z) is z  # in place, the same values
     assert np.array_equal(z, want)
+    # the clamp rounds as np.clip does, signed zeros and infinities included
+    z = np.append(np.random.default_rng(0).normal(0.0, 20.0, 5000), [0.0, -0.0, np.inf, -np.inf])
+    want = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+    assert np.array_equal(cs.sigmoid(z), want)
+    assert np.array_equal(cs.sigmoid(z, out=z), want)
 
 
 def test_init_lstm_params_biases_and_bounds():
