@@ -407,7 +407,7 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
             f"{path}: {len(blob)} bytes, too short for {vocab_size} rows of dim {dim}"
         )
     tokens: list[str] = []
-    vectors = np.empty((vocab_size, dim))
+    stored = np.empty((vocab_size, dim), dtype="<f4")
     offset = newline + 1
     try:
         vocab_hash = parts[3].decode("utf-8")
@@ -418,12 +418,15 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
             record = blob[space + 1 : offset]
             if len(record) != row_bytes + 1 or record[-1:] != b"\n":
                 raise DataError(f"{path}: truncated embedding record for row {i}")
-            vectors[i] = np.frombuffer(record[:-1], dtype="<f4")
+            stored[i] = np.frombuffer(record[:-1], dtype="<f4")
     except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
         raise DataError(f"{path}: malformed embedding record after byte {offset}") from exc
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last row")
+    # checked before the cast, which warns on a signaling NaN
+    if not np.isfinite(stored).all():
+        raise DataError(f"{path}: embedding matrix contains non-finite entries")
     matrix = EmbeddingMatrix(
-        vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab_hash
+        vectors=stored.astype(np.float64), context_vectors=None, dim=dim, vocab_hash=vocab_hash
     )
     return matrix, tokens

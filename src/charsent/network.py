@@ -130,26 +130,39 @@ def lstm_cell_forward(
     (h_t, c_t, gates), where gates stacks the activations f, i, o and
     c_tilde on a leading axis of 4, each block shaped like h_t.
     """
-    hsize = params.hidden_size
     if (
         x_t.shape[-1:] != (params.input_dim,)
-        or h_prev.shape[-1:] != (hsize,)
+        or h_prev.shape[-1:] != (params.hidden_size,)
         or c_prev.shape != h_prev.shape
         or x_t.shape[:-1] != h_prev.shape[:-1]
     ):
         raise DataError("lstm_cell_forward: input shapes do not match params")
+    h, c = np.empty(h_prev.shape), np.empty(h_prev.shape)
+    gates = np.empty((4,) + h_prev.shape)
+    _cell_into(x_t, h_prev, c_prev, params, h, c, gates)
+    return h, c, gates
+
+
+def _cell_into(x_t, h_prev, c_prev, params: LstmParams, h, c, gates) -> None:
+    """The cell step of lstm_cell_forward, written into the given float64
+    arrays `h`, `c` (shaped like h_prev) and `gates` (4 blocks of that
+    shape). Each step is the same IEEE operation as the expression it
+    stands for, so the bits do not depend on where the outputs live.
+    """
+    hsize = params.hidden_size
     z = np.concatenate([h_prev, x_t], axis=-1)
     # one matmul over the gate matrix's four row blocks gives each gate
     # as a contiguous block, gates[k] = z @ W_k.T + b_k, whose elementwise
     # steps run faster than on column slices of a (B, 4 hidden) product
     w = params.w_gates.reshape(4, hsize, -1).swapaxes(1, 2)
-    gates = z @ w + params.b_gates.reshape((4,) + (1,) * (z.ndim - 1) + (hsize,))
+    np.matmul(z, w, out=gates)
+    gates += params.b_gates.reshape((4,) + (1,) * (z.ndim - 1) + (hsize,))
     sigmoid(gates[:3], out=gates[:3])
     np.tanh(gates[3], out=gates[3])
     f, i, o, c_tilde = gates
-    c = i * c_tilde + f * c_prev
-    h = o * np.tanh(c)
-    return h, c, gates
+    np.multiply(i, c_tilde, out=c)  # c = i * c_tilde + f * c_prev
+    c += f * c_prev
+    np.multiply(o, np.tanh(c), out=h)
 
 
 @dataclass
@@ -241,8 +254,8 @@ def forward_batch(
     hs = np.zeros((t_max + 1, batch, hsize))
     cs = np.zeros((t_max + 1, batch, hsize))
     gates = np.empty((t_max, 4, batch, hsize))
-    for t in range(t_max):
-        hs[t + 1], cs[t + 1], gates[t] = lstm_cell_forward(xs[:, t, :], hs[t], cs[t], p)
+    for t in range(t_max):  # each step writes its outputs into the cache
+        _cell_into(xs[:, t, :], hs[t], cs[t], p, hs[t + 1], cs[t + 1], gates[t])
 
     h_final = hs[lengths, np.arange(batch)]
     h_out = h_final if dropout_masks is None else h_final * dropout_masks

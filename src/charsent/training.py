@@ -292,7 +292,9 @@ def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
         return ps
     order = np.argsort([s.true_length for s in sequences], kind="stable")
     for part in np.array_split(order, math.ceil(len(order) / _EVAL_CHUNK)):
-        ps[part], _ = forward_batch([sequences[i] for i in part], model)
+        # only the probabilities are kept, so a part's cache is freed
+        # before the next part runs
+        ps[part] = forward_batch([sequences[i] for i in part], model)[0]
     return ps
 
 
@@ -377,6 +379,7 @@ def train(
             if "embeddings" in grads:
                 grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
             adam_step(tensors, grads, state, config)
+            del cache, grads  # free this batch's activations before the next pass
 
         train_metrics = evaluate(work, train_set)
         val_metrics = evaluate(work, val_set)
@@ -517,6 +520,8 @@ def load_model(path: str | Path) -> Model:
     for name, shape in shapes.items():
         count = math.prod(shape)
         block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(block).all():  # before the cast, which warns on a signaling NaN
+            raise DataError(f"{path}: {name} contains non-finite entries")
         tensors[name] = block.astype(np.float64).reshape(shape)
         offset += 4 * count
     vectors = tensors.pop("embeddings")

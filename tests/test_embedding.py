@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,18 @@ def test_load_embeddings_flipped_bytes_raise_only_charsent_errors(tmp_path_facto
         cs.load_embeddings(path)
     except CharsentError:
         pass
+
+
+def test_load_embeddings_signaling_nan_raises_data_error_without_warning(tmp_path):
+    blob = bytearray(_tiny_embedding_bytes(tmp_path))
+    floats = blob.index(b" ", blob.index(b"\n") + 1) + 1  # the first row's first float
+    blob[floats : floats + 4] = b"\x00\x00\xa0\x7f"  # float32 signaling NaN
+    path = tmp_path / "snan.bin"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            cs.load_embeddings(path)
 
 
 def test_w2v_config_validation():

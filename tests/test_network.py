@@ -120,9 +120,10 @@ def test_forward_oracle_random_weights(seed, length):
 
 
 def test_cell_state_decomposition_exact(small_vocab):
-    """The identity holds bit for bit on every row of a mixed-length
-    batch, also on rows that keep stepping past their end; the head
-    reads each row at its own last step.
+    """The identities c = i*c_tilde + f*c_prev and h = o*tanh(c) hold
+    bit for bit on every row of a mixed-length batch, also on rows that
+    keep stepping past their end; the head reads each row at its own
+    last step.
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
     pool = list("好坏中啊呀很不")
@@ -137,9 +138,33 @@ def test_cell_state_decomposition_exact(small_vocab):
         from_input = i * c_tilde
         from_past = f * cache.cs[t]
         assert np.array_equal(cache.cs[t + 1], from_input + from_past)
+        assert np.array_equal(cache.hs[t + 1], o * np.tanh(cache.cs[t + 1]))
         for gate in (f, i, o):
             assert np.all((gate > 0.0) & (gate < 1.0))
         assert np.all(np.abs(c_tilde) < 1.0)
+
+
+def test_cell_forward_equals_the_cache_rows(small_vocab):
+    """lstm_cell_forward and forward_batch run one cell: on a step's
+    inputs it returns that step's cached rows bit for bit, on (B, .)
+    rows against a mixed-length batch and on 1-D rows against a batch
+    of one (a single row and a row of a larger batch may round apart
+    in the gate matmul).
+    """
+    model = _random_model(small_vocab, hsize=6, dim=3, seed=23)
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
+    _, batch = cs.forward_batch(seqs, model)
+    _, single = cs.sequence_forward(seqs[0], model)
+    for cache, row in ((batch, slice(None)), (single, 0)):
+        for t in range(7):
+            h, c, gates = cs.lstm_cell_forward(
+                cache.xs[row, t], cache.hs[t, row], cache.cs[t, row], model.params
+            )
+            assert h.shape == cache.hs[t + 1, row].shape
+            assert np.array_equal(h, cache.hs[t + 1, row])
+            assert np.array_equal(c, cache.cs[t + 1, row])
+            assert np.array_equal(gates, cache.gates[t, :, row])
 
 
 def test_forget_gate_extremes(small_vocab):

@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,32 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     assert flat == sorted(range(len(seqs)), key=lambda i: seqs[i].true_length)
 
 
+def _live_caches_at_each_call(monkeypatch) -> list[int]:
+    """Wrap training.forward_batch; each call appends how many caches
+    returned by earlier calls are still alive when it starts.
+    """
+    real_forward_batch = training.forward_batch
+    refs: list[weakref.ref] = []
+    live: list[int] = []
+
+    def tracking_forward_batch(*args):
+        live.append(sum(ref() is not None for ref in refs))
+        ps, cache = real_forward_batch(*args)
+        refs.append(weakref.ref(cache))
+        return ps, cache
+
+    monkeypatch.setattr(training, "forward_batch", tracking_forward_batch)
+    return live
+
+
+def test_predict_proba_frees_each_part_before_the_next(monkeypatch):
+    model, seqs = _mixed_length_sequences()
+    live = _live_caches_at_each_call(monkeypatch)
+    training.predict_proba(model, seqs)
+    assert len(live) >= 3
+    assert live == [0] * len(live)
+
+
 def test_predict_proba_of_nothing_is_empty(tiny_model):
     ps = training.predict_proba(tiny_model, [])
     assert ps.shape == (0,)
@@ -455,6 +483,16 @@ def test_train_is_deterministic_per_seed():
     assert np.array_equal(a.embeddings.vectors, b.embeddings.vectors)
     c, hc = cs.train(train_set, val_set, model, cs.TrainConfig(epochs=2, batch_size=16, dropout_rate=0.4, patience=5, seed=8))
     assert ha.records != hc.records
+
+
+def test_train_frees_each_batch_before_the_next_pass(monkeypatch):
+    train_set, val_set, model = _quick_sets()
+    live = _live_caches_at_each_call(monkeypatch)
+    config = cs.TrainConfig(epochs=2, batch_size=16, patience=2, seed=5)
+    training.train(train_set, val_set, model, config)
+    batches = math.ceil(len(train_set) / config.batch_size)
+    assert len(live) == 2 * (batches + 2)  # per epoch: the batches, then train and val scoring
+    assert live == [0] * len(live)
 
 
 def test_train_zero_epochs_returns_copy():
@@ -583,6 +621,19 @@ def test_load_model_flipped_bytes_raise_only_charsent_errors(tmp_path_factory, f
         cs.load_model(path)
     except CharsentError:
         pass
+
+
+def test_load_model_signaling_nan_raises_data_error_without_warning(tmp_path):
+    blob = bytearray(_tiny_model_bytes(tmp_path))
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    floats = 8 + header_len  # w_gates[0, 0]
+    blob[floats : floats + 4] = b"\x00\x00\xa0\x7f"  # float32 signaling NaN
+    path = tmp_path / "snan.ssm"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            cs.load_model(path)
 
 
 @pytest.mark.parametrize(
