@@ -33,6 +33,7 @@ from .network import (
     init_lstm_params,
     lstm_cell_forward,
     predict,
+    score_batch,
     sequence_forward,
     sigmoid,
 )

@@ -256,7 +256,9 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     corpus = load_corpus(corpus_path)
     vocab = Vocabulary.load(vocab_path)
-    embeddings, _tokens = load_embeddings(emb_path)
+    embeddings, tokens = load_embeddings(emb_path)
+    if tuple(tokens) != vocab.id_to_token:
+        raise DataError(f"{emb_path}: embedding tokens do not match the vocabulary {vocab_path}")
     train_c, val_c, test_c = split(
         corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed
     )

@@ -39,6 +39,7 @@ __all__ = [
     "lstm_cell_forward",
     "sequence_forward",
     "forward_batch",
+    "score_batch",
     "predict",
 ]
 
@@ -224,40 +225,62 @@ class BatchCache:
     ps: np.ndarray
 
 
-def forward_batch(
-    sequences: list[TokenSequence],
-    model: Model,
-    dropout_masks: np.ndarray | None = None,
-) -> tuple[np.ndarray, BatchCache]:
-    """Run the cell over the batch from zero state and classify each
-    row's hidden state at its own last step. Steps beyond the longest
-    row are never run; rows that have ended keep stepping over the PAD
-    embedding, but the head never reads those states, so padding cannot
-    change a probability. The dropout masks, when given (training
-    only), multiply the final hidden states.
+def _batch_inputs(sequences: list[TokenSequence], model: Model):
+    """The (B, T) id matrix of a batch, PAD past each row's end and T its
+    longest row, the row lengths and the (B, T, dim) embedded inputs.
     """
     if not sequences:
         raise DataError("empty batch")
     lengths = np.array([s.true_length for s in sequences], dtype=np.int64)
     if (lengths == 0).any():
         raise DataError("cannot run the network on an empty sequence")
-    batch = len(sequences)
-    t_max = int(lengths.max())
-    hsize = model.params.hidden_size
-    p = model.params
-
-    id_matrix = np.zeros((batch, t_max), dtype=np.int64)
+    id_matrix = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
     for b, seq in enumerate(sequences):
         id_matrix[b, : seq.true_length] = seq.ids[: seq.true_length]
+    return id_matrix, lengths, model.embeddings.vectors[id_matrix]
 
-    xs = model.embeddings.vectors[id_matrix]  # (B, T, dim)
-    hs = np.zeros((t_max + 1, batch, hsize))
-    cs = np.zeros((t_max + 1, batch, hsize))
-    gates = np.empty((t_max, 4, batch, hsize))
-    for t in range(t_max):  # each step writes its outputs into the cache
-        _cell_into(xs[:, t, :], hs[t], cs[t], p, hs[t + 1], cs[t + 1], gates[t])
 
-    h_final = hs[lengths, np.arange(batch)]
+def _run_cell(xs: np.ndarray, lengths: np.ndarray, params: LstmParams, history: int):
+    """Step the cell from zero state over the (B, T, dim) inputs `xs`,
+    holding `history` time slots of hidden and cell state and
+    history - 1 of gates: step t reads state slot t % history, writes
+    slot (t + 1) % history and its gates to slot t % (history - 1).
+    history = T + 1 keeps every step, as BPTT needs; history = 2 keeps
+    only the step in flight. Returns hs, cs, gates and h_final, each
+    row's hidden state copied out at its own last step.
+    """
+    batch, t_max, _ = xs.shape
+    hsize = params.hidden_size
+    hs = np.zeros((history, batch, hsize))
+    cs = np.zeros((history, batch, hsize))
+    gates = np.empty((history - 1, 4, batch, hsize))
+    h_final = np.empty((batch, hsize))
+    ending = {int(t): np.flatnonzero(lengths == t + 1) for t in np.unique(lengths - 1)}
+    for t in range(t_max):
+        now, nxt = t % history, (t + 1) % history
+        _cell_into(xs[:, t, :], hs[now], cs[now], params, hs[nxt], cs[nxt], gates[t % (history - 1)])
+        rows = ending.get(t)
+        if rows is not None:
+            h_final[rows] = hs[nxt][rows]
+    return hs, cs, gates, h_final
+
+
+def forward_batch(
+    sequences: list[TokenSequence],
+    model: Model,
+    dropout_masks: np.ndarray | None = None,
+) -> tuple[np.ndarray, BatchCache]:
+    """Run the cell over the batch from zero state and classify each
+    row's hidden state at its own last step, keeping every step's
+    activations for BPTT. Steps beyond the longest row are never run;
+    rows that have ended keep stepping over the PAD embedding, but the
+    head never reads those states, so padding cannot change a
+    probability. The dropout masks, when given (training only),
+    multiply the final hidden states.
+    """
+    id_matrix, lengths, xs = _batch_inputs(sequences, model)
+    p = model.params
+    hs, cs, gates, h_final = _run_cell(xs, lengths, p, id_matrix.shape[1] + 1)
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
     ps = sigmoid(h_out @ p.w_out + p.b_out[0])
     cache = BatchCache(
@@ -273,6 +296,17 @@ def forward_batch(
         ps=ps,
     )
     return ps, cache
+
+
+def score_batch(sequences: list[TokenSequence], model: Model) -> np.ndarray:
+    """The probabilities forward_batch gives without dropout, bit for
+    bit, from the same steps holding only the step in flight: two slots
+    of hidden and cell state and one of gates, so no BPTT cache is built.
+    """
+    _, lengths, xs = _batch_inputs(sequences, model)
+    p = model.params
+    h_final = _run_cell(xs, lengths, p, 2)[3]
+    return sigmoid(h_final @ p.w_out + p.b_out[0])
 
 
 def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:

@@ -17,7 +17,7 @@ from .corpus import Corpus
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .files import read_bytes, read_text, write_atomic
-from .network import BatchCache, LstmParams, Model, forward_batch, param_shapes
+from .network import BatchCache, LstmParams, Model, forward_batch, param_shapes, score_batch
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
@@ -279,22 +279,25 @@ def encode_labeled(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Dataset:
 
 def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
     """Probabilities for many sequences, in input order; no dropout.
-    The sequences run through the batched forward pass in order of
-    length (stable), split into ceil(n / 256) parts whose sizes differ
-    by at most one, so each part steps only to its own longest row.
-    A row's hidden state does not depend on its part or position; the
-    read-out's matrix-vector product can round a logit by the row's
-    position in its part, so a probability may move in the last bit
-    with the set it is scored in.
+    The sequences run through score_batch in order of length (stable),
+    split into ceil(n / 256) parts whose sizes differ by at most one, so
+    each part steps only to its own longest row and holds only the step
+    in flight. A row's hidden state can depend on the size of its part,
+    because OpenBLAS picks its gate-product kernel by the product's
+    size. Against the same row inside a 256-row batch (OpenBLAS 0.3.31,
+    Haswell kernels), every row of a batch of at most 37 rows had other
+    h_final bits at h=32, d=16, and batches of 38 rows or more matched;
+    at h=128, d=64 the split lay between 9 and 10 rows. The read-out's
+    matrix-vector product can also round a logit by the row's position
+    in its part, so a probability may move in the last bit with the set
+    it is scored in.
     """
     ps = np.empty(len(sequences))
     if not sequences:
         return ps
     order = np.argsort([s.true_length for s in sequences], kind="stable")
     for part in np.array_split(order, math.ceil(len(order) / _EVAL_CHUNK)):
-        # only the probabilities are kept, so a part's cache is freed
-        # before the next part runs
-        ps[part] = forward_batch([sequences[i] for i in part], model)[0]
+        ps[part] = score_batch([sequences[i] for i in part], model)
     return ps
 
 

@@ -494,6 +494,21 @@ def test_train_with_corrupt_embeddings_exits_3(pipeline, tmp_path, capsys):
     assert f"error: {cut}: " in capsys.readouterr().err
 
 
+def test_train_with_embeddings_for_other_tokens_exits_3(pipeline, tmp_path, capsys):
+    # ids 2 and 3 swap tokens; the header keeps the vocabulary hash, so
+    # only the token list shows that every row of both is misaligned
+    matrix, tokens = cs.load_embeddings(pipeline / "emb.bin")
+    tokens[2], tokens[3] = tokens[3], tokens[2]
+    swapped = tmp_path / "swapped.bin"
+    cs.save_embeddings(matrix, cs.Vocabulary.from_tokens(tokens[2:], min_count=1), swapped)
+    assert swapped.read_bytes().split(b"\n", 1)[0] == (pipeline / "emb.bin").read_bytes().split(b"\n", 1)[0]
+    code = cli.main(
+        ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={swapped}"]
+    )
+    assert code == 3
+    assert f"error: {swapped}: embedding tokens do not match the vocabulary" in capsys.readouterr().err
+
+
 def test_evaluate_output_is_reproducible(pipeline, capsys):
     argv = ["evaluate", "--config", str(pipeline / "cfg.json")]
     assert cli.main(argv) == 0

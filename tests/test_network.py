@@ -167,6 +167,21 @@ def test_cell_forward_equals_the_cache_rows(small_vocab):
             assert np.array_equal(gates, cache.gates[t, :, row])
 
 
+def test_score_batch_equals_forward_batch_bit_for_bit(small_vocab):
+    """score_batch steps the cell through two state slots and
+    forward_batch through one per step; both give the same
+    probabilities, on a mixed-length batch with rows of length 1 and of
+    the full length, on a batch of one and on an equal-length batch.
+    """
+    model = _random_model(small_vocab, hsize=6, dim=3, seed=29, max_len=10)
+    pool = list("好坏中啊呀很不太还挺")
+    mixed = [cs.encode(pool[:n], small_vocab, max_len=10) for n in (10, 1, 4, 10, 2, 7, 1, 5)]
+    equal = [cs.encode(pool[k : k + 6], small_vocab, max_len=10) for k in range(4)]
+    for seqs in (mixed, mixed[2:3], equal):
+        want, _ = cs.forward_batch(seqs, model)
+        assert np.array_equal(cs.score_batch(seqs, model), want)
+
+
 def test_forget_gate_extremes(small_vocab):
     """A saturated forget gate either preserves or erases the carried state."""
     hsize, dim = 4, 3
@@ -226,6 +241,8 @@ def test_forward_rejects_empty_sequence(small_vocab):
         cs.sequence_forward(empty, model)
     with pytest.raises(DataError):
         cs.forward_batch([empty], model)
+    with pytest.raises(DataError):
+        cs.score_batch([empty], model)
 
 
 def test_dropout_mask_applies_to_final_state_only(small_vocab):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -388,13 +389,13 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     model, seqs = _mixed_length_sequences()
     index_of = {id(seq): i for i, seq in enumerate(seqs)}
     calls = []
-    real_forward_batch = training.forward_batch
+    real_score_batch = training.score_batch
 
-    def recording_forward_batch(batch, model):
+    def recording_score_batch(batch, model):
         calls.append([index_of[id(seq)] for seq in batch])
-        return real_forward_batch(batch, model)
+        return real_score_batch(batch, model)
 
-    monkeypatch.setattr(training, "forward_batch", recording_forward_batch)
+    monkeypatch.setattr(training, "score_batch", recording_score_batch)
     training.predict_proba(model, seqs)
 
     assert len(calls) == math.ceil(len(seqs) / _EVAL_CHUNK)
@@ -407,6 +408,29 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     assert all(a <= b for a, b in zip(lengths, lengths[1:]))
     # stable: equal lengths keep their input order
     assert flat == sorted(range(len(seqs)), key=lambda i: seqs[i].true_length)
+
+
+def test_predict_proba_peaks_below_a_quarter_of_one_gates_array():
+    """Scoring holds only the step in flight, never a part's BPTT cache:
+    one 256-row part of length-60 rows at h=64 peaks far below the
+    (T, 4, B, h) gates array that forward_batch would keep.
+    """
+    hsize, length, rows = 64, 60, 256
+    vocab = cs.build_vocab(generate_corpus(60, seed=7), min_count=1)
+    model = make_model(vocab, hidden_size=hsize, dim=16, max_len=length, seed=7, scale=0.4)
+    rng = np.random.default_rng(7)
+    seqs = [
+        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()), true_length=length)
+        for _ in range(rows)
+    ]
+    gates_bytes = length * 4 * rows * hsize * 8
+    tracemalloc.start()
+    try:
+        training.predict_proba(model, seqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gates_bytes / 4
 
 
 def _live_caches_at_each_call(monkeypatch) -> list[int]:
@@ -425,14 +449,6 @@ def _live_caches_at_each_call(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(training, "forward_batch", tracking_forward_batch)
     return live
-
-
-def test_predict_proba_frees_each_part_before_the_next(monkeypatch):
-    model, seqs = _mixed_length_sequences()
-    live = _live_caches_at_each_call(monkeypatch)
-    training.predict_proba(model, seqs)
-    assert len(live) >= 3
-    assert live == [0] * len(live)
 
 
 def test_predict_proba_of_nothing_is_empty(tiny_model):
@@ -491,7 +507,7 @@ def test_train_frees_each_batch_before_the_next_pass(monkeypatch):
     config = cs.TrainConfig(epochs=2, batch_size=16, patience=2, seed=5)
     training.train(train_set, val_set, model, config)
     batches = math.ceil(len(train_set) / config.batch_size)
-    assert len(live) == 2 * (batches + 2)  # per epoch: the batches, then train and val scoring
+    assert len(live) == 2 * batches  # scoring runs score_batch, which builds no cache
     assert live == [0] * len(live)
 
 
