@@ -29,6 +29,9 @@ from .errors import CharsentError, ConfigError, DataError, NumericalError
 from .network import (
     LstmParams,
     Model,
+    backward,
+    backward_batch,
+    bce_loss,
     forward_batch,
     init_lstm_params,
     lstm_cell_forward,
@@ -54,9 +57,6 @@ from .training import (
     TrainConfig,
     TrainHistory,
     adam_step,
-    backward,
-    backward_batch,
-    bce_loss,
     compute_metrics,
     encode_labeled,
     evaluate,

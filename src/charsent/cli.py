@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .corpus import (
     clean_corpus,
+    clean_text,
     load_corpus,
     load_lexicon,
     prelabel,
@@ -90,6 +91,10 @@ class PipelineConfig:
     network: NetworkConfig = NetworkConfig()
     word2vec: W2vConfig = W2vConfig()
     training: TrainConfig = TrainConfig()
+
+    def __post_init__(self):
+        if self.threshold is not None and not 0 <= self.threshold <= 1:
+            raise ConfigError("threshold must lie in [0, 1]")
 
     def require_path(self, key: str, command: str) -> Path:
         value = getattr(self.paths, key)
@@ -223,13 +228,11 @@ def cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("labeled", "embed")
     vocab_path = cfg.require_path("vocab", "embed")
     emb_path = cfg.require_path("embeddings", "embed")
-    corpus = load_corpus(corpus_path)
-    vocab = build_vocab(corpus, min_count=cfg.tokenizer.min_count)
+    texts = [clean_text(text) for text in load_corpus(corpus_path).texts()]
+    vocab = build_vocab(texts, min_count=cfg.tokenizer.min_count)
     # full untruncated id streams: clipping to max_len is a classifier
     # concern, not an embedding one
-    sequences = [
-        [vocab.id_for(t) for t in segment_chars(text)] for text in corpus.texts()
-    ]
+    sequences = [[vocab.id_for(t) for t in segment_chars(text)] for text in texts]
     epoch_losses: list[float] = []
     matrix = train_embeddings(sequences, vocab, cfg.word2vec, epoch_losses=epoch_losses)
     vocab.save(vocab_path)

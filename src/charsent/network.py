@@ -15,6 +15,8 @@ W = [W_f; W_i; W_o; W_c] and b = [b_f; b_i; b_o; b_c]:
     h_t       = o_t * tanh(c_t)
 
 The head reads the final hidden state: p = sigmoid(w_out . h_T + b_out).
+The loss is binary cross-entropy, and backward_batch runs exact BPTT
+over the cache forward_batch writes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .numerics import sigmoid
 from .rng import substream
 from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
 
+_P_CLAMP = 1e-12
+
 __all__ = [
     "sigmoid",
     "LstmParams",
@@ -39,6 +43,9 @@ __all__ = [
     "lstm_cell_forward",
     "sequence_forward",
     "forward_batch",
+    "bce_loss",
+    "backward_batch",
+    "backward",
     "score_batch",
     "predict",
 ]
@@ -296,6 +303,78 @@ def forward_batch(
         ps=ps,
     )
     return ps, cache
+
+
+def bce_loss(p, y):
+    """Binary cross-entropy -[y ln p + (1-y) ln(1-p)], with p clamped
+    to [1e-12, 1-1e-12] before the logs. Accepts scalars or arrays,
+    elementwise.
+    """
+    p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
+    return -(y * np.log(p) + (1 - y) * np.log1p(-p))
+
+
+def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str, np.ndarray]:
+    """Exact gradients of the mean bce_loss over the batch for every
+    parameter tensor and for the embedding matrix (nonzero only in the
+    rows the batch touched), accumulated backward through all time
+    steps. Each row's head gradient enters at that row's own last step,
+    so the steps a row ran past its end see zero upstream gradient.
+    """
+    p = model.params
+    hsize = p.hidden_size
+    batch = cache.ps.shape[0]
+    t_max = cache.gates.shape[0]
+    grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
+
+    dlogits = (cache.ps - ys) / batch
+    grads["w_out"] += cache.h_out.T @ dlogits
+    grads["b_out"] += dlogits.sum()
+    dh_head = dlogits[:, None] * p.w_out[None, :]
+    if cache.dropout_masks is not None:
+        dh_head = dh_head * cache.dropout_masks
+    dh = np.zeros((batch, hsize))
+    dc = np.zeros((batch, hsize))
+    dxs = np.zeros_like(cache.xs)
+    last_step = cache.lengths - 1
+
+    # Past a row's end its gradients are zeros times its states. That
+    # adds exact zeros only because those states stay finite: h lies in
+    # (-1, 1) and |c_t| <= t, as each step adds at most 1 to |c|.
+    for t in range(t_max - 1, -1, -1):
+        ends = last_step == t
+        dh[ends] = dh_head[ends]
+        f, i, o, c_tilde = cache.gates[t]
+        tanh_c = np.tanh(cache.cs[t + 1])
+        dc_full = dc + dh * o * (1.0 - tanh_c**2)
+        # gradients at the gates' pre-activations, stacked f, i, o, c
+        d_pre = np.concatenate(
+            [
+                dc_full * cache.cs[t] * f * (1.0 - f),
+                dc_full * c_tilde * i * (1.0 - i),
+                dh * tanh_c * o * (1.0 - o),
+                dc_full * i * (1.0 - c_tilde**2),
+            ],
+            axis=1,
+        )
+        z = np.concatenate([cache.hs[t], cache.xs[:, t, :]], axis=1)
+        grads["w_gates"] += d_pre.T @ z
+        grads["b_gates"] += d_pre.sum(axis=0)
+        dz = d_pre @ p.w_gates
+        dxs[:, t, :] = dz[:, hsize:]
+        dh = dz[:, :hsize]
+        dc = dc_full * f
+
+    grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
+    np.add.at(grads["embeddings"], cache.id_matrix, dxs)
+    return grads
+
+
+def backward(cache: BatchCache, y: int, model: Model) -> dict[str, np.ndarray]:
+    """backward_batch on a batch of one: the gradients of
+    bce_loss(p, y) for the cache of sequence_forward.
+    """
+    return backward_batch(cache, np.array([float(y)]), model)
 
 
 def score_batch(sequences: list[TokenSequence], model: Model) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Loss, backpropagation through time, Adam, the training loop with
-dropout and early stopping, and the five-quantity evaluation report
-(loss, MAE, accuracy, precision, recall).
+"""Adam, the training loop with dropout and early stopping, batched
+scoring, the five-quantity evaluation report (loss, MAE, accuracy,
+precision, recall) and the SSM1 model and history files.
 """
 
 from __future__ import annotations
@@ -13,17 +13,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .files import read_bytes, read_text, write_atomic
-from .network import BatchCache, LstmParams, Model, forward_batch, param_shapes, score_batch
+from .network import (
+    LstmParams,
+    Model,
+    backward_batch,
+    bce_loss,
+    forward_batch,
+    param_shapes,
+    score_batch,
+)
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
 MODEL_MAGIC = b"SSM1"
 MODEL_VERSION = 1
-_P_CLAMP = 1e-12
 _EVAL_CHUNK = 256
 
 
@@ -57,93 +64,6 @@ class TrainConfig:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-
-
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy -[y ln p + (1-y) ln(1-p)], with p clamped
-    to [1e-12, 1-1e-12] before the logs.
-    """
-    p = min(max(p, _P_CLAMP), 1.0 - _P_CLAMP)
-    return float(-(y * np.log(p) + (1 - y) * np.log1p(-p)))
-
-
-def _bce_losses(ps: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ps = np.clip(ps, _P_CLAMP, 1.0 - _P_CLAMP)
-    return -(ys * np.log(ps) + (1 - ys) * np.log1p(-ps))
-
-
-def _zero_grads(model: Model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
-    grads = {name: np.zeros_like(t) for name, t in model.params.tensors().items()}
-    if not freeze_embeddings:
-        grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
-    return grads
-
-
-def backward_batch(
-    cache: BatchCache, ys: np.ndarray, model: Model, freeze_embeddings: bool = False
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean bce_loss over the batch for every
-    parameter tensor, and for the embedding rows the batch touched
-    unless frozen, accumulated backward through all time steps. Each
-    row's head gradient enters at that row's own last step, so the
-    steps a row ran past its end see zero upstream gradient.
-    """
-    p = model.params
-    hsize = p.hidden_size
-    batch = cache.ps.shape[0]
-    t_max = cache.gates.shape[0]
-    grads = _zero_grads(model, freeze_embeddings)
-
-    dlogits = (cache.ps - ys) / batch
-    grads["w_out"] += cache.h_out.T @ dlogits
-    grads["b_out"] += dlogits.sum()
-    dh_head = dlogits[:, None] * p.w_out[None, :]
-    if cache.dropout_masks is not None:
-        dh_head = dh_head * cache.dropout_masks
-    dh = np.zeros((batch, hsize))
-    dc = np.zeros((batch, hsize))
-    dxs = np.zeros_like(cache.xs)
-    last_step = cache.lengths - 1
-
-    # Past a row's end its gradients are zeros times its states. That
-    # adds exact zeros only because those states stay finite: h lies in
-    # (-1, 1) and |c_t| <= t, as each step adds at most 1 to |c|.
-    for t in range(t_max - 1, -1, -1):
-        ends = last_step == t
-        dh[ends] = dh_head[ends]
-        f, i, o, c_tilde = cache.gates[t]
-        tanh_c = np.tanh(cache.cs[t + 1])
-        dc_full = dc + dh * o * (1.0 - tanh_c**2)
-        # gradients at the gates' pre-activations, stacked f, i, o, c
-        d_pre = np.concatenate(
-            [
-                dc_full * cache.cs[t] * f * (1.0 - f),
-                dc_full * c_tilde * i * (1.0 - i),
-                dh * tanh_c * o * (1.0 - o),
-                dc_full * i * (1.0 - c_tilde**2),
-            ],
-            axis=1,
-        )
-        z = np.concatenate([cache.hs[t], cache.xs[:, t, :]], axis=1)
-        grads["w_gates"] += d_pre.T @ z
-        grads["b_gates"] += d_pre.sum(axis=0)
-        dz = d_pre @ p.w_gates
-        dxs[:, t, :] = dz[:, hsize:]
-        dh = dz[:, :hsize]
-        dc = dc_full * f
-
-    if not freeze_embeddings:
-        np.add.at(grads["embeddings"], cache.id_matrix, dxs)
-    return grads
-
-
-def backward(
-    cache: BatchCache, y: int, model: Model, freeze_embeddings: bool = False
-) -> dict[str, np.ndarray]:
-    """backward_batch on a batch of one: the gradients of
-    bce_loss(p, y) for the cache of sequence_forward.
-    """
-    return backward_batch(cache, np.array([float(y)]), model, freeze_embeddings)
 
 
 @dataclass
@@ -247,7 +167,7 @@ def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> M
     precision = 0.0 if precision_degenerate else tp / (tp + fp)
     recall = 0.0 if recall_degenerate else tp / (tp + fn)
     return Metrics(
-        loss=float(_bce_losses(ps, ys).mean()),
+        loss=float(bce_loss(ps, ys).mean()),
         mae=float(np.abs(ps - ys).mean()),
         accuracy=accuracy,
         precision=precision,
@@ -265,12 +185,14 @@ Dataset = list[tuple[TokenSequence, int]]
 
 
 def encode_labeled(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Dataset:
-    """Encode a cleaned, labeled corpus for training or evaluation."""
+    """Clean and encode a labeled corpus for training or evaluation, as
+    predict cleans and encodes one text.
+    """
     out: Dataset = []
     for review in corpus.reviews:
         if review.label is None:
             raise DataError("labels required: corpus contains an unlabeled review")
-        tokens = segment_chars(review.text)
+        tokens = segment_chars(clean_text(review.text))
         if not tokens:
             raise DataError("corpus contains a review with no tokens after cleaning")
         out.append((encode(tokens, vocab, max_len), review.label))
@@ -373,14 +295,13 @@ def train(
                 keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
                 masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
             ps, cache = forward_batch(seqs, work, masks)
-            batch_loss = float(_bce_losses(ps, ys).mean())
+            batch_loss = float(bce_loss(ps, ys).mean())
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            grads = backward_batch(cache, ys, work, config.freeze_embeddings)
-            if "embeddings" in grads:
-                grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
+            grads = backward_batch(cache, ys, work)
+            grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
             adam_step(tensors, grads, state, config)
             del cache, grads  # free this batch's activations before the next pass
 
@@ -482,7 +403,7 @@ def _check_header(header, path: Path) -> None:
         "threshold",
         isinstance(threshold, (int, float))
         and not isinstance(threshold, bool)
-        and math.isfinite(threshold),
+        and 0 <= threshold <= 1,
     )
     require("vocab_hash", isinstance(header.get("vocab_hash"), str))
     tokens = header.get("tokens")

@@ -128,10 +128,19 @@ MISTYPED_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("key", ["training.learning_rate", "word2vec.learning_rate"])
-def test_main_range_error_names_its_section(key, capsys):
-    assert cli.main(["train", "--set", f"{key}=0"]) == 2
-    assert capsys.readouterr().err == f"error: {key} must be > 0\n"
+RANGE_ERRORS = [
+    pytest.param("training.learning_rate=0", "must be > 0", id="training.learning_rate"),
+    pytest.param("word2vec.learning_rate=0", "must be > 0", id="word2vec.learning_rate"),
+    pytest.param("threshold=1.5", "must lie in [0, 1]", id="threshold=1.5"),
+    pytest.param("threshold=-0.2", "must lie in [0, 1]", id="threshold=-0.2"),
+]
+
+
+@pytest.mark.parametrize("override, message", RANGE_ERRORS)
+def test_main_range_error_names_its_section(override, message, capsys):
+    assert cli.main(["train", "--set", override]) == 2
+    key = override.partition("=")[0]
+    assert capsys.readouterr().err == f"error: {key} {message}\n"
 
 
 @pytest.mark.parametrize("override", MISTYPED_VALUES)

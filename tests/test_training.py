@@ -16,7 +16,7 @@ from charsent import training
 from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
-from charsent.training import _EVAL_CHUNK, AdamState, _bce_losses
+from charsent.training import _EVAL_CHUNK, AdamState
 
 from helpers import make_model
 from oracles import (
@@ -93,15 +93,6 @@ def test_backward_with_dropout_mask_matches_finite_differences():
         for index in range(0, tensor.size, max(1, tensor.size // 8)):
             num = central_difference(loss_fn, tensor, index, step=1e-5)
             assert relative_error(num, flat_grad[index]) < 1e-4, (name, index)
-
-
-def test_backward_freeze_embeddings_omits_rows():
-    model, dataset = _grad_setup(seed=4)
-    seq, y = dataset[0]
-    _, cache = cs.sequence_forward(seq, model)
-    grads = cs.backward(cache, y, model, freeze_embeddings=True)
-    assert "embeddings" not in grads
-    assert set(grads) == set(model.params.tensors())
 
 
 def test_backward_batch_equals_mean_of_per_example():
@@ -569,6 +560,20 @@ def test_encode_labeled_requires_labels():
         cs.encode_labeled(corpus, vocab, 8)
 
 
+def test_encode_labeled_cleans_as_predict_does():
+    from charsent.corpus import Corpus, Review
+
+    text = "好棒 @坏蛋 真好 #话题# https://t.cn/坏x"
+    vocab = cs.build_vocab(["好棒真坏蛋话题"], min_count=1)
+    model = make_model(vocab, hidden_size=8, dim=8, max_len=12)
+    [(seq, label)] = cs.encode_labeled(Corpus(reviews=[Review(text=text, label=1)], name="c"), vocab, 12)
+    assert label == 1
+    assert seq == cs.encode(cs.segment_chars(cs.clean_text(text)), vocab, 12)
+    assert cs.decode(seq, vocab) == list("好棒真好话题")
+    _, p = cs.predict(text, model)
+    assert abs(training.predict_proba(model, [seq])[0] - p) <= 1e-12
+
+
 def test_model_save_load_roundtrip(tmp_path, trained_setup):
     model = trained_setup["model"]
     test_set = trained_setup["test_set"]
@@ -662,7 +667,7 @@ def test_load_model_rejects_missing_or_mistyped_header_fields(tmp_path, key):
     header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     tensors = blob[8 + header_len :]
     path = tmp_path / "edited.ssm"
-    for edit in ("drop", "x", [None], None):
+    for edit in ("drop", "x", [None], None, -0.2, 1.5):
         edited = dict(header)
         if edit == "drop":
             del edited[key]
@@ -738,6 +743,6 @@ def test_trained_model_beats_chance(trained_setup):
 def test_bce_losses_vector_matches_scalar():
     ps = np.array([0.1, 0.5, 0.99, 0.0, 1.0])
     ys = np.array([0, 1, 1, 1, 0])
-    vec = _bce_losses(ps, ys.astype(float))
+    vec = cs.bce_loss(ps, ys.astype(float))
     for p, y, l in zip(ps, ys, vec):
         assert l == pytest.approx(cs.bce_loss(float(p), int(y)), abs=1e-12)
