@@ -14,13 +14,24 @@ W = [W_f; W_i; W_o; W_c] and b = [b_f; b_i; b_o; b_c]:
     c_t       = i_t * c_tilde_t + f_t * c_{t-1} cell state
     h_t       = o_t * tanh(c_t)
 
-The head reads the final hidden state: p = sigmoid(w_out . h_T + b_out).
-The loss is binary cross-entropy, and backward_batch runs exact BPTT
-over the cache forward_batch writes.
+The head reads each row's hidden state at its own last step:
+p = sigmoid((h_T * w_out).sum() + b_out), summed within the row, so a
+row's probability does not depend on its position in the batch.
+
+A batch runs sorted by length, descending and stable, and step t steps
+only the n_t rows still running, in the forward pass and in BPTT; the
+head puts the rows back in input order. The loss is binary
+cross-entropy, and backward_batch runs exact BPTT over the cache
+forward_batch writes. Only the recurrence through the hidden-state
+columns of W stays in its time loop. After the loop, one product over
+all steps' rows gives each of W's column blocks (hidden, input) and the
+input gradient, and one sum the gradient of b. BPTT writes those rows
+into the cache's gate and input arrays, so it consumes the cache.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +184,13 @@ def _cell_into(x_t, h_prev, c_prev, params: LstmParams, h, c, gates) -> None:
     np.multiply(o, np.tanh(c), out=h)
 
 
+def threshold_ok(value) -> bool:
+    """Whether `value` can serve as a decision threshold: a real number,
+    not a bool, in [0, 1] (so not NaN).
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
+
+
 @dataclass
 class Model:
     """A complete classifier: vocabulary, embeddings, cell parameters,
@@ -193,6 +211,8 @@ class Model:
             raise DataError("embedding dim does not match LSTM input dim")
         if self.embeddings.vocab_size != len(self.vocab):
             raise DataError("embedding row count does not match vocabulary size")
+        if not threshold_ok(self.threshold):
+            raise DataError(f"threshold must be a number in [0, 1], got {self.threshold!r}")
 
     def copy(self) -> "Model":
         emb = EmbeddingMatrix(
@@ -213,15 +233,23 @@ class Model:
 
 @dataclass
 class BatchCache:
-    """Stacked per-step activations for a batch, step-major: `gates`
-    has shape (T, 4, B, hidden), f, i, o and c_tilde as the cell
-    returns them; `hs` and `cs` have T + 1 rows,
-    row 0 the zero start state, so `hs[t]`/`cs[t]` feed step t and
-    `hs[t + 1]`/`cs[t + 1]` are its outputs.
+    """One forward_batch pass, laid out for BPTT. The rows are sorted by
+    length, descending and stable: sorted row k is input row order[k],
+    and step t ran only the first n_t rows, those with length > t.
+    `ids` (T, B) and `xs` (T, B, dim) are time-major; `hs` and `cs` have
+    T + 1 slots of (B, hidden), slot 0 the zero start state, so
+    `hs[t]`/`cs[t]` feed step t and `hs[t + 1]`/`cs[t + 1]` are its
+    outputs; `gates` (T, 4, B, hidden) holds f, i, o and c_tilde as the
+    cell returns them. Only a step's live rows are written: later state
+    rows of an ended row stay zero, and its gate rows are never set.
+    `h_final`, `dropout_masks`, `h_out` and `ps` are in input order.
+    backward_batch overwrites `gates` and `xs` with their gradients and
+    marks the cache spent.
     """
 
-    id_matrix: np.ndarray
+    order: np.ndarray
     lengths: np.ndarray
+    ids: np.ndarray
     xs: np.ndarray
     hs: np.ndarray
     cs: np.ndarray
@@ -230,46 +258,72 @@ class BatchCache:
     dropout_masks: np.ndarray | None
     h_out: np.ndarray
     ps: np.ndarray
+    spent: bool = False
 
 
 def _batch_inputs(sequences: list[TokenSequence], model: Model):
-    """The (B, T) id matrix of a batch, PAD past each row's end and T its
-    longest row, the row lengths and the (B, T, dim) embedded inputs.
+    """Sort a batch by length, descending and stable. Returns the sort
+    order (input positions of the sorted rows), the sorted lengths, the
+    (T, B) time-major id matrix of the sorted rows, PAD past each row's
+    end and T its longest row, and the (T, B, dim) embedded inputs.
     """
     if not sequences:
         raise DataError("empty batch")
     lengths = np.array([s.true_length for s in sequences], dtype=np.int64)
     if (lengths == 0).any():
         raise DataError("cannot run the network on an empty sequence")
-    id_matrix = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
-    for b, seq in enumerate(sequences):
-        id_matrix[b, : seq.true_length] = seq.ids[: seq.true_length]
-    return id_matrix, lengths, model.embeddings.vectors[id_matrix]
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    ids = np.zeros((int(lengths[0]), len(sequences)), dtype=np.int64)
+    for k, b in enumerate(order):
+        ids[: lengths[k], k] = sequences[b].ids[: lengths[k]]
+    return order, lengths, ids, model.embeddings.vectors[ids]
 
 
-def _run_cell(xs: np.ndarray, lengths: np.ndarray, params: LstmParams, history: int):
-    """Step the cell from zero state over the (B, T, dim) inputs `xs`,
-    holding `history` time slots of hidden and cell state and
-    history - 1 of gates: step t reads state slot t % history, writes
-    slot (t + 1) % history and its gates to slot t % (history - 1).
-    history = T + 1 keeps every step, as BPTT needs; history = 2 keeps
-    only the step in flight. Returns hs, cs, gates and h_final, each
-    row's hidden state copied out at its own last step.
+def _live_rows(lengths: np.ndarray) -> np.ndarray:
+    """n_t for t = 0..T, the count of rows of length > t, from lengths
+    sorted in descending order; n_T = 0.
     """
-    batch, t_max, _ = xs.shape
+    t_max = int(lengths[0])
+    return len(lengths) - np.cumsum(np.bincount(lengths, minlength=t_max + 1))
+
+
+def _run_cell(
+    xs: np.ndarray, lengths: np.ndarray, order: np.ndarray, params: LstmParams, history: int
+):
+    """Step the cell from zero state over the time-major (T, B, dim)
+    inputs `xs` of rows sorted by `lengths`, descending, where sorted
+    row k is input row order[k]; step t runs only the first n_t rows,
+    those still going. Holds `history` time slots of
+    hidden and cell state and history - 1 of gates: step t reads state
+    slot t % history, writes slot (t + 1) % history and its gates to
+    slot t % (history - 1). history = T + 1 keeps every step, as BPTT
+    needs; history = 2 keeps only the step in flight. Returns hs, cs and
+    gates in sorted order, and h_final in input order, each row's hidden
+    state copied out at its own last step.
+    """
+    t_max, batch, _ = xs.shape
     hsize = params.hidden_size
+    live = _live_rows(lengths)
     hs = np.zeros((history, batch, hsize))
     cs = np.zeros((history, batch, hsize))
     gates = np.empty((history - 1, 4, batch, hsize))
     h_final = np.empty((batch, hsize))
-    ending = {int(t): np.flatnonzero(lengths == t + 1) for t in np.unique(lengths - 1)}
     for t in range(t_max):
-        now, nxt = t % history, (t + 1) % history
-        _cell_into(xs[:, t, :], hs[now], cs[now], params, hs[nxt], cs[nxt], gates[t % (history - 1)])
-        rows = ending.get(t)
-        if rows is not None:
-            h_final[rows] = hs[nxt][rows]
+        now, nxt, n = t % history, (t + 1) % history, live[t]
+        _cell_into(
+            xs[t, :n], hs[now, :n], cs[now, :n], params, hs[nxt, :n], cs[nxt, :n],
+            gates[t % (history - 1), :, :n],
+        )
+        h_final[order[live[t + 1] : n]] = hs[nxt, live[t + 1] : n]
     return hs, cs, gates, h_final
+
+
+def _head(h_out: np.ndarray, params: LstmParams) -> np.ndarray:
+    """The read-out sigmoid(w_out . h + b_out) of each row, summed within
+    the row so that no row's bits depend on its position in the batch.
+    """
+    return sigmoid((h_out * params.w_out).sum(axis=1) + params.b_out[0])
 
 
 def forward_batch(
@@ -279,20 +333,22 @@ def forward_batch(
 ) -> tuple[np.ndarray, BatchCache]:
     """Run the cell over the batch from zero state and classify each
     row's hidden state at its own last step, keeping every step's
-    activations for BPTT. Steps beyond the longest row are never run;
-    rows that have ended keep stepping over the PAD embedding, but the
-    head never reads those states, so padding cannot change a
-    probability. The dropout masks, when given (training only),
+    activations for BPTT. The rows run sorted by length, and each step
+    runs only the rows that have not ended, so padding is never stepped
+    and cannot change a probability; the head reads the rows back in
+    input order, and a row's probability does not depend on where it
+    sits in the batch. The dropout masks, when given (training only),
     multiply the final hidden states.
     """
-    id_matrix, lengths, xs = _batch_inputs(sequences, model)
+    order, lengths, ids, xs = _batch_inputs(sequences, model)
     p = model.params
-    hs, cs, gates, h_final = _run_cell(xs, lengths, p, id_matrix.shape[1] + 1)
+    hs, cs, gates, h_final = _run_cell(xs, lengths, order, p, ids.shape[0] + 1)
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
-    ps = sigmoid(h_out @ p.w_out + p.b_out[0])
+    ps = _head(h_out, p)
     cache = BatchCache(
-        id_matrix=id_matrix,
+        order=order,
         lengths=lengths,
+        ids=ids,
         xs=xs,
         hs=hs,
         cs=cs,
@@ -319,12 +375,23 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     parameter tensor and for the embedding matrix (nonzero only in the
     rows the batch touched), accumulated backward through all time
     steps. Each row's head gradient enters at that row's own last step,
-    so the steps a row ran past its end see zero upstream gradient.
+    and step t runs back only its n_t live rows.
+
+    Only the recurrence through the hidden-state block of the gate
+    matrix stays in the time loop. Step t's gradients at the gates'
+    pre-activations, (B, 4 hidden) rows stacked f, i, o, c with zeros
+    for the rows that did not run, overwrite its spent gate slot; after
+    the loop one product each over all steps' rows gives the gate
+    matrix's hidden and input columns, one sum the gate biases and one
+    product the input gradients, which overwrite the spent inputs. The
+    cache is spent: a second call raises DataError.
     """
+    if cache.spent:
+        raise DataError("backward_batch: this cache was already consumed by BPTT")
+    cache.spent = True
     p = model.params
     hsize = p.hidden_size
-    batch = cache.ps.shape[0]
-    t_max = cache.gates.shape[0]
+    t_max, _, batch, _ = cache.gates.shape
     grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
 
     dlogits = (cache.ps - ys) / batch
@@ -333,40 +400,40 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     dh_head = dlogits[:, None] * p.w_out[None, :]
     if cache.dropout_masks is not None:
         dh_head = dh_head * cache.dropout_masks
+    dh_head = dh_head[cache.order]
+    live = _live_rows(cache.lengths)
+    w_h = p.w_gates[:, :hsize]
     dh = np.zeros((batch, hsize))
     dc = np.zeros((batch, hsize))
-    dxs = np.zeros_like(cache.xs)
-    last_step = cache.lengths - 1
+    work = np.empty((batch, 4 * hsize))
 
-    # Past a row's end its gradients are zeros times its states. That
-    # adds exact zeros only because those states stay finite: h lies in
-    # (-1, 1) and |c_t| <= t, as each step adds at most 1 to |c|.
     for t in range(t_max - 1, -1, -1):
-        ends = last_step == t
-        dh[ends] = dh_head[ends]
-        f, i, o, c_tilde = cache.gates[t]
-        tanh_c = np.tanh(cache.cs[t + 1])
-        dc_full = dc + dh * o * (1.0 - tanh_c**2)
-        # gradients at the gates' pre-activations, stacked f, i, o, c
-        d_pre = np.concatenate(
-            [
-                dc_full * cache.cs[t] * f * (1.0 - f),
-                dc_full * c_tilde * i * (1.0 - i),
-                dh * tanh_c * o * (1.0 - o),
-                dc_full * i * (1.0 - c_tilde**2),
-            ],
-            axis=1,
-        )
-        z = np.concatenate([cache.hs[t], cache.xs[:, t, :]], axis=1)
-        grads["w_gates"] += d_pre.T @ z
-        grads["b_gates"] += d_pre.sum(axis=0)
-        dz = d_pre @ p.w_gates
-        dxs[:, t, :] = dz[:, hsize:]
-        dh = dz[:, :hsize]
-        dc = dc_full * f
+        n, ended = live[t], slice(live[t + 1], live[t])
+        dh[ended] = dh_head[ended]
+        f, i, o, c_tilde = cache.gates[t, :, :n]
+        tanh_c = np.tanh(cache.cs[t + 1, :n])
+        dc_full = dc[:n] + dh[:n] * o * (1.0 - tanh_c**2)
+        d_pre = work[:n]
+        np.multiply(dc_full * cache.cs[t, :n] * f, 1.0 - f, out=d_pre[:, :hsize])
+        np.multiply(dc_full * c_tilde * i, 1.0 - i, out=d_pre[:, hsize : 2 * hsize])
+        np.multiply(dh[:n] * tanh_c * o, 1.0 - o, out=d_pre[:, 2 * hsize : 3 * hsize])
+        np.multiply(dc_full * i, 1.0 - c_tilde**2, out=d_pre[:, 3 * hsize :])
+        np.multiply(dc_full, f, out=dc[:n])
+        slot = cache.gates[t].reshape(batch, 4 * hsize)
+        slot[:n] = d_pre
+        slot[n:] = 0.0
+        np.matmul(d_pre, w_h, out=dh[:n])
 
+    # The zero rows of the rows that did not run add exact zeros below,
+    # since the states and inputs they meet are finite.
+    d_pres = cache.gates.reshape(t_max * batch, 4 * hsize)
+    xs = cache.xs.reshape(t_max * batch, -1)
+    grads["w_gates"][:, :hsize] = d_pres.T @ cache.hs[:t_max].reshape(t_max * batch, hsize)
+    grads["w_gates"][:, hsize:] = d_pres.T @ xs
+    grads["b_gates"] += d_pres.sum(axis=0)
+    np.matmul(d_pres, p.w_gates[:, hsize:], out=xs)
     grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
-    np.add.at(grads["embeddings"], cache.id_matrix, dxs)
+    np.add.at(grads["embeddings"], cache.ids, cache.xs)
     return grads
 
 
@@ -379,13 +446,12 @@ def backward(cache: BatchCache, y: int, model: Model) -> dict[str, np.ndarray]:
 
 def score_batch(sequences: list[TokenSequence], model: Model) -> np.ndarray:
     """The probabilities forward_batch gives without dropout, bit for
-    bit, from the same steps holding only the step in flight: two slots
-    of hidden and cell state and one of gates, so no BPTT cache is built.
+    bit, in input order, from the same steps over the same length-sorted
+    live rows, holding only the step in flight: two slots of hidden and
+    cell state and one of gates, so no BPTT cache is built.
     """
-    _, lengths, xs = _batch_inputs(sequences, model)
-    p = model.params
-    h_final = _run_cell(xs, lengths, p, 2)[3]
-    return sigmoid(h_final @ p.w_out + p.b_out[0])
+    order, lengths, _, xs = _batch_inputs(sequences, model)
+    return _head(_run_cell(xs, lengths, order, model.params, 2)[3], model.params)
 
 
 def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:

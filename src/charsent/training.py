@@ -25,6 +25,7 @@ from .network import (
     forward_batch,
     param_shapes,
     score_batch,
+    threshold_ok,
 )
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
@@ -204,15 +205,15 @@ def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
     The sequences run through score_batch in order of length (stable),
     split into ceil(n / 256) parts whose sizes differ by at most one, so
     each part steps only to its own longest row and holds only the step
-    in flight. A row's hidden state can depend on the size of its part,
-    because OpenBLAS picks its gate-product kernel by the product's
-    size. Against the same row inside a 256-row batch (OpenBLAS 0.3.31,
-    Haswell kernels), every row of a batch of at most 37 rows had other
-    h_final bits at h=32, d=16, and batches of 38 rows or more matched;
-    at h=128, d=64 the split lay between 9 and 10 rows. The read-out's
-    matrix-vector product can also round a logit by the row's position
-    in its part, so a probability may move in the last bit with the set
-    it is scored in.
+    in flight. Within a part, step t runs only the rows still going, and
+    OpenBLAS picks its gate-product kernel by the product's size, so a
+    row's bits can depend on how many rows run beside it at each step.
+    The read-out sums within a row and adds no such dependence. With
+    random weights and 1000 texts (OpenBLAS 0.3.31, Haswell kernels),
+    each text scored alone and in the whole set differed in 71
+    probabilities at h=32, d=16 and in 109 at h=128, d=64, by at most
+    1.1e-16; the first 500 texts and the whole set differed in 4 of
+    those 500 at either size.
     """
     ps = np.empty(len(sequences))
     if not sequences:
@@ -363,8 +364,11 @@ def save_model(model: Model, path: str | Path) -> None:
     """Serialize a model: magic, length-prefixed JSON header, then the
     tensor blocks as little-endian float32 in a fixed order (the gate
     matrix and the gate biases, each stacked f, i, o, c, the read-out
-    weights and bias, then the embedding matrix).
+    weights and bias, then the embedding matrix). A threshold that
+    load_model would refuse raises DataError and writes nothing.
     """
+    if not threshold_ok(model.threshold):
+        raise DataError(f"cannot save a model whose threshold {model.threshold!r} is not in [0, 1]")
     header = {
         "version": MODEL_VERSION,
         "h": model.params.hidden_size,
@@ -398,13 +402,7 @@ def _check_header(header, path: Path) -> None:
     for key, low in lower_bounds.items():
         value = header.get(key)
         require(key, isinstance(value, int) and not isinstance(value, bool) and value >= low)
-    threshold = header.get("threshold")
-    require(
-        "threshold",
-        isinstance(threshold, (int, float))
-        and not isinstance(threshold, bool)
-        and 0 <= threshold <= 1,
-    )
+    require("threshold", threshold_ok(header.get("threshold")))
     require("vocab_hash", isinstance(header.get("vocab_hash"), str))
     tokens = header.get("tokens")
     require("tokens", isinstance(tokens, list) and all(isinstance(t, str) for t in tokens))

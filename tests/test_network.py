@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import charsent as cs
 from charsent.embedding import EmbeddingMatrix, init_embedding_matrix
 from charsent.errors import ConfigError, DataError
+from charsent import network
 from charsent.network import LstmParams
 from charsent.tokenizer import PAD_ID, TokenSequence
 
@@ -121,24 +122,30 @@ def test_forward_oracle_random_weights(seed, length):
 
 def test_cell_state_decomposition_exact(small_vocab):
     """The identities c = i*c_tilde + f*c_prev and h = o*tanh(c) hold
-    bit for bit on every row of a mixed-length batch, also on rows that
-    keep stepping past their end; the head reads each row at its own
-    last step.
+    bit for bit on every live row of a mixed-length batch. The rows run
+    sorted by length, step t runs only the rows still going, an ended
+    row's later states stay exactly zero, and the head reads each row at
+    its own last step.
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
     _, cache = cs.forward_batch(seqs, model)
+    assert cache.order.tolist() == [0, 3, 1, 2]
+    assert cache.lengths.tolist() == [7, 4, 2, 1]
     assert cache.cs.shape == cache.hs.shape == (8, 4, 6)  # zero start state, then 7 steps
     assert not cache.cs[0].any() and not cache.hs[0].any()
-    for row, seq in enumerate(seqs):
-        assert np.array_equal(cache.h_final[row], cache.hs[seq.true_length, row])
+    for k, (row, length) in enumerate(zip(cache.order, cache.lengths, strict=True)):
+        assert np.array_equal(cache.h_final[row], cache.hs[length, k])
+        assert np.array_equal(cache.hs[length + 1 :, k], np.zeros((7 - length, 6)))
+        assert np.array_equal(cache.cs[length + 1 :, k], np.zeros((7 - length, 6)))
     for t in range(7):
-        f, i, o, c_tilde = cache.gates[t]
+        live = int((cache.lengths > t).sum())
+        f, i, o, c_tilde = cache.gates[t, :, :live]
         from_input = i * c_tilde
-        from_past = f * cache.cs[t]
-        assert np.array_equal(cache.cs[t + 1], from_input + from_past)
-        assert np.array_equal(cache.hs[t + 1], o * np.tanh(cache.cs[t + 1]))
+        from_past = f * cache.cs[t, :live]
+        assert np.array_equal(cache.cs[t + 1, :live], from_input + from_past)
+        assert np.array_equal(cache.hs[t + 1, :live], o * np.tanh(cache.cs[t + 1, :live]))
         for gate in (f, i, o):
             assert np.all((gate > 0.0) & (gate < 1.0))
         assert np.all(np.abs(c_tilde) < 1.0)
@@ -146,25 +153,69 @@ def test_cell_state_decomposition_exact(small_vocab):
 
 def test_cell_forward_equals_the_cache_rows(small_vocab):
     """lstm_cell_forward and forward_batch run one cell: on a step's
-    inputs it returns that step's cached rows bit for bit, on (B, .)
-    rows against a mixed-length batch and on 1-D rows against a batch
-    of one (a single row and a row of a larger batch may round apart
-    in the gate matmul).
+    inputs it returns that step's cached rows bit for bit, on the live
+    (n_t, .) rows of a mixed-length batch and on 1-D rows against a
+    batch of one (a single row and a row of a larger batch may round
+    apart in the gate matmul).
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=23)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
     _, batch = cs.forward_batch(seqs, model)
     _, single = cs.sequence_forward(seqs[0], model)
-    for cache, row in ((batch, slice(None)), (single, 0)):
+    for cache in (batch, single):
         for t in range(7):
+            live = int((cache.lengths > t).sum())
+            rows = 0 if cache is single else slice(live)
             h, c, gates = cs.lstm_cell_forward(
-                cache.xs[row, t], cache.hs[t, row], cache.cs[t, row], model.params
+                cache.xs[t, rows], cache.hs[t, rows], cache.cs[t, rows], model.params
             )
-            assert h.shape == cache.hs[t + 1, row].shape
-            assert np.array_equal(h, cache.hs[t + 1, row])
-            assert np.array_equal(c, cache.cs[t + 1, row])
-            assert np.array_equal(gates, cache.gates[t, :, row])
+            assert h.shape == cache.hs[t + 1, rows].shape
+            assert np.array_equal(h, cache.hs[t + 1, rows])
+            assert np.array_equal(c, cache.cs[t + 1, rows])
+            assert np.array_equal(gates, cache.gates[t, :, rows])
+
+
+def test_cell_steps_only_live_rows(small_vocab, monkeypatch):
+    """Step t hands the cell only the rows of length > t, in forward
+    passes and in scoring alike, so the rows stepped add up to the sum
+    of the lengths.
+    """
+    model = _random_model(small_vocab, hsize=6, dim=3, seed=27)
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
+    stepped = []
+    real = network._cell_into
+
+    def counting(x_t, *rest):
+        stepped.append(x_t.shape[0])
+        real(x_t, *rest)
+
+    monkeypatch.setattr(network, "_cell_into", counting)
+    for run in (cs.forward_batch, cs.score_batch):
+        stepped.clear()
+        run(seqs, model)
+        assert stepped == [4, 3, 2, 2, 1, 1, 1]
+        assert sum(stepped) == sum(s.true_length for s in seqs)
+
+
+@pytest.mark.parametrize("seed", [31, 37])
+def test_permuting_a_batch_permutes_its_probabilities(small_vocab, seed):
+    """A row's probability does not depend on its position in the batch:
+    the rows run sorted by length (stable) and the head sums within each
+    row. Equal-length rows change places under the permutation too. At
+    h=128 these seeds caught the matrix-vector read-out h @ w_out, which
+    rounds some rows by their position.
+    """
+    model = _random_model(small_vocab, hsize=128, dim=3, seed=seed, max_len=10)
+    rng = np.random.default_rng(seed)
+    pool = list("好坏中啊呀很不太还挺")
+    lengths = rng.integers(1, 11, 11)
+    seqs = [cs.encode(pool[k % 3 :][:n], small_vocab, max_len=10) for k, n in enumerate(lengths)]
+    perm = rng.permutation(len(seqs))
+    shuffled = [seqs[i] for i in perm]
+    for run in (lambda s: cs.forward_batch(s, model)[0], lambda s: cs.score_batch(s, model)):
+        assert np.array_equal(run(shuffled), run(seqs)[perm])
 
 
 def test_score_batch_equals_forward_batch_bit_for_bit(small_vocab):

@@ -97,7 +97,7 @@ def test_backward_with_dropout_mask_matches_finite_differences():
 
 def test_backward_batch_equals_mean_of_per_example():
     model, dataset = _grad_setup(seed=6, n=10)
-    # mixed lengths, so most rows run past their end inside the batch
+    # mixed lengths, so most rows end before the batch's longest row
     lengths = (15, 3, 20, 8, 1, 12, 5)
     seqs = [
         cs.encode(cs.decode(seq, model.vocab)[:n], model.vocab, 20)
@@ -142,10 +142,11 @@ def test_backward_batch_equals_mean_of_per_example():
 
 
 def test_backward_batch_exact_beside_a_long_ended_row():
-    """A length-1 row runs 44 steps past its end beside a length-45 row.
-    With the forget gate saturated open its cell state keeps growing,
-    yet every gradient stays finite and the batch gradient is the mean
-    of the two batch-of-one gradients.
+    """A length-1 row beside a length-45 row stops after its one step:
+    with the forget gate saturated open, the long row's cell state keeps
+    growing, while the short row's later states stay exactly zero and
+    its BPTT enters only at step 0. Every gradient stays finite and the
+    batch gradient is the mean of the two batch-of-one gradients.
     """
     model, dataset = _grad_setup(seed=7, max_len=48)
     model.params.b_gates[: model.params.hidden_size] = 30.0  # forget gate open
@@ -154,8 +155,15 @@ def test_backward_batch_exact_beside_a_long_ended_row():
     assert [s.true_length for s in seqs] == [1, 45]
     ys = np.array([1.0, 0.0])
     _, bcache = cs.forward_batch(seqs, model)
+    assert bcache.order.tolist() == [1, 0]  # the long row runs first
     assert np.abs(bcache.cs[45, 0]).max() > 5.0 * np.abs(bcache.cs[1, 0]).max()
+    assert np.array_equal(bcache.cs[2:, 1], np.zeros_like(bcache.cs[2:, 1]))
+    assert np.array_equal(bcache.hs[2:, 1], np.zeros_like(bcache.hs[2:, 1]))
     batch_grads = cs.backward_batch(bcache, ys, model)
+    # the spent gate slots hold the pre-activation gradients, zero in the rows that did not run
+    d_pres = bcache.gates.reshape(45, 2, -1)
+    assert np.array_equal(d_pres[1:, 1], np.zeros_like(d_pres[1:, 1]))
+    assert d_pres[0, 1].any()
     singles = [
         cs.backward(cs.sequence_forward(seq, model)[1], y, model)
         for seq, y in zip(seqs, ys, strict=True)
@@ -164,6 +172,16 @@ def test_backward_batch_exact_beside_a_long_ended_row():
         assert np.isfinite(grad).all(), name
         mean = (singles[0][name] + singles[1][name]) / 2.0
         np.testing.assert_allclose(grad, mean, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def test_backward_batch_consumes_its_cache():
+    model, dataset = _grad_setup(seed=4)
+    seqs = [s for s, _ in dataset[:5]]
+    ys = np.array([float(y) for _, y in dataset[:5]])
+    _, cache = cs.forward_batch(seqs, model)
+    cs.backward_batch(cache, ys, model)
+    with pytest.raises(DataError):
+        cs.backward_batch(cache, ys, model)
 
 
 def test_adam_matches_scalar_trace():
@@ -677,6 +695,34 @@ def test_load_model_rejects_missing_or_mistyped_header_fields(tmp_path, key):
         path.write_bytes(b"SSM1" + struct.pack("<I", len(raw)) + raw + tensors)
         with pytest.raises(DataError):
             cs.load_model(path)
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.2, math.nan, True, "0.5"])
+def test_model_rejects_a_threshold_outside_unit_interval(threshold):
+    model = make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4)
+    with pytest.raises(DataError, match="threshold"):
+        cs.Model(
+            vocab=model.vocab,
+            embeddings=model.embeddings,
+            params=model.params,
+            max_len=4,
+            threshold=threshold,
+        )
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.2, math.nan])
+def test_save_model_refuses_a_threshold_load_model_would_reject(tmp_path, threshold):
+    """A threshold set after the model was built is checked on save, and
+    no file is written, not even a temporary one.
+    """
+    model = make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4)
+    model.threshold = threshold
+    with pytest.raises(DataError, match="threshold"):
+        cs.save_model(model, tmp_path / "model.ssm")
+    assert list(tmp_path.iterdir()) == []
+    model.threshold = 1.0
+    cs.save_model(model, tmp_path / "model.ssm")
+    assert cs.load_model(tmp_path / "model.ssm").threshold == 1.0
 
 
 def test_history_roundtrip_is_plain_json_array(tmp_path, trained_setup):
