@@ -12,9 +12,13 @@ ties (0), +-1 and the rest. The saved model holds float32 weights, so
 its error count can differ by a review from the epoch's `val_acc`.
 The summary gives the minimum and the median `val_acc`.
 
+The seeds run in 2 spawned worker processes (fewer if there are fewer
+seeds), each with one BLAS thread, so a seed's numbers do not depend on
+how many seeds run beside it.
+
 Usage:
-    python3 scripts/seed_sweep.py                  # seeds 1-10, 2 worker processes
-    python3 scripts/seed_sweep.py --seeds 42 --workers 1
+    python3 scripts/seed_sweep.py                  # seeds 1-10
+    python3 scripts/seed_sweep.py --seeds 42
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ CONFIG = {
     "training": {"epochs": 30},
 }
 MARGINS = ("tie", "pm1", "rest")
+WORKERS = 2
 
 
 def _seeds(text: str) -> list[int]:
@@ -107,18 +112,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=_seeds, default=_seeds("1-10"), help="e.g. 1-10 or 1,4,42")
     ap.add_argument("--reviews", type=int, default=2000, help="corpus size")
-    ap.add_argument("--workers", type=int, default=2, help="worker processes")
     args = ap.parse_args(argv)
+    # one BLAS thread per worker, set before the workers load numpy
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as workdir:
-        jobs = [(seed, args.reviews, workdir) for seed in args.seeds]
-        if args.workers == 1:
-            runs = [run_seed(*job) for job in jobs]
-        else:
-            # one BLAS thread per worker, set before the workers load numpy
-            os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(args.workers, mp_context=spawn) as pool:
-                runs = list(pool.map(run_seed, *zip(*jobs)))
+        n = len(args.seeds)
+        with ProcessPoolExecutor(min(WORKERS, n), mp_context=spawn) as pool:
+            runs = list(pool.map(run_seed, args.seeds, [args.reviews] * n, [workdir] * n))
     accs = [r["best_val_acc"] for r in runs]
     summary = {"min_val_acc": min(accs), "median_val_acc": statistics.median(accs)}
     print(json.dumps({"corpus": [args.reviews, CORPUS_SEED], "runs": runs, "summary": summary}))

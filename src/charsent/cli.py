@@ -35,7 +35,7 @@ from .embedding import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .files import read_text
-from .network import Model, init_lstm_params, predict
+from .network import Model, init_lstm_params, predict, threshold_ok
 from .tokenizer import Vocabulary, build_vocab, segment_chars
 from .training import (
     TrainConfig,
@@ -93,7 +93,7 @@ class PipelineConfig:
     training: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        if self.threshold is not None and not 0 <= self.threshold <= 1:
+        if self.threshold is not None and not threshold_ok(self.threshold):
             raise ConfigError("threshold must lie in [0, 1]")
 
     def require_path(self, key: str, command: str) -> Path:

@@ -240,8 +240,8 @@ class BatchCache:
     T + 1 slots of (B, hidden), slot 0 the zero start state, so
     `hs[t]`/`cs[t]` feed step t and `hs[t + 1]`/`cs[t + 1]` are its
     outputs; `gates` (T, 4, B, hidden) holds f, i, o and c_tilde as the
-    cell returns them. Only a step's live rows are written: later state
-    rows of an ended row stay zero, and its gate rows are never set.
+    cell returns them. Only a step's live rows are written: the state
+    and gate rows of a row past its end stay zero.
     `h_final`, `dropout_masks`, `h_out` and `ps` are in input order.
     backward_batch overwrites `gates` and `xs` with their gradients and
     marks the cache spent.
@@ -307,7 +307,7 @@ def _run_cell(
     live = _live_rows(lengths)
     hs = np.zeros((history, batch, hsize))
     cs = np.zeros((history, batch, hsize))
-    gates = np.empty((history - 1, 4, batch, hsize))
+    gates = np.zeros((history - 1, 4, batch, hsize))
     h_final = np.empty((batch, hsize))
     for t in range(t_max):
         now, nxt, n = t % history, (t + 1) % history, live[t]

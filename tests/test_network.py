@@ -156,7 +156,7 @@ def test_cell_forward_equals_the_cache_rows(small_vocab):
     inputs it returns that step's cached rows bit for bit, on the live
     (n_t, .) rows of a mixed-length batch and on 1-D rows against a
     batch of one (a single row and a row of a larger batch may round
-    apart in the gate matmul).
+    apart in the gate matmul). The rows past a row's end stay zero.
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=23)
     pool = list("好坏中啊呀很不")
@@ -174,6 +174,9 @@ def test_cell_forward_equals_the_cache_rows(small_vocab):
             assert np.array_equal(h, cache.hs[t + 1, rows])
             assert np.array_equal(c, cache.cs[t + 1, rows])
             assert np.array_equal(gates, cache.gates[t, :, rows])
+            ended = slice(live, None)
+            assert not cache.hs[t + 1, ended].any() and not cache.cs[t + 1, ended].any()
+            assert not cache.gates[t, :, ended].any()
 
 
 def test_cell_steps_only_live_rows(small_vocab, monkeypatch):

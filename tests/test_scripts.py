@@ -34,7 +34,7 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
     # imported by name, so that the worker processes can import it too
     monkeypatch.syspath_prepend(str(SCRIPTS))
     sweep = importlib.import_module("seed_sweep")
-    assert sweep.main(["--reviews", "60", "--seeds", "3-4", "--workers", "2"]) == 0
+    assert sweep.main(["--reviews", "60", "--seeds", "3-4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [run["seed"] for run in report["runs"]] == [3, 4]
     for run in report["runs"]:
