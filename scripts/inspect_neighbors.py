@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print nearest neighbors of probe characters in an embedding space.
 
-Either loads a saved embedding file or, with --synthetic, trains a
-fresh space on the bundled generator so the script works standalone.
+Either loads a saved embedding file (as written by CLI `embed`) or,
+with --synthetic, trains a fresh space on the bundled generator the way
+CLI `embed` does, so the script works standalone.
 
 Usage:
-    python3 scripts/inspect_neighbors.py --embeddings runs/embeddings.w2v --queries 好坏
+    python3 scripts/inspect_neighbors.py --embeddings runs/emb.bin --queries 好坏
     python3 scripts/inspect_neighbors.py --synthetic --queries 好坏优
 """
 
@@ -19,6 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import charsent as cs
 from charsent.synthetic import generate_corpus
+
+SYNTHETIC_REVIEWS = 1500
 
 
 def parse_args(argv=None):
@@ -35,11 +38,10 @@ def parse_args(argv=None):
 
 
 def synthetic_space(seed: int, dim: int):
-    corpus = generate_corpus(1500, seed=seed)
-    vocab = cs.build_vocab([r.text for r in corpus], min_count=1)
-    sequences = [
-        cs.encode(cs.segment_chars(r.text), vocab, max_len=80) for r in corpus
-    ]
+    corpus = generate_corpus(SYNTHETIC_REVIEWS, seed=seed)
+    texts = [cs.clean_text(text) for text in corpus.texts()]
+    vocab = cs.build_vocab(texts, min_count=1)
+    sequences = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in texts]
     cfg = cs.W2vConfig(mode="cbow", dim=dim, epochs=3, seed=seed)
     matrix = cs.train_embeddings(sequences, vocab, cfg)
     return matrix, vocab

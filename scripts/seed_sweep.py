@@ -12,6 +12,9 @@ ties (0), +-1 and the rest. The saved model holds float32 weights, so
 its error count can differ by a review from the epoch's `val_acc`.
 The summary gives the minimum and the median `val_acc`.
 
+Each seed's record also carries the `test` metrics that CLI `train`
+prints for the held-out split.
+
 The seeds run in 2 spawned worker processes (fewer if there are fewer
 seeds), each with one BLAS thread, so a seed's numbers do not depend on
 how many seeds run beside it.
@@ -81,11 +84,14 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
              "model": "model.ssm", "history": "history.json"}
     config = dict(CONFIG, seed=seed, paths={k: str(work / v) for k, v in names.items()})
     (work / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for stage in ("embed", "train"):
+    for stage in ("embed", "train"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([stage, "--config", str(work / "cfg.json")])
-            if code != 0:
-                raise RuntimeError(f"seed {seed}: CLI {stage} exited {code}")
+        if code != 0:
+            raise RuntimeError(f"seed {seed}: CLI {stage} exited {code}")
+    # the last stage, CLI train, printed one JSON summary line
+    test = json.loads(out.getvalue())["test"]
 
     records = load_history(work / "history.json")
     best = min(records, key=lambda r: r.val_loss)
@@ -105,6 +111,7 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
         "epochs_run": len(records),
         "val_reviews": len(dataset),
         "val_errors_by_margin": errors,
+        "test": test,
     }
 
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError
 from .files import read_bytes, write_atomic
 from .numerics import sigmoid
 from .rng import substream
-from .tokenizer import PAD_ID, TokenSequence, Vocabulary
+from .tokenizer import PAD_ID, Vocabulary
 
 MIN_LEARNING_RATE = 1e-4
 NOISE_POWER = 0.75
@@ -96,15 +96,13 @@ def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMa
 
 
 def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
-    """(center, context) records for every non-PAD position.
+    """(center, context) records for every non-PAD position of an id list.
 
     Context is the up-to-2*window non-PAD neighbors, truncated at the
     sequence edges; positions whose context comes up empty are skipped.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    if isinstance(ids, TokenSequence):
-        ids = ids.ids
     out: list[tuple[int, list[int]]] = []
     n = len(ids)
     for pos, center in enumerate(ids):
@@ -247,18 +245,15 @@ class NegativeSampler:
         return out
 
 
-def _as_id_list(sequence) -> list[int]:
-    if isinstance(sequence, TokenSequence):
-        return list(sequence.ids[: sequence.true_length])
-    return [tid for tid in sequence if tid != PAD_ID]
+def _without_pad(ids) -> list[int]:
+    return [tid for tid in ids if tid != PAD_ID]
 
 
 def token_counts(sequences, vocab_size: int) -> np.ndarray:
-    """Occurrence counts of every id over the non-PAD tokens of encoded
-    sequences or plain id lists; an id outside the vocabulary raises
-    DataError.
+    """Occurrence counts of every id over the non-PAD tokens of id
+    lists; an id outside the vocabulary raises DataError.
     """
-    ids = np.fromiter(chain.from_iterable(map(_as_id_list, sequences)), dtype=np.int64)
+    ids = np.fromiter(chain.from_iterable(map(_without_pad, sequences)), dtype=np.int64)
     if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
         raise DataError(f"token ids must lie in [0, {vocab_size}), got {ids.min()}..{ids.max()}")
     return np.bincount(ids, minlength=vocab_size)
@@ -295,7 +290,7 @@ def train_embeddings(
     config: W2vConfig,
     epoch_losses: list[float] | None = None,
 ) -> EmbeddingMatrix:
-    """Train embeddings over encoded sequences or plain id lists.
+    """Train embeddings over id lists, one per text; PAD ids are dropped.
 
     Runs `config.epochs` passes of cbow_step over every example of the
     chosen mode, windows in corpus order, negatives drawn from
@@ -305,7 +300,7 @@ def train_embeddings(
     """
     if not sequences:
         raise DataError("cannot train embeddings on an empty corpus")
-    sequences = [_as_id_list(seq) for seq in sequences]
+    sequences = [_without_pad(seq) for seq in sequences]
     matrix = init_embedding_matrix(vocab, config.dim, config.seed)
     counts = token_counts(sequences, len(vocab))
     if counts.sum() == 0:
@@ -352,8 +347,11 @@ def nearest_neighbors(
 ) -> list[tuple[str, float]]:
     """The k most cosine-similar in-vocabulary tokens to `token`,
     descending, ties broken by id; the query, PAD, and UNK never appear.
-    k larger than the eligible pool returns everything.
+    k larger than the eligible pool returns everything; k < 1 raises
+    ConfigError.
     """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if token not in vocab:
         raise DataError(f"token {token!r} is not in the vocabulary")
     qid = vocab.token_to_id[token]

@@ -109,13 +109,13 @@ class TokenSequence:
             raise DataError("non-PAD id in the padding tail")
 
 
-def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
-    """Count characters over a corpus (or any iterable of strings) and
-    keep those seen at least `min_count` times.
+def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
+    """Count characters over texts and keep those seen at least
+    `min_count` times.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    texts = corpus.texts() if hasattr(corpus, "texts") else list(corpus)
+    texts = list(texts)
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(segment_chars(text))

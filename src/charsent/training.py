@@ -398,7 +398,13 @@ def _check_header(header, path: Path) -> None:
         if not ok:
             raise DataError(f"{path}: model header field '{key}' is missing or invalid")
 
-    lower_bounds = {"version": 0, "h": 1, "d": 1, "max_len": 1, "min_count": 1, "vocab_size": 2}
+    version = header.get("version")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise DataError(
+            f"{path}: model format version {json.dumps(version)} is not supported "
+            f"(this charsent reads version {MODEL_VERSION})"
+        )
+    lower_bounds = {"h": 1, "d": 1, "max_len": 1, "min_count": 1, "vocab_size": 2}
     for key, low in lower_bounds.items():
         value = header.get(key)
         require(key, isinstance(value, int) and not isinstance(value, bool) and value >= low)

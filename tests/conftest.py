@@ -13,7 +13,7 @@ def tiny_corpus():
 
 @pytest.fixture(scope="session")
 def tiny_vocab(tiny_corpus):
-    return cs.build_vocab(tiny_corpus, min_count=1)
+    return cs.build_vocab(tiny_corpus.texts(), min_count=1)
 
 
 @pytest.fixture()
@@ -28,7 +28,7 @@ def trained_setup():
     """
     corpus = generate_corpus(400, seed=23)
     train_c, val_c, test_c = cs.split(corpus, 0.7, 0.15, seed=23)
-    vocab = cs.build_vocab(train_c, min_count=1)
+    vocab = cs.build_vocab(train_c.texts(), min_count=1)
     w2v = cs.W2vConfig(mode="cbow", window=3, negatives=4, epochs=2, dim=12, seed=23)
     sequences = [
         [vocab.id_for(t) for t in cs.segment_chars(text)] for text in train_c.texts()

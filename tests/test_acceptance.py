@@ -337,7 +337,7 @@ def test_criterion_08_metrics_match_brute_force(trained_setup):
 def test_criterion_09_determinism_and_serialization(tmp_path, trained_setup):
     corpus = generate_corpus(100, seed=91)
     train_c, val_c, _ = cs.split(corpus, 0.7, 0.2, seed=91)
-    vocab = cs.build_vocab(corpus, min_count=1)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
     cfg = cs.TrainConfig(epochs=3, batch_size=16, dropout_rate=0.3, seed=91)
     paths = []
     for run in (0, 1):

@@ -66,13 +66,6 @@ def test_extract_windows_skips_empty_context():
     assert extract_windows([7, PAD_ID, PAD_ID], window=1) == []
 
 
-def test_extract_windows_accepts_token_sequence():
-    vocab = cs.build_vocab(["好坏中"], min_count=1)
-    seq = cs.encode(["好", "坏"], vocab, max_len=6)
-    got = extract_windows(seq, window=2)
-    assert len(got) == 2
-
-
 def test_loss_at_zero_context_is_closed_form():
     matrix = _random_matrix()
     matrix.context_vectors[:] = 0.0
@@ -247,7 +240,7 @@ def test_init_embedding_matrix_shape_and_pad_row():
 
 def test_token_counts_ignores_padding():
     vocab = cs.build_vocab(["好坏"], min_count=1)
-    seqs = [cs.encode(["好", "坏", "好"], vocab, max_len=8)]
+    seqs = [[vocab.id_for(t) for t in ["好", "坏", "好"]] + [PAD_ID] * 5]
     counts = token_counts(seqs, len(vocab))
     assert counts[PAD_ID] == 0
     assert counts[vocab.id_for("好")] == 2
@@ -268,7 +261,7 @@ def test_token_counts_rejects_ids_outside_the_vocabulary(bad):
 def _train_setup(mode, epochs=3, dim=8, subsample=None):
     corpus = ["好棒好棒极了", "坏差坏差极了", "好棒妙", "坏差糟"] * 8
     vocab = cs.build_vocab(corpus, min_count=1)
-    seqs = [cs.encode(cs.segment_chars(t), vocab, max_len=20) for t in corpus]
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in corpus]
     cfg = cs.W2vConfig(
         mode=mode, window=2, negatives=3, epochs=epochs, dim=dim, seed=6,
         subsample_threshold=subsample,
@@ -404,6 +397,15 @@ def test_nearest_neighbors_errors():
         cs.nearest_neighbors("好" if "好" not in vocab else "新", 2, matrix, vocab)
     with pytest.raises(DataError):
         cs.nearest_neighbors(vocab.id_to_token[2], 2, matrix, vocab)  # zero vector
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_nearest_neighbors_rejects_k_below_one(k):
+    vocab = cs.build_vocab(["好坏中"], min_count=1)
+    vectors = np.eye(5, 4)
+    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=4, vocab_hash="h")
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        cs.nearest_neighbors(vocab.id_to_token[2], k, matrix, vocab)
 
 
 def test_embeddings_roundtrip(tmp_path):

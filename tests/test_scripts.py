@@ -3,7 +3,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-import charsent as cs
+from charsent import cli
+from charsent.corpus import save_corpus
+from charsent.synthetic import generate_corpus
+from charsent.training import Metrics
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -15,19 +18,26 @@ def _load_script(name: str):
     return module
 
 
-def test_scripts_run_end_to_end(tmp_path, capsys):
-    experiment = _load_script("run_synthetic_experiment")
-    argv = ["--reviews", "200", "--epochs", "2", "--w2v-epochs", "1", "--dim", "8",
-            "--hidden-size", "8", "--out-dir", str(tmp_path)]
-    assert experiment.main(argv) == 0
-    model = cs.load_model(tmp_path / "model.bin")
-    assert model.params.hidden_size == 8 and model.embeddings.dim == 8
-    assert "test: loss" in capsys.readouterr().out
+def test_scripts_run_end_to_end(tmp_path, capsys, monkeypatch):
+    save_corpus(generate_corpus(60, seed=5), tmp_path / "labeled.jsonl")
+    names = {"labeled": "labeled.jsonl", "vocab": "vocab.json", "embeddings": "emb.bin"}
+    config = {
+        "seed": 5,
+        "paths": {key: str(tmp_path / name) for key, name in names.items()},
+        "word2vec": {"dim": 8, "epochs": 3},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["embed", "--config", str(tmp_path / "cfg.json")]) == 0
+    capsys.readouterr()
 
     neighbors = _load_script("inspect_neighbors")
-    assert neighbors.main(["--embeddings", str(tmp_path / "embeddings.w2v"), "--queries", "好"]) == 0
+    assert neighbors.main(["--embeddings", str(tmp_path / "emb.bin"), "--queries", "好坏"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("好: ") and "not in vocabulary" not in out
+    # --synthetic trains the space CLI embed trains on the same corpus and settings
+    monkeypatch.setattr(neighbors, "SYNTHETIC_REVIEWS", 60)
+    assert neighbors.main(["--synthetic", "--seed", "5", "--dim", "8", "--queries", "好坏"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_seed_sweep_smoke(capsys, monkeypatch):
@@ -37,6 +47,7 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
     assert sweep.main(["--reviews", "60", "--seeds", "3-4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [run["seed"] for run in report["runs"]] == [3, 4]
+    metric_keys = set(Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0).to_dict())
     for run in report["runs"]:
         assert 1 <= run["best_epoch"] <= run["epochs_run"] <= 30
         assert run["val_reviews"] == 9
@@ -44,5 +55,8 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
         assert set(errors) == {"tie", "pm1", "rest"}
         # the saved float32 model may miss a review more or less than the epoch's record
         assert abs(sum(errors.values()) - round(9 * (1 - run["best_val_acc"]))) <= 1
+        test = run["test"]
+        assert set(test) == metric_keys
+        assert test["tp"] + test["fp"] + test["fn"] + test["tn"] == 9
     accs = sorted(run["best_val_acc"] for run in report["runs"])
     assert report["summary"] == {"min_val_acc": accs[0], "median_val_acc": sum(accs) / 2}

@@ -48,7 +48,7 @@ def test_bce_matches_reference(p, y):
 
 def _grad_setup(seed=0, hsize=5, dim=6, n=12, max_len=20):
     corpus = generate_corpus(n, seed=seed)
-    vocab = cs.build_vocab(corpus, min_count=1)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
     model = make_model(vocab, hidden_size=hsize, dim=dim, max_len=max_len, seed=seed, scale=0.4)
     dataset = cs.encode_labeled(corpus, vocab, max_len)
     return model, dataset
@@ -374,7 +374,7 @@ def _mixed_length_sequences(n=600, max_len=40, seed=5):
     for more than two scoring parts.
     """
     corpus = generate_corpus(60, seed=seed)
-    vocab = cs.build_vocab(corpus, min_count=1)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
     model = make_model(vocab, hidden_size=5, dim=6, max_len=max_len, seed=seed, scale=0.4)
     rng = np.random.default_rng(seed)
     seqs = []
@@ -425,7 +425,7 @@ def test_predict_proba_peaks_below_a_quarter_of_one_gates_array():
     (T, 4, B, h) gates array that forward_batch would keep.
     """
     hsize, length, rows = 64, 60, 256
-    vocab = cs.build_vocab(generate_corpus(60, seed=7), min_count=1)
+    vocab = cs.build_vocab(generate_corpus(60, seed=7).texts(), min_count=1)
     model = make_model(vocab, hidden_size=hsize, dim=16, max_len=length, seed=7, scale=0.4)
     rng = np.random.default_rng(7)
     seqs = [
@@ -468,7 +468,7 @@ def test_predict_proba_of_nothing_is_empty(tiny_model):
 def _quick_sets(seed=41, n=80, hsize=8, dim=8):
     corpus = generate_corpus(n, seed=seed)
     train_c, val_c, _ = cs.split(corpus, 0.7, 0.2, seed=seed)
-    vocab = cs.build_vocab(corpus, min_count=1)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
     model = make_model(vocab, hidden_size=hsize, dim=dim, max_len=60, seed=seed, scale=0.3)
     return (
         cs.encode_labeled(train_c, vocab, 60),
@@ -695,6 +695,19 @@ def test_load_model_rejects_missing_or_mistyped_header_fields(tmp_path, key):
         path.write_bytes(b"SSM1" + struct.pack("<I", len(raw)) + raw + tensors)
         with pytest.raises(DataError):
             cs.load_model(path)
+
+
+@pytest.mark.parametrize("version", [0, 2])
+def test_load_model_rejects_another_format_version(tmp_path, version):
+    blob = _tiny_model_bytes(tmp_path)
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    header["version"] = version
+    raw = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    path = tmp_path / "edited.ssm"
+    path.write_bytes(b"SSM1" + struct.pack("<I", len(raw)) + raw + blob[8 + header_len :])
+    with pytest.raises(DataError, match=f"version {version} is not supported"):
+        cs.load_model(path)
 
 
 @pytest.mark.parametrize("threshold", [1.5, -0.2, math.nan, True, "0.5"])
