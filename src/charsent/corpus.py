@@ -34,8 +34,8 @@ class Review:
     source_id: str | None = None
 
     def __post_init__(self):
-        if self.label is not None and self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r}")
+        if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
+            raise DataError(f"label must be the integer 0 or 1, got {self.label!r}")
 
 
 @dataclass
@@ -219,7 +219,11 @@ def load_lexicon(path: str | Path) -> PolarityLexicon:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus as JSONL (text, label when present, source_id when present)."""
+    """Write a corpus as JSONL (text, label and source_id when present).
+    A `.csv` path, which load_corpus would read as CSV, raises ConfigError.
+    """
+    if Path(path).suffix.lower() == ".csv":
+        raise ConfigError(f"{path}: corpora are written as JSONL; use a suffix other than .csv")
     lines = []
     for review in corpus.reviews:
         record: dict = {"text": review.text}

@@ -96,21 +96,19 @@ def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMa
 
 
 def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
-    """(center, context) records for every non-PAD position of an id list.
+    """(center, context) records for every position of an id list.
 
-    Context is the up-to-2*window non-PAD neighbors, truncated at the
-    sequence edges; positions whose context comes up empty are skipped.
+    Context is the up-to-2*window neighbors, truncated at the sequence
+    edges; a one-token list has no context and gives no record.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
     out: list[tuple[int, list[int]]] = []
     n = len(ids)
     for pos, center in enumerate(ids):
-        if center == PAD_ID:
-            continue
         lo = max(0, pos - window)
         hi = min(n, pos + window + 1)
-        context = [ids[j] for j in range(lo, hi) if j != pos and ids[j] != PAD_ID]
+        context = [ids[j] for j in range(lo, hi) if j != pos]
         if context:
             out.append((center, context))
     return out
@@ -245,17 +243,13 @@ class NegativeSampler:
         return out
 
 
-def _without_pad(ids) -> list[int]:
-    return [tid for tid in ids if tid != PAD_ID]
-
-
 def token_counts(sequences, vocab_size: int) -> np.ndarray:
-    """Occurrence counts of every id over the non-PAD tokens of id
-    lists; an id outside the vocabulary raises DataError.
+    """Occurrence counts of every id over id lists; PAD (0) and any id
+    outside the vocabulary raise DataError.
     """
-    ids = np.fromiter(chain.from_iterable(map(_without_pad, sequences)), dtype=np.int64)
-    if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
-        raise DataError(f"token ids must lie in [0, {vocab_size}), got {ids.min()}..{ids.max()}")
+    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+    if ids.size and not PAD_ID < ids.min() <= ids.max() < vocab_size:
+        raise DataError(f"token ids must lie in [1, {vocab_size}), got {ids.min()}..{ids.max()}")
     return np.bincount(ids, minlength=vocab_size)
 
 
@@ -290,7 +284,7 @@ def train_embeddings(
     config: W2vConfig,
     epoch_losses: list[float] | None = None,
 ) -> EmbeddingMatrix:
-    """Train embeddings over id lists, one per text; PAD ids are dropped.
+    """Train embeddings over id lists, one per text, holding no PAD.
 
     Runs `config.epochs` passes of cbow_step over every example of the
     chosen mode, windows in corpus order, negatives drawn from
@@ -300,7 +294,6 @@ def train_embeddings(
     """
     if not sequences:
         raise DataError("cannot train embeddings on an empty corpus")
-    sequences = [_without_pad(seq) for seq in sequences]
     matrix = init_embedding_matrix(vocab, config.dim, config.seed)
     counts = token_counts(sequences, len(vocab))
     if counts.sum() == 0:

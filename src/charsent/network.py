@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -275,8 +276,9 @@ def _batch_inputs(sequences: list[TokenSequence], model: Model):
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     ids = np.zeros((int(lengths[0]), len(sequences)), dtype=np.int64)
-    for k, b in enumerate(order):
-        ids[: lengths[k], k] = sequences[b].ids[: lengths[k]]
+    # ids.T is (B, T), so the mask takes sorted row k's first lengths[k] slots, in order
+    flat = chain.from_iterable(sequences[b].ids for b in order)
+    ids.T[np.arange(len(ids)) < lengths[:, None]] = np.fromiter(flat, np.int64, int(lengths.sum()))
     return order, lengths, ids, model.embeddings.vectors[ids]
 
 
@@ -464,11 +466,13 @@ def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCach
 
 def predict(text: str, model: Model, threshold: float | None = None) -> tuple[int, float]:
     """Full pipeline on one string: clean, segment, encode, forward (no
-    dropout). Returns (label, p) with label 1 iff p >= threshold; the
-    threshold defaults to the one stored in the model.
+    dropout). Returns (label, p) with label 1 iff p >= threshold, by
+    default the model's; one outside [0, 1] raises ConfigError.
     """
     if threshold is None:
         threshold = model.threshold
+    if not threshold_ok(threshold):
+        raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
     cleaned = clean_text(text)
     tokens = segment_chars(cleaned)
     if not tokens:

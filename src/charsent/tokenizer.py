@@ -95,18 +95,17 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Fixed-length id sequence; ids[true_length:] is all PAD padding."""
+    """A text's token ids, truncated and never padded; PAD may not occur."""
 
     ids: tuple[int, ...]
-    true_length: int
 
     def __post_init__(self):
-        if not 0 <= self.true_length <= len(self.ids):
-            raise DataError("true_length out of range")
-        if any(i == PAD_ID for i in self.ids[: self.true_length]):
-            raise DataError("PAD id before true_length")
-        if any(i != PAD_ID for i in self.ids[self.true_length :]):
-            raise DataError("non-PAD id in the padding tail")
+        if PAD_ID in self.ids:
+            raise DataError("PAD id in a token sequence")
+
+    @property
+    def true_length(self) -> int:
+        return len(self.ids)
 
 
 def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
@@ -129,17 +128,12 @@ def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Map tokens to ids (UNK for out-of-vocabulary), truncate the tail
-    beyond max_len, and right-pad with PAD up to exactly max_len.
-    """
+    """Ids of the first max_len tokens, UNK for out-of-vocabulary ones."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    head = tokens[:max_len]
-    ids = [vocab.id_for(t) for t in head]
-    ids.extend([PAD_ID] * (max_len - len(ids)))
-    return TokenSequence(ids=tuple(ids), true_length=len(head))
+    return TokenSequence(ids=tuple(map(vocab.id_for, tokens[:max_len])))
 
 
 def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:
-    """Tokens for the non-PAD prefix of an encoded sequence."""
-    return [vocab.id_to_token[i] for i in seq.ids[: seq.true_length]]
+    """Tokens of an encoded sequence."""
+    return [vocab.id_to_token[i] for i in seq.ids]

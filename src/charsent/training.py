@@ -151,8 +151,10 @@ class Metrics:
 def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> Metrics:
     """Confusion counts and the five headline quantities from predicted
     probabilities and 0/1 labels; prediction ties at the threshold go
-    to the positive class.
+    to the positive class. A threshold outside [0, 1] raises ConfigError.
     """
+    if not threshold_ok(threshold):
+        raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
     ps = np.asarray(ps, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.int64)
     if ps.size == 0:

@@ -420,6 +420,13 @@ def test_prelabel_empty_corpus_succeeds(tmp_path, capsys):
     assert out["positive"] == 0 and out["negative"] == 0 and out["reviews"] == 0
 
 
+def test_prelabel_to_a_csv_path_exits_2_and_writes_nothing(tmp_path, capsys):
+    (tmp_path / "corpus.jsonl").write_text('{"text": "好棒"}\n', encoding="utf-8")
+    argv = ["prelabel", "--set", f"paths.corpus={tmp_path / 'corpus.jsonl'}"]
+    assert cli.main(argv + ["--set", f"paths.labeled={tmp_path / 'lab.csv'}"]) == 2
+    assert not (tmp_path / "lab.csv").exists()
+
+
 def test_prelabel_keeps_source_ids(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(

@@ -14,8 +14,9 @@ from charsent.rng import substream
 def test_review_label_validation():
     Review(text="好", label=1)
     Review(text="好", label=None)
-    with pytest.raises(DataError):
-        Review(text="好", label=2)
+    for bad in (2, True, False, 1.0):
+        with pytest.raises(DataError):
+            Review(text="好", label=bad)
 
 
 def test_clean_text_strips_urls_mentions_hashtags():
@@ -68,6 +69,39 @@ def test_corpus_roundtrip_jsonl(tmp_path):
     cs.save_corpus(corpus, path)
     back = cs.load_corpus(path)
     assert [(r.text, r.label) for r in back.reviews] == [(r.text, r.label) for r in corpus.reviews]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.text(max_size=20),
+            st.sampled_from([None, 0, 1, True, False, 1.0]),
+            st.none() | st.text(max_size=5),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(["c.jsonl", "c.txt", "c.csv", "c.CSV"]),
+)
+def test_every_saved_corpus_loads_back_equal(tmp_path_factory, records, name):
+    """A corpus that can be built and saved loads back equal; what
+    load_corpus would not read back is refused before it is written.
+    """
+    path = tmp_path_factory.mktemp("saved") / name
+    try:
+        reviews = [Review(text=t, label=label, source_id=s) for t, label, s in records]
+        cs.save_corpus(Corpus(reviews=reviews), path)
+    except (ConfigError, DataError):
+        assert not path.exists()
+        return
+    assert cs.load_corpus(path).reviews == reviews
+
+
+@pytest.mark.parametrize("name", ["c.csv", "c.CSV"])
+def test_save_corpus_refuses_a_csv_path(tmp_path, name):
+    """load_corpus reads a .csv path as CSV, so JSONL is never written there."""
+    with pytest.raises(ConfigError, match="JSONL"):
+        cs.save_corpus(Corpus(reviews=[Review(text="好", label=1)]), tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):

@@ -52,18 +52,9 @@ def test_extract_windows_boundaries():
     ]
 
 
-def test_extract_windows_skips_pad():
-    # the window is positional, so the PAD at index 1 eats one slot but
-    # never appears as a center or context member
-    ids = [5, PAD_ID, 6, PAD_ID]
-    got = extract_windows(ids, window=2)
-    assert got == [(5, [6]), (6, [5])]
-    assert extract_windows(ids, window=1) == []
-
-
 def test_extract_windows_skips_empty_context():
     assert extract_windows([7], window=3) == []
-    assert extract_windows([7, PAD_ID, PAD_ID], window=1) == []
+    assert extract_windows([], window=1) == []
 
 
 def test_loss_at_zero_context_is_closed_form():
@@ -238,23 +229,25 @@ def test_init_embedding_matrix_shape_and_pad_row():
     assert np.array_equal(emb.vectors, again.vectors)
 
 
-def test_token_counts_ignores_padding():
+def test_token_counts_rejects_pad():
     vocab = cs.build_vocab(["好坏"], min_count=1)
-    seqs = [[vocab.id_for(t) for t in ["好", "坏", "好"]] + [PAD_ID] * 5]
+    seqs = [[vocab.id_for(t) for t in ["好", "坏", "好"]]]
     counts = token_counts(seqs, len(vocab))
     assert counts[PAD_ID] == 0
     assert counts[vocab.id_for("好")] == 2
     assert counts[vocab.id_for("坏")] == 1
     assert counts.dtype == np.int64 and counts.shape == (len(vocab),)
     new_id = len(vocab)
-    mixed = token_counts([[new_id, PAD_ID, new_id], seqs[0], []], len(vocab) + 2)
+    mixed = token_counts([[new_id, new_id], seqs[0], []], len(vocab) + 2)
     assert mixed.tolist() == [*counts.tolist(), 2, 0]
     assert token_counts([], 3).tolist() == [0, 0, 0]
+    with pytest.raises(DataError, match=r"\[1, "):
+        token_counts([seqs[0] + [PAD_ID]], len(vocab))
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 0, 4])
 def test_token_counts_rejects_ids_outside_the_vocabulary(bad):
-    with pytest.raises(DataError, match=r"\[0, 4\)"):
+    with pytest.raises(DataError, match=r"\[1, 4\)"):
         token_counts([[2, 3], [bad]], 4)
 
 

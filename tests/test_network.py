@@ -151,6 +151,22 @@ def test_cell_state_decomposition_exact(small_vocab):
         assert np.all(np.abs(c_tilde) < 1.0)
 
 
+def test_batch_id_matrix_is_time_major_with_pad_past_each_row_end(small_vocab):
+    """The cache's id matrix equals the per-row loop that fills column k
+    with sorted row k's ids, and is C-contiguous (T, B), which fixes the
+    order np.add.at adds the embedding gradient in.
+    """
+    model = _random_model(small_vocab, hsize=2, dim=3, seed=5)
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (3, 7, 1, 7, 4)]
+    _, cache = cs.forward_batch(seqs, model)
+    want = np.full((7, len(seqs)), PAD_ID, dtype=np.int64)
+    for k, b in enumerate(cache.order):
+        want[: cache.lengths[k], k] = seqs[b].ids
+    assert cache.ids.dtype == np.int64 and cache.ids.flags.c_contiguous
+    assert np.array_equal(cache.ids, want)
+
+
 def test_cell_forward_equals_the_cache_rows(small_vocab):
     """lstm_cell_forward and forward_batch run one cell: on a step's
     inputs it returns that step's cached rows bit for bit, on the live
@@ -290,7 +306,7 @@ def test_lstm_params_reject_malformed_gate_matrix(w_gates):
 
 def test_forward_rejects_empty_sequence(small_vocab):
     model = _random_model(small_vocab)
-    empty = TokenSequence(ids=(PAD_ID,) * 4, true_length=0)
+    empty = TokenSequence(ids=())
     with pytest.raises(DataError):
         cs.sequence_forward(empty, model)
     with pytest.raises(DataError):

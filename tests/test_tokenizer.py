@@ -62,17 +62,13 @@ def test_build_vocab_rejects_bad_min_count():
         cs.build_vocab(["好"], min_count=0)
 
 
-def test_encode_pads_and_truncates():
+def test_encode_truncates():
     vocab = cs.build_vocab(["好坏中"], min_count=1)
-    seq = cs.encode(["好", "坏"], vocab, max_len=5)
-    assert len(seq.ids) == 5
-    assert seq.true_length == 2
-    assert seq.ids[2:] == (PAD_ID, PAD_ID, PAD_ID)
-    long = cs.encode(list("好坏中好坏中好"), vocab, max_len=4)
-    assert long.true_length == 4
-    assert len(long.ids) == 4
-    # head kept, tail dropped
-    assert long.ids == tuple(vocab.id_for(t) for t in ["好", "坏", "中", "好"])
+    for tokens, max_len in ((["好", "坏"], 5), (list("好坏中好坏中好"), 4)):
+        seq = cs.encode(tokens, vocab, max_len=max_len)
+        # head kept, tail dropped, nothing padded
+        assert seq.ids == tuple(vocab.id_for(t) for t in tokens[:max_len])
+        assert seq.true_length == min(len(tokens), max_len)
 
 
 def test_encode_maps_oov_to_unk():
@@ -83,12 +79,14 @@ def test_encode_maps_oov_to_unk():
 
 
 def test_token_sequence_invariants_enforced():
-    with pytest.raises(DataError):
-        TokenSequence(ids=(2, PAD_ID, 3), true_length=3)  # PAD inside prefix
-    with pytest.raises(DataError):
-        TokenSequence(ids=(2, 3, 3), true_length=2)  # non-PAD in suffix
-    with pytest.raises(DataError):
-        TokenSequence(ids=(2,), true_length=2)
+    for ids in ((PAD_ID,), (2, PAD_ID, 3), (2, 3, PAD_ID)):
+        with pytest.raises(DataError, match="PAD"):
+            TokenSequence(ids=ids)
+    with pytest.raises(DataError, match="PAD"):
+        cs.encode([PAD_TOKEN], cs.build_vocab(["好"], min_count=1), max_len=4)
+    assert TokenSequence(ids=()).true_length == 0
+    with pytest.raises(AttributeError):
+        TokenSequence(ids=(2, 3)).true_length = 1
 
 
 def test_decode_drops_padding():
@@ -101,11 +99,9 @@ def test_decode_drops_padding():
 def test_encode_shape_properties(tokens, max_len):
     vocab = cs.build_vocab(["好坏中啊呀很不太"], min_count=1)
     seq = cs.encode(tokens, vocab, max_len=max_len)
-    assert len(seq.ids) == max_len
+    assert seq.ids == tuple(vocab.id_for(t) for t in tokens[:max_len])
     assert seq.true_length == min(len(tokens), max_len)
-    assert all(0 <= i < len(vocab) for i in seq.ids)
-    assert all(i != PAD_ID for i in seq.ids[: seq.true_length])
-    assert all(i == PAD_ID for i in seq.ids[seq.true_length :])
+    assert all(0 < i < len(vocab) for i in seq.ids)
 
 
 def test_vocab_roundtrip_and_hash(tmp_path):

@@ -380,7 +380,7 @@ def _mixed_length_sequences(n=600, max_len=40, seed=5):
     seqs = []
     for length in rng.integers(1, max_len + 1, size=n):
         ids = rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()
-        seqs.append(TokenSequence(ids=tuple(ids) + (PAD_ID,) * (max_len - length), true_length=length))
+        seqs.append(TokenSequence(ids=tuple(ids)))
     return model, seqs
 
 
@@ -429,7 +429,7 @@ def test_predict_proba_peaks_below_a_quarter_of_one_gates_array():
     model = make_model(vocab, hidden_size=hsize, dim=16, max_len=length, seed=7, scale=0.4)
     rng = np.random.default_rng(7)
     seqs = [
-        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()), true_length=length)
+        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()))
         for _ in range(rows)
     ]
     gates_bytes = length * 4 * rows * hsize * 8
@@ -721,6 +721,17 @@ def test_model_rejects_a_threshold_outside_unit_interval(threshold):
             max_len=4,
             threshold=threshold,
         )
+
+
+@pytest.mark.parametrize("threshold", [1.5, -1, math.nan, True])
+def test_scoring_rejects_a_threshold_outside_unit_interval(tiny_model, threshold):
+    dataset = cs.encode_labeled(generate_corpus(4, seed=3), tiny_model.vocab, tiny_model.max_len)
+    with pytest.raises(ConfigError, match="threshold"):
+        cs.predict("好", tiny_model, threshold)
+    with pytest.raises(ConfigError, match="threshold"):
+        cs.evaluate(tiny_model, dataset, threshold)
+    with pytest.raises(ConfigError, match="threshold"):
+        cs.compute_metrics(np.array([0.2, 0.8]), np.array([0, 1]), threshold)
 
 
 @pytest.mark.parametrize("threshold", [1.5, -0.2, math.nan])
