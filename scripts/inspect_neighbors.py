@@ -43,7 +43,7 @@ def synthetic_space(seed: int, dim: int):
     vocab = cs.build_vocab(texts, min_count=1)
     sequences = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in texts]
     cfg = cs.W2vConfig(mode="cbow", dim=dim, epochs=3, seed=seed)
-    matrix = cs.train_embeddings(sequences, vocab, cfg)
+    matrix, _ = cs.train_embeddings(sequences, vocab, cfg)
     return matrix, vocab
 
 

@@ -233,8 +233,7 @@ def cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     # full untruncated id streams: clipping to max_len is a classifier
     # concern, not an embedding one
     sequences = [[vocab.id_for(t) for t in segment_chars(text)] for text in texts]
-    epoch_losses: list[float] = []
-    matrix = train_embeddings(sequences, vocab, cfg.word2vec, epoch_losses=epoch_losses)
+    matrix, epoch_losses = train_embeddings(sequences, vocab, cfg.word2vec)
     vocab.save(vocab_path)
     save_embeddings(matrix, vocab, emb_path)
     _emit(
@@ -274,14 +273,9 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     val_set = encode_labeled(val_c, vocab, max_len)
 
     params = init_lstm_params(cfg.network.hidden_size, embeddings.dim, cfg.seed)
-    model = Model(
-        vocab=vocab,
-        embeddings=embeddings,
-        params=params,
-        max_len=max_len,
-    )
+    model = Model(vocab=vocab, embeddings=embeddings, params=params, max_len=max_len)
     if cfg.threshold is not None:
-        model.threshold = cfg.threshold
+        model = replace(model, threshold=cfg.threshold)
     _note(
         f"training on {len(train_set)} reviews, validating on {len(val_set)}, "
         f"h={cfg.network.hidden_size}, d={embeddings.dim}"

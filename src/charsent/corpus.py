@@ -27,15 +27,21 @@ _WS_RE = re.compile(r"\s+")
 
 @dataclass(frozen=True)
 class Review:
-    """One review: raw or cleaned text plus an optional 0/1 polarity."""
+    """One review: raw or cleaned text, an optional 0/1 polarity and an
+    optional source id. These are the record rules of every corpus file.
+    """
 
     text: str
     label: int | None = None
     source_id: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise DataError(f"text must be a string, not {type(self.text).__name__}")
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise DataError(f"label must be the integer 0 or 1, got {self.label!r}")
+        if self.source_id is not None and not isinstance(self.source_id, str):
+            raise DataError(f"source_id must be a string, not {type(self.source_id).__name__}")
 
 
 @dataclass
@@ -71,14 +77,12 @@ class PolarityLexicon:
         return PolarityLexicon({t: w * factor for t, w in self.entries.items()})
 
 
-def _parse_label(value, where: str) -> int | None:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{where}: label must be an integer 0 or 1, got {value!r}")
-    if value not in (0, 1):
-        raise DataError(f"{where}: label must be 0 or 1, got {value}")
-    return value
+def _review(where: str, text, label, source_id) -> Review:
+    """The Review of one corpus record, its DataError prefixed with `where`."""
+    try:
+        return Review(text=text, label=label, source_id=source_id)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _json_lines(path: Path, what: str):
@@ -109,32 +113,21 @@ def load_corpus(path: str | Path) -> Corpus:
         for where, record in _json_lines(path, "corpus file"):
             if not isinstance(record, dict) or "text" not in record:
                 raise DataError(f"{where}: record must be an object with a 'text' field")
-            text = record["text"]
-            if not isinstance(text, str):
-                raise DataError(f"{where}: 'text' must be a string")
-            label = _parse_label(record.get("label"), where)
-            source_id = record.get("source_id")
-            if source_id is not None and not isinstance(source_id, str):
-                raise DataError(f"{where}: 'source_id' must be a string")
-            reviews.append(Review(text=text, label=label, source_id=source_id))
+            reviews.append(
+                _review(where, record["text"], record.get("label"), record.get("source_id"))
+            )
     else:
         reader = csv.DictReader(io.StringIO(read_text(path, "corpus file"), newline=""))
         if reader.fieldnames is None or "text" not in reader.fieldnames:
             raise DataError(f"{path}: CSV header must include a 'text' column")
         for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            text = row.get("text")
-            if text is None:
-                raise DataError(f"{where}: missing 'text' value")
-            raw_label = row.get("label")
-            if raw_label in (None, ""):
+            label = row.get("label")
+            if label in (None, ""):
                 label = None
-            elif raw_label in ("0", "1"):
-                label = int(raw_label)
-            else:
-                raise DataError(f"{where}: label must be 0 or 1, got {raw_label!r}")
+            elif label in ("0", "1"):
+                label = int(label)
             source_id = row.get("source_id") or None
-            reviews.append(Review(text=text, label=label, source_id=source_id))
+            reviews.append(_review(f"{path}:{lineno}", row.get("text"), label, source_id))
     return Corpus(reviews=reviews, name=path.stem)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .files import read_bytes, write_atomic
-from .numerics import sigmoid
+from .numerics import divergence_raises, sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, Vocabulary
 
@@ -68,18 +68,21 @@ class EmbeddingMatrix:
 
     vectors: np.ndarray
     context_vectors: np.ndarray | None
-    dim: int
     vocab_hash: str = ""
 
     def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
-            raise DataError("embedding matrix shape inconsistent with dim")
+        if self.vectors.ndim != 2:
+            raise DataError(f"embedding matrix must be 2-D, got shape {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
             raise DataError("embedding matrix contains non-finite entries")
 
     @property
     def vocab_size(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
@@ -90,9 +93,7 @@ def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMa
     vectors = (rng.random((len(vocab), dim)) - 0.5) / dim
     vectors[PAD_ID] = 0.0
     context = np.zeros((len(vocab), dim))
-    return EmbeddingMatrix(
-        vectors=vectors, context_vectors=context, dim=dim, vocab_hash=vocab.content_hash()
-    )
+    return EmbeddingMatrix(vectors=vectors, context_vectors=context, vocab_hash=vocab.content_hash())
 
 
 def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
@@ -279,18 +280,16 @@ def _examples(windows, mode: str):
 
 
 def train_embeddings(
-    sequences,
-    vocab: Vocabulary,
-    config: W2vConfig,
-    epoch_losses: list[float] | None = None,
-) -> EmbeddingMatrix:
+    sequences, vocab: Vocabulary, config: W2vConfig
+) -> tuple[EmbeddingMatrix, list[float]]:
     """Train embeddings over id lists, one per text, holding no PAD.
 
     Runs `config.epochs` passes of cbow_step over every example of the
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
-    to MIN_LEARNING_RATE. Averaged per-epoch losses are appended to
-    `epoch_losses` when supplied.
+    to MIN_LEARNING_RATE. Returns the matrix and each epoch's mean
+    example loss. A floating-point overflow, invalid operation or
+    division by zero stops the run with NumericalError.
     """
     if not sequences:
         raise DataError("cannot train embeddings on an empty corpus")
@@ -312,8 +311,9 @@ def train_embeddings(
     lr0 = config.learning_rate
     lr_floor = min(MIN_LEARNING_RATE, lr0)
 
+    epoch_losses: list[float] = []
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         epoch_windows = windows
         if config.subsample_threshold is not None:
             kept = (
@@ -323,16 +323,14 @@ def train_embeddings(
             epoch_windows = [w for seq in kept for w in extract_windows(seq, config.window)]
         epoch_loss = 0.0
         epoch_start = step
-        for inputs, target, exclude in _examples(epoch_windows, config.mode):
-            lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
-            negatives = sampler.sample(config.negatives, exclude=exclude)
-            epoch_loss += cbow_step(inputs, target, negatives, matrix, lr)
-            step += 1
-        if epoch_losses is not None:
-            epoch_losses.append(epoch_loss / max(1, step - epoch_start))
-
-    matrix.vocab_hash = vocab.content_hash()
-    return matrix
+        with divergence_raises("word2vec", epoch):
+            for inputs, target, exclude in _examples(epoch_windows, config.mode):
+                lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
+                negatives = sampler.sample(config.negatives, exclude=exclude)
+                epoch_loss += cbow_step(inputs, target, negatives, matrix, lr)
+                step += 1
+        epoch_losses.append(epoch_loss / max(1, step - epoch_start))
+    return matrix, epoch_losses
 
 
 def nearest_neighbors(
@@ -418,6 +416,6 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
     if not np.isfinite(stored).all():
         raise DataError(f"{path}: embedding matrix contains non-finite entries")
     matrix = EmbeddingMatrix(
-        vectors=stored.astype(np.float64), context_vectors=None, dim=dim, vocab_hash=vocab_hash
+        vectors=stored.astype(np.float64), context_vectors=None, vocab_hash=vocab_hash
     )
     return matrix, tokens

@@ -18,4 +18,5 @@ class DataError(CharsentError):
 
 
 class NumericalError(CharsentError):
-    """Non-finite loss or gradient encountered during optimization."""
+    """Non-finite loss or gradient, or a floating-point overflow or
+    invalid operation, encountered during optimization."""

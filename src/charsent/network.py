@@ -26,13 +26,16 @@ forward_batch writes. Only the recurrence through the hidden-state
 columns of W stays in its time loop. After the loop, one product over
 all steps' rows gives each of W's column blocks (hidden, input) and the
 input gradient, and one sum the gradient of b. BPTT writes those rows
-into the cache's gate and input arrays, so it consumes the cache.
+into the cache's gate and input arrays, so it consumes the cache. The
+two weight products also run over zero rows that pad the step rows to a
+multiple of 32, so their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -192,10 +195,20 @@ def threshold_ok(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """A complete classifier: vocabulary, embeddings, cell parameters,
-    and the inference fingerprint (max_len, threshold).
+    and the inference fingerprint (max_len, threshold). It is frozen, so
+    the checks of __post_init__ hold for its whole life, and
+    dataclasses.replace makes a changed copy; the arrays inside stay
+    writable, and training updates them in place.
+
+    `metrics_snapshot`, when set, is train's validation report
+    (Metrics.to_dict) for these float64 weights at the best epoch.
+    save_model stores the weights as float32, so a reloaded model's
+    scores differ from it in the last digits: on acceptance criterion
+    06's pipeline the reloaded validation loss reads 0.12600355 against
+    the snapshot's 0.12600353.
     """
 
     vocab: Vocabulary
@@ -219,17 +232,34 @@ class Model:
         emb = EmbeddingMatrix(
             vectors=self.embeddings.vectors.copy(),
             context_vectors=None,
-            dim=self.embeddings.dim,
             vocab_hash=self.embeddings.vocab_hash,
         )
-        return Model(
-            vocab=self.vocab,
-            embeddings=emb,
-            params=self.params.copy(),
-            max_len=self.max_len,
-            threshold=self.threshold,
-            metrics_snapshot=self.metrics_snapshot,
-        )
+        return replace(self, embeddings=emb, params=self.params.copy())
+
+
+# OpenBLAS 0.3.31 (Haswell kernels) splits a product's inner dimension
+# among its threads so that the rounding depends on the thread count
+# unless that dimension is a multiple of 32. Swept over K = 8..4192 at
+# h=32, d=16 and h=128, d=64, such K never differed between one and two
+# threads, other K from about 392 up mostly did, and zero rows appended
+# up to the next multiple never did. BPTT's two hoisted products run
+# over a batch's T B step rows, so the inputs, hidden states and gates
+# are row arrays padded with zero rows to that multiple.
+_ROW_MULTIPLE = 32
+
+
+def _zero_rows(rows: int, width: int) -> np.ndarray:
+    """A zero (R, width) array, R the least multiple of _ROW_MULTIPLE
+    not below `rows`.
+    """
+    return np.zeros((-(-rows // _ROW_MULTIPLE) * _ROW_MULTIPLE, width))
+
+
+def _by_step(rows: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading rows of the row array `rows` seen as `shape`, step
+    slot first: the same memory, not a copy.
+    """
+    return rows.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 @dataclass
@@ -237,36 +267,53 @@ class BatchCache:
     """One forward_batch pass, laid out for BPTT. The rows are sorted by
     length, descending and stable: sorted row k is input row order[k],
     and step t ran only the first n_t rows, those with length > t.
-    `ids` (T, B) and `xs` (T, B, dim) are time-major; `hs` and `cs` have
-    T + 1 slots of (B, hidden), slot 0 the zero start state, so
+    `ids` (T, B) is time-major. `x_rows`, `h_rows` and `gate_rows` hold
+    the inputs, hidden states and gates as rows of width dim, hidden and
+    4 hidden, row t B + k for sorted row k at step t, then zero rows up
+    to a multiple of _ROW_MULTIPLE. `xs` (T, B, dim), `hs` (T + 1, B,
+    hidden) and `gates` (T, 4, B, hidden) show the same memory by step.
+    `hs` and `cs` have T + 1 slots, slot 0 the zero start state, so
     `hs[t]`/`cs[t]` feed step t and `hs[t + 1]`/`cs[t + 1]` are its
-    outputs; `gates` (T, 4, B, hidden) holds f, i, o and c_tilde as the
-    cell returns them. Only a step's live rows are written: the state
-    and gate rows of a row past its end stay zero.
-    `h_final`, `dropout_masks`, `h_out` and `ps` are in input order.
-    backward_batch overwrites `gates` and `xs` with their gradients and
-    marks the cache spent.
+    outputs; `gates` holds f, i, o and c_tilde as the cell returns them.
+    Only a step's live rows are written: the state and gate rows of a
+    row past its end stay zero. `dropout_masks`, `h_out` (the final
+    hidden states times the masks) and `ps` are in input order.
+    backward_batch overwrites the gates and inputs with their gradients,
+    zeroes the last hidden-state slot and marks the cache spent.
     """
 
     order: np.ndarray
     lengths: np.ndarray
     ids: np.ndarray
-    xs: np.ndarray
-    hs: np.ndarray
+    x_rows: np.ndarray
+    h_rows: np.ndarray
     cs: np.ndarray
-    gates: np.ndarray
-    h_final: np.ndarray
+    gate_rows: np.ndarray
     dropout_masks: np.ndarray | None
     h_out: np.ndarray
     ps: np.ndarray
     spent: bool = False
+
+    @property
+    def xs(self) -> np.ndarray:
+        return _by_step(self.x_rows, *self.ids.shape, self.x_rows.shape[1])
+
+    @property
+    def hs(self) -> np.ndarray:
+        return _by_step(self.h_rows, *self.cs.shape)
+
+    @property
+    def gates(self) -> np.ndarray:
+        t_max, batch = self.ids.shape
+        return _by_step(self.gate_rows, t_max, 4, batch, self.cs.shape[2])
 
 
 def _batch_inputs(sequences: list[TokenSequence], model: Model):
     """Sort a batch by length, descending and stable. Returns the sort
     order (input positions of the sorted rows), the sorted lengths, the
     (T, B) time-major id matrix of the sorted rows, PAD past each row's
-    end and T its longest row, and the (T, B, dim) embedded inputs.
+    end and T its longest row, and the embedded inputs as rows (see
+    BatchCache's `x_rows`).
     """
     if not sequences:
         raise DataError("empty batch")
@@ -279,7 +326,9 @@ def _batch_inputs(sequences: list[TokenSequence], model: Model):
     # ids.T is (B, T), so the mask takes sorted row k's first lengths[k] slots, in order
     flat = chain.from_iterable(sequences[b].ids for b in order)
     ids.T[np.arange(len(ids)) < lengths[:, None]] = np.fromiter(flat, np.int64, int(lengths.sum()))
-    return order, lengths, ids, model.embeddings.vectors[ids]
+    x_rows = _zero_rows(ids.size, model.embeddings.dim)
+    x_rows[: ids.size] = model.embeddings.vectors[ids.ravel()]
+    return order, lengths, ids, x_rows
 
 
 def _live_rows(lengths: np.ndarray) -> np.ndarray:
@@ -291,25 +340,28 @@ def _live_rows(lengths: np.ndarray) -> np.ndarray:
 
 
 def _run_cell(
-    xs: np.ndarray, lengths: np.ndarray, order: np.ndarray, params: LstmParams, history: int
+    x_rows: np.ndarray, lengths: np.ndarray, order: np.ndarray, params: LstmParams, history: int
 ):
-    """Step the cell from zero state over the time-major (T, B, dim)
-    inputs `xs` of rows sorted by `lengths`, descending, where sorted
+    """Step the cell from zero state over the inputs `x_rows` (as in
+    BatchCache) of rows sorted by `lengths`, descending, where sorted
     row k is input row order[k]; step t runs only the first n_t rows,
     those still going. Holds `history` time slots of
     hidden and cell state and history - 1 of gates: step t reads state
     slot t % history, writes slot (t + 1) % history and its gates to
     slot t % (history - 1). history = T + 1 keeps every step, as BPTT
-    needs; history = 2 keeps only the step in flight. Returns hs, cs and
-    gates in sorted order, and h_final in input order, each row's hidden
-    state copied out at its own last step.
+    needs; history = 2 keeps only the step in flight. Returns h_rows, cs
+    and gate_rows (as in BatchCache) in sorted order, and h_final in
+    input order, each row's hidden state copied out at its own last step.
     """
-    t_max, batch, _ = xs.shape
+    t_max, batch = int(lengths[0]), len(lengths)
     hsize = params.hidden_size
     live = _live_rows(lengths)
-    hs = np.zeros((history, batch, hsize))
+    xs = _by_step(x_rows, t_max, batch, params.input_dim)
+    h_rows = _zero_rows(history * batch, hsize)
+    gate_rows = _zero_rows((history - 1) * batch, 4 * hsize)
+    hs = _by_step(h_rows, history, batch, hsize)
     cs = np.zeros((history, batch, hsize))
-    gates = np.zeros((history - 1, 4, batch, hsize))
+    gates = _by_step(gate_rows, history - 1, 4, batch, hsize)
     h_final = np.empty((batch, hsize))
     for t in range(t_max):
         now, nxt, n = t % history, (t + 1) % history, live[t]
@@ -318,7 +370,7 @@ def _run_cell(
             gates[t % (history - 1), :, :n],
         )
         h_final[order[live[t + 1] : n]] = hs[nxt, live[t + 1] : n]
-    return hs, cs, gates, h_final
+    return h_rows, cs, gate_rows, h_final
 
 
 def _head(h_out: np.ndarray, params: LstmParams) -> np.ndarray:
@@ -342,20 +394,19 @@ def forward_batch(
     sits in the batch. The dropout masks, when given (training only),
     multiply the final hidden states.
     """
-    order, lengths, ids, xs = _batch_inputs(sequences, model)
+    order, lengths, ids, x_rows = _batch_inputs(sequences, model)
     p = model.params
-    hs, cs, gates, h_final = _run_cell(xs, lengths, order, p, ids.shape[0] + 1)
+    h_rows, cs, gate_rows, h_final = _run_cell(x_rows, lengths, order, p, ids.shape[0] + 1)
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
     ps = _head(h_out, p)
     cache = BatchCache(
         order=order,
         lengths=lengths,
         ids=ids,
-        xs=xs,
-        hs=hs,
+        x_rows=x_rows,
+        h_rows=h_rows,
         cs=cs,
-        gates=gates,
-        h_final=h_final,
+        gate_rows=gate_rows,
         dropout_masks=dropout_masks,
         h_out=h_out,
         ps=ps,
@@ -393,7 +444,8 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     cache.spent = True
     p = model.params
     hsize = p.hidden_size
-    t_max, _, batch, _ = cache.gates.shape
+    t_max, batch = cache.ids.shape
+    gates = cache.gates
     grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
 
     dlogits = (cache.ps - ys) / batch
@@ -412,7 +464,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     for t in range(t_max - 1, -1, -1):
         n, ended = live[t], slice(live[t + 1], live[t])
         dh[ended] = dh_head[ended]
-        f, i, o, c_tilde = cache.gates[t, :, :n]
+        f, i, o, c_tilde = gates[t, :, :n]
         tanh_c = np.tanh(cache.cs[t + 1, :n])
         dc_full = dc[:n] + dh[:n] * o * (1.0 - tanh_c**2)
         d_pre = work[:n]
@@ -421,19 +473,22 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
         np.multiply(dh[:n] * tanh_c * o, 1.0 - o, out=d_pre[:, 2 * hsize : 3 * hsize])
         np.multiply(dc_full * i, 1.0 - c_tilde**2, out=d_pre[:, 3 * hsize :])
         np.multiply(dc_full, f, out=dc[:n])
-        slot = cache.gates[t].reshape(batch, 4 * hsize)
+        slot = cache.gate_rows[t * batch : (t + 1) * batch]
         slot[:n] = d_pre
         slot[n:] = 0.0
         np.matmul(d_pre, w_h, out=dh[:n])
 
     # The zero rows of the rows that did not run add exact zeros below,
-    # since the states and inputs they meet are finite.
-    d_pres = cache.gates.reshape(t_max * batch, 4 * hsize)
-    xs = cache.xs.reshape(t_max * batch, -1)
-    grads["w_gates"][:, :hsize] = d_pres.T @ cache.hs[:t_max].reshape(t_max * batch, hsize)
-    grads["w_gates"][:, hsize:] = d_pres.T @ xs
-    grads["b_gates"] += d_pres.sum(axis=0)
-    np.matmul(d_pres, p.w_gates[:, hsize:], out=xs)
+    # since the states and inputs they meet are finite. The two products
+    # also run over the zero rows past T B (_ROW_MULTIPLE), which reach
+    # into the final states' slot, read by no step; it is zeroed first.
+    rows = t_max * batch
+    d_pres = cache.gate_rows
+    cache.h_rows[rows : rows + batch] = 0.0
+    grads["w_gates"][:, :hsize] = d_pres.T @ cache.h_rows[: len(d_pres)]
+    grads["w_gates"][:, hsize:] = d_pres.T @ cache.x_rows
+    grads["b_gates"] += d_pres[:rows].sum(axis=0)
+    np.matmul(d_pres[:rows], p.w_gates[:, hsize:], out=cache.x_rows[:rows])
     grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
     np.add.at(grads["embeddings"], cache.ids, cache.xs)
     return grads
@@ -452,8 +507,8 @@ def score_batch(sequences: list[TokenSequence], model: Model) -> np.ndarray:
     live rows, holding only the step in flight: two slots of hidden and
     cell state and one of gates, so no BPTT cache is built.
     """
-    order, lengths, _, xs = _batch_inputs(sequences, model)
-    return _head(_run_cell(xs, lengths, order, model.params, 2)[3], model.params)
+    order, lengths, _, x_rows = _batch_inputs(sequences, model)
+    return _head(_run_cell(x_rows, lengths, order, model.params, 2)[3], model.params)
 
 
 def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+from .errors import NumericalError
 
 # Logistic arguments are clipped here before exponentiation; the
 # induced error is below 1e-13 while ruling out overflow.
@@ -22,3 +26,16 @@ def sigmoid(z, out=None):
     np.exp(np.negative(z, out=out), out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
+
+
+@contextmanager
+def divergence_raises(stage: str, epoch: int):
+    """Run one training epoch with numpy's floating-point overflow,
+    invalid operation and division by zero raised rather than warned,
+    and report the first as NumericalError naming the stage and epoch.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{stage} diverged at epoch {epoch}: {exc}") from exc

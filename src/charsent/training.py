@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .network import (
     score_batch,
     threshold_ok,
 )
+from .numerics import divergence_raises
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
@@ -88,7 +89,7 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> None:
     """One bias-corrected Adam update, in place, on every tensor:
 
         m <- b1 m + (1-b1) g        m_hat = m / (1 - b1^t)
@@ -112,14 +113,13 @@ def adam_step(
         v *= config.beta2
         v += (1.0 - config.beta2) * np.square(g)
         theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
-    return tensors, state
 
 
 @dataclass(frozen=True)
 class Metrics:
     """The headline evaluation quantities plus the confusion counts that
-    generated them. Degeneracy flags mark zero-denominator conventions
-    (precision or recall reported as 0 with no eligible cases).
+    generated them. Precision with no predicted positive (tp + fp == 0)
+    and recall with no actual positive (tp + fn == 0) read 0.
     """
 
     loss: float
@@ -131,8 +131,6 @@ class Metrics:
     fp: int
     fn: int
     tn: int
-    precision_degenerate: bool = False
-    recall_degenerate: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -165,10 +163,8 @@ def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> M
     fn = int(np.sum((preds == 0) & (ys == 1)))
     tn = int(np.sum((preds == 0) & (ys == 0)))
     accuracy = (tp + tn) / (tp + fp + fn + tn)
-    precision_degenerate = (tp + fp) == 0
-    recall_degenerate = (tp + fn) == 0
-    precision = 0.0 if precision_degenerate else tp / (tp + fp)
-    recall = 0.0 if recall_degenerate else tp / (tp + fn)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     return Metrics(
         loss=float(bce_loss(ps, ys).mean()),
         mae=float(np.abs(ps - ys).mean()),
@@ -179,8 +175,6 @@ def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> M
         fp=fp,
         fn=fn,
         tn=tn,
-        precision_degenerate=precision_degenerate,
-        recall_degenerate=recall_degenerate,
     )
 
 
@@ -259,7 +253,8 @@ def train(
     train_set: Dataset, val_set: Dataset, model: Model, config: TrainConfig
 ) -> tuple[Model, TrainHistory]:
     """Minibatch Adam training with per-example dropout masks and early
-    stopping on validation loss.
+    stopping on validation loss. A floating-point overflow, invalid
+    operation or division by zero stops it with NumericalError.
 
     The input model is left untouched; the returned model carries the
     parameters of the epoch with the lowest validation loss. Epoch
@@ -288,28 +283,29 @@ def train(
     stopped_early = False
 
     for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(len(train_set))
-        for batch_index, start in enumerate(range(0, len(order), config.batch_size)):
-            picks = order[start : start + config.batch_size]
-            seqs = [train_set[i][0] for i in picks]
-            ys = np.array([train_set[i][1] for i in picks], dtype=np.float64)
-            masks = None
-            if config.dropout_rate > 0:
-                keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
-                masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
-            ps, cache = forward_batch(seqs, work, masks)
-            batch_loss = float(bce_loss(ps, ys).mean())
-            if not np.isfinite(batch_loss):
-                raise NumericalError(
-                    f"training diverged: non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            grads = backward_batch(cache, ys, work)
-            grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
-            adam_step(tensors, grads, state, config)
-            del cache, grads  # free this batch's activations before the next pass
+        with divergence_raises("training", epoch):
+            order = rng_shuffle.permutation(len(train_set))
+            for batch_index, start in enumerate(range(0, len(order), config.batch_size)):
+                picks = order[start : start + config.batch_size]
+                seqs = [train_set[i][0] for i in picks]
+                ys = np.array([train_set[i][1] for i in picks], dtype=np.float64)
+                masks = None
+                if config.dropout_rate > 0:
+                    keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
+                    masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
+                ps, cache = forward_batch(seqs, work, masks)
+                batch_loss = float(bce_loss(ps, ys).mean())
+                if not np.isfinite(batch_loss):
+                    raise NumericalError(
+                        f"training diverged: non-finite loss at epoch {epoch}, batch {batch_index}"
+                    )
+                grads = backward_batch(cache, ys, work)
+                grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
+                adam_step(tensors, grads, state, config)
+                del cache, grads  # free this batch's activations before the next pass
 
-        train_metrics = evaluate(work, train_set)
-        val_metrics = evaluate(work, val_set)
+            train_metrics = evaluate(work, train_set)
+            val_metrics = evaluate(work, val_set)
         if not np.isfinite(val_metrics.loss):
             raise NumericalError(f"training diverged: non-finite validation loss at epoch {epoch}")
         records.append(
@@ -324,8 +320,7 @@ def train(
         if val_metrics.loss < best_loss:
             best_loss = val_metrics.loss
             best_epoch = epoch
-            best = work.copy()
-            best.metrics_snapshot = val_metrics.to_dict()
+            best = replace(work.copy(), metrics_snapshot=val_metrics.to_dict())
             since_best = 0
         else:
             since_best += 1
@@ -366,11 +361,10 @@ def save_model(model: Model, path: str | Path) -> None:
     """Serialize a model: magic, length-prefixed JSON header, then the
     tensor blocks as little-endian float32 in a fixed order (the gate
     matrix and the gate biases, each stacked f, i, o, c, the read-out
-    weights and bias, then the embedding matrix). A threshold that
-    load_model would refuse raises DataError and writes nothing.
+    weights and bias, then the embedding matrix). The header's metrics
+    are the model's metrics_snapshot, which describes the float64
+    weights, not the float32 ones written here.
     """
-    if not threshold_ok(model.threshold):
-        raise DataError(f"cannot save a model whose threshold {model.threshold!r} is not in [0, 1]")
     header = {
         "version": MODEL_VERSION,
         "h": model.params.hidden_size,
@@ -457,9 +451,7 @@ def load_model(path: str | Path) -> Model:
     vectors = tensors.pop("embeddings")
 
     params = LstmParams(**tensors)
-    embeddings = EmbeddingMatrix(
-        vectors=vectors, context_vectors=None, dim=dim, vocab_hash=header["vocab_hash"]
-    )
+    embeddings = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=header["vocab_hash"])
     return Model(
         vocab=vocab,
         embeddings=embeddings,

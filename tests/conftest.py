@@ -33,7 +33,7 @@ def trained_setup():
     sequences = [
         [vocab.id_for(t) for t in cs.segment_chars(text)] for text in train_c.texts()
     ]
-    emb = cs.train_embeddings(sequences, vocab, w2v)
+    emb, _ = cs.train_embeddings(sequences, vocab, w2v)
     params = cs.init_lstm_params(16, 12, seed=23)
     model = cs.Model(vocab=vocab, embeddings=emb, params=params, max_len=60)
     train_set = cs.encode_labeled(train_c, vocab, 60)

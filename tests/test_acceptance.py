@@ -49,9 +49,7 @@ def _random_instance(rng, hsize, dim, length, vocab_size=18, scale=0.5):
     vocab = cs.build_vocab([CHARS[: vocab_size - 2]], min_count=1)
     vectors = rng.normal(0, scale, (len(vocab), dim))
     vectors[PAD_ID] = 0.0
-    emb = EmbeddingMatrix(
-        vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab.content_hash()
-    )
+    emb = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=vocab.content_hash())
     model = cs.Model(vocab=vocab, embeddings=emb, params=params, max_len=max(length, 1))
     ids = rng.integers(2, len(vocab), size=length)
     tokens = [vocab.id_to_token[i] for i in ids]
@@ -71,7 +69,7 @@ def test_criterion_01_forward_matches_scalar_oracle():
         xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
         h_ref, p_ref = lstm_sequence_ref(xs, params_to_lists(model.params))
         assert abs(p - p_ref) <= 1e-12
-        assert np.max(np.abs(cache.h_final - np.array(h_ref))) <= 1e-12
+        assert np.max(np.abs(cache.h_out - np.array(h_ref))) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 01 PASS - 100 forward instances within 1e-12 ({elapsed:.2f}s)")
@@ -137,7 +135,6 @@ def test_criterion_04_embedding_objective():
     zero = EmbeddingMatrix(
         vectors=np.zeros((len(vocab), 8)),
         context_vectors=np.zeros((len(vocab), 8)),
-        dim=8,
         vocab_hash=vocab.content_hash(),
     )
     for k in (1, 2, 5, 10):
@@ -166,7 +163,7 @@ def test_criterion_04_embedding_objective():
     vectors[PAD_ID] = 0.0
     context = rng.normal(0, 0.5, (len(vocab), 8))
     matrix = EmbeddingMatrix(
-        vectors=vectors, context_vectors=context, dim=8, vocab_hash=vocab.content_hash()
+        vectors=vectors, context_vectors=context, vocab_hash=vocab.content_hash()
     )
     context_ids, center, negs = [3, 7, 7], 5, [2, 6, 6, 9]
 
@@ -219,7 +216,7 @@ def test_criterion_05_planted_similarity_retrieval():
 
     vocab = cs.build_vocab(texts, min_count=1)
     sequences = [[vocab.id_for(t) for t in cs.segment_chars(x)] for x in texts]
-    matrix = cs.train_embeddings(sequences, vocab, cs.W2vConfig(seed=77))
+    matrix, _ = cs.train_embeddings(sequences, vocab, cs.W2vConfig(seed=77))
     hits = 0
     for a, b in pairs:
         top = [t for t, _ in cs.nearest_neighbors(a, 3, matrix, vocab)]

@@ -648,3 +648,42 @@ def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {missing}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]
+
+
+def _diverging_run(argv):
+    """Run the CLI in a fresh interpreter, so numpy's warnings reach
+    stderr as a user would see them; returns (exit code, stdout, stderr).
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "charsent.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def test_diverging_word2vec_exits_4_and_writes_nothing(tmp_path):
+    save_corpus(generate_corpus(200, seed=5), tmp_path / "labeled.jsonl")
+    code, out, err = _diverging_run(
+        ["embed", "--set", f"paths.labeled={tmp_path / 'labeled.jsonl'}",
+         "--set", f"paths.vocab={tmp_path / 'vocab.json'}",
+         "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+         "--set", "word2vec.dim=8", "--set", "word2vec.epochs=1",
+         "--set", "word2vec.learning_rate=1e6"]
+    )
+    assert code == 4, err
+    assert err.startswith("error: word2vec diverged at epoch 1: ")
+    assert "Warning" not in err and "NaN" not in out and "Infinity" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
+
+
+def test_diverging_training_exits_4_and_writes_nothing(pipeline, tmp_path):
+    code, out, err = _diverging_run(
+        ["train", "--config", str(pipeline / "cfg.json"),
+         "--set", f"paths.model={tmp_path / 'model.ssm'}",
+         "--set", f"paths.history={tmp_path / 'history.json'}",
+         "--set", "training.learning_rate=1e300"]
+    )
+    assert code == 4, err
+    assert "error: training diverged at epoch 1: " in err
+    assert "Warning" not in err and "NaN" not in out and "Infinity" not in out
+    assert list(tmp_path.iterdir()) == []

@@ -19,6 +19,13 @@ def test_review_label_validation():
             Review(text="好", label=bad)
 
 
+def test_review_text_and_source_id_validation():
+    Review(text="好", source_id="a1")
+    for text, source_id in ((None, None), (5, None), (b"x", None), ("好", 7), ("好", ["a1"])):
+        with pytest.raises(DataError, match="must be a string"):
+            Review(text=text, source_id=source_id)
+
+
 def test_clean_text_strips_urls_mentions_hashtags():
     raw = "这部电影 http://t.cn/abc 太好了 @某人 #强烈推荐#　必看"
     out = cs.clean_text(raw)
@@ -118,6 +125,23 @@ def test_load_corpus_rejects_bad_label(tmp_path):
     with pytest.raises(DataError) as err:
         cs.load_corpus(path)
     assert "bad.jsonl:1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "record, field", [('{"text": 5}', "text"), ('{"text": "好", "source_id": 7}', "source_id")]
+)
+def test_load_corpus_rejects_mistyped_fields_with_their_line(tmp_path, record, field):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"text": "好", "label": 1}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"bad\.jsonl:2: {field} must be a string"):
+        cs.load_corpus(path)
+
+
+def test_load_corpus_csv_rejects_bad_label_with_its_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("text,label\n好,1\n坏,2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"c\.csv:3: label must be the integer 0 or 1, got '2'"):
+        cs.load_corpus(path)
 
 
 def test_load_corpus_missing_file(tmp_path):

@@ -38,7 +38,7 @@ def _random_matrix(vocab_size=12, dim=8, seed=0, scale=0.5):
     vectors = rng.normal(0.0, scale, size=(vocab_size, dim))
     context = rng.normal(0.0, scale, size=(vocab_size, dim))
     vectors[PAD_ID] = 0.0
-    return EmbeddingMatrix(vectors=vectors, context_vectors=context, dim=dim, vocab_hash="x" * 16)
+    return EmbeddingMatrix(vectors=vectors, context_vectors=context, vocab_hash="x" * 16)
 
 
 def test_extract_windows_boundaries():
@@ -259,8 +259,7 @@ def _train_setup(mode, epochs=3, dim=8, subsample=None):
         mode=mode, window=2, negatives=3, epochs=epochs, dim=dim, seed=6,
         subsample_threshold=subsample,
     )
-    losses: list[float] = []
-    matrix = cs.train_embeddings(seqs, vocab, cfg, epoch_losses=losses)
+    matrix, losses = cs.train_embeddings(seqs, vocab, cfg)
     return vocab, matrix, losses
 
 
@@ -283,8 +282,7 @@ def test_training_replays_the_scalar_step_stream(mode):
     vocab = cs.build_vocab(corpus, min_count=1)
     seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in corpus]
     cfg = cs.W2vConfig(mode=mode, window=2, negatives=3, epochs=2, dim=8, seed=6)
-    losses: list[float] = []
-    got = cs.train_embeddings(seqs, vocab, cfg, epoch_losses=losses)
+    got, losses = cs.train_embeddings(seqs, vocab, cfg)
 
     want = init_embedding_matrix(vocab, cfg.dim, cfg.seed)
     sampler = NegativeSampler(
@@ -365,7 +363,7 @@ def test_nearest_neighbors_ranking():
     vectors[2] = [1.0, 0.0, 0.0, 0.0]  # query row
     vectors[3] = [0.9, 0.1, 0.0, 0.0]  # close
     vectors[4] = [-1.0, 0.0, 0.0, 0.0]  # opposite
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=4, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
     token = vocab.id_to_token[2]
     got = cs.nearest_neighbors(token, 2, matrix, vocab)
     assert [t for t, _ in got] == [vocab.id_to_token[3], vocab.id_to_token[4]]
@@ -378,14 +376,14 @@ def test_nearest_neighbors_zero_rows_rank_last():
     vectors = np.zeros((5, 4))
     vectors[2] = [1.0, 0.0, 0.0, 0.0]
     vectors[3] = [0.5, 0.5, 0.0, 0.0]
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=4, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
     got = cs.nearest_neighbors(vocab.id_to_token[2], 5, matrix, vocab)
     assert got[-1][1] == -1.0  # the all-zero row
 
 
 def test_nearest_neighbors_errors():
     vocab = cs.build_vocab(["好坏"], min_count=1)
-    matrix = EmbeddingMatrix(vectors=np.zeros((4, 3)), context_vectors=None, dim=3, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=np.zeros((4, 3)), context_vectors=None, vocab_hash="h")
     with pytest.raises(DataError):
         cs.nearest_neighbors("好" if "好" not in vocab else "新", 2, matrix, vocab)
     with pytest.raises(DataError):
@@ -396,7 +394,7 @@ def test_nearest_neighbors_errors():
 def test_nearest_neighbors_rejects_k_below_one(k):
     vocab = cs.build_vocab(["好坏中"], min_count=1)
     vectors = np.eye(5, 4)
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, dim=4, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
     with pytest.raises(ConfigError, match="k must be >= 1"):
         cs.nearest_neighbors(vocab.id_to_token[2], k, matrix, vocab)
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +32,7 @@ def _random_model(vocab, hsize=4, dim=3, seed=0, max_len=12, scale=0.4):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(0, scale, (len(vocab), dim))
     vectors[PAD_ID] = 0.0
-    emb = EmbeddingMatrix(
-        vectors=vectors, context_vectors=None, dim=dim, vocab_hash=vocab.content_hash()
-    )
+    emb = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=vocab.content_hash())
     return cs.Model(
         vocab=vocab,
         embeddings=emb,
@@ -103,8 +105,8 @@ def test_cell_forward_matches_scalar_reference(small_vocab):
     xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
     h_ref, p_ref = lstm_sequence_ref(xs, params_to_lists(model.params))
     assert p == pytest.approx(p_ref, abs=1e-12)
-    assert cache.h_final.shape == (1, 4)
-    np.testing.assert_allclose(cache.h_final[0], h_ref, atol=1e-12)
+    assert cache.h_out.shape == (1, 4)
+    np.testing.assert_allclose(cache.h_out[0], h_ref, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,7 +138,7 @@ def test_cell_state_decomposition_exact(small_vocab):
     assert cache.cs.shape == cache.hs.shape == (8, 4, 6)  # zero start state, then 7 steps
     assert not cache.cs[0].any() and not cache.hs[0].any()
     for k, (row, length) in enumerate(zip(cache.order, cache.lengths, strict=True)):
-        assert np.array_equal(cache.h_final[row], cache.hs[length, k])
+        assert np.array_equal(cache.h_out[row], cache.hs[length, k])
         assert np.array_equal(cache.hs[length + 1 :, k], np.zeros((7 - length, 6)))
         assert np.array_equal(cache.cs[length + 1 :, k], np.zeros((7 - length, 6)))
     for t in range(7):
@@ -326,7 +328,7 @@ def test_dropout_mask_applies_to_final_state_only(small_vocab):
     ps_zeros, cache_zeros = cs.forward_batch([seq], model, zeros[None])
     assert ps_zeros[0] == pytest.approx(cs.sigmoid(model.params.b_out[0]), abs=0.0)
     # the recurrence itself is untouched by the mask
-    np.testing.assert_array_equal(cache_zeros.h_final, cache_plain.h_final)
+    np.testing.assert_array_equal(cache_zeros.hs, cache_plain.hs)
     assert np.all(cache_zeros.h_out == 0.0)
 
 
@@ -348,7 +350,7 @@ def test_batch_forward_matches_per_example(seed, lengths):
         xs = [model.embeddings.vectors[i].tolist() for i in seq.ids[: seq.true_length]]
         h_ref, p_ref = lstm_sequence_ref(xs, params)
         assert abs(pb - p_ref) < 1e-12
-        np.testing.assert_allclose(cache.h_final[row], h_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cache.h_out[row], h_ref, rtol=0.0, atol=1e-12)
 
 
 def test_batch_forward_with_dropout_matches_per_example(small_vocab):
@@ -406,7 +408,6 @@ def test_model_validates_embedding_match(small_vocab):
         bad_dim = EmbeddingMatrix(
             vectors=np.zeros((len(small_vocab), 5)),
             context_vectors=None,
-            dim=5,
             vocab_hash=small_vocab.content_hash(),
         )
         cs.Model(vocab=small_vocab, embeddings=bad_dim, params=model.params, max_len=8)
@@ -428,3 +429,65 @@ def test_trained_model_flags_planted_polarity(trained_setup):
     assert label_pos == 1
     assert label_neg == 0
     assert p_pos > p_neg
+
+
+def test_bptt_products_meet_only_zero_rows_past_the_steps(small_vocab):
+    """The input, hidden-state and gate row arrays run on in zero rows to
+    a multiple of 32 rows; BPTT's two weight products read those rows,
+    and after it they are still zero in all three, the final hidden
+    states' slot among them.
+    """
+    model = _random_model(small_vocab, hsize=5, dim=3, seed=29)
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 3, 5)]
+    _, cache = cs.forward_batch(seqs, model)
+    steps = 7 * 3
+    assert len(cache.x_rows) == len(cache.gate_rows) == len(cache.h_rows) == 32
+    assert not cache.x_rows[steps:].any() and not cache.gate_rows[steps:].any()
+    assert cache.h_rows[steps : steps + 3].any() and not cache.h_rows[steps + 3 :].any()
+    cs.backward_batch(cache, np.array([1.0, 0.0, 1.0]), model)
+    for rows in (cache.x_rows, cache.h_rows, cache.gate_rows):
+        assert not rows[steps:].any()
+
+
+_GRADIENT_HASH = """
+import hashlib
+import numpy as np
+import charsent as cs
+from charsent.synthetic import generate_corpus
+
+vocab = cs.build_vocab(generate_corpus(100, seed=3).texts(), min_count=1)
+rng = np.random.default_rng(5)
+chars = list(vocab.tokens)
+seqs = [cs.encode(list(rng.choice(chars, size=59 - k % 10)), vocab, 60) for k in range(24)]
+embeddings = cs.embedding.init_embedding_matrix(vocab, 16, seed=1)
+model = cs.Model(
+    vocab=vocab, embeddings=embeddings, params=cs.init_lstm_params(32, 16, seed=1), max_len=60
+)
+_, cache = cs.forward_batch(seqs, model)
+assert cache.ids.size % 32 != 0  # T B = 59 * 24
+grads = cs.backward_batch(cache, np.arange(24) % 2.0, model)
+print(hashlib.sha256(b"".join(grads[k].tobytes() for k in sorted(grads))).hexdigest())
+"""
+
+
+def test_bptt_gradients_do_not_depend_on_the_blas_thread_count():
+    """One batch's gradients have the same bits at one and at two
+    OpenBLAS threads. The thread count is read when numpy loads, so each
+    runs in its own interpreter. T B is not a multiple of 32, the case
+    in which the unpadded hoisted products differed.
+    """
+    hashes = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": str(Path(cs.__file__).parents[1]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _GRADIENT_HASH], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.strip())
+    assert hashes[0] == hashes[1]

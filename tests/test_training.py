@@ -4,6 +4,7 @@ import struct
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -327,13 +328,13 @@ def test_compute_metrics_pinned_confusions():
 
 
 def test_compute_metrics_degenerate_cases():
-    # nothing predicted positive: precision 0 by convention, flagged
+    # nothing predicted positive: precision 0 by convention
     m = cs.compute_metrics(np.array([0.1, 0.2]), np.array([1, 0]), threshold=0.5)
-    assert m.precision == 0.0 and m.precision_degenerate
-    assert not m.recall_degenerate
-    # no positive labels at all: recall 0 by convention, flagged
+    assert m.precision == 0.0 and m.tp + m.fp == 0
+    assert m.tp + m.fn == 1
+    # no positive labels at all: recall 0 by convention
     m = cs.compute_metrics(np.array([0.9, 0.1]), np.array([0, 0]), threshold=0.5)
-    assert m.recall == 0.0 and m.recall_degenerate
+    assert m.recall == 0.0 and m.tp + m.fn == 0
     with pytest.raises(DataError):
         cs.compute_metrics(np.array([]), np.array([]), threshold=0.5)
 
@@ -736,16 +737,15 @@ def test_scoring_rejects_a_threshold_outside_unit_interval(tiny_model, threshold
 
 @pytest.mark.parametrize("threshold", [1.5, -0.2, math.nan])
 def test_save_model_refuses_a_threshold_load_model_would_reject(tmp_path, threshold):
-    """A threshold set after the model was built is checked on save, and
-    no file is written, not even a temporary one.
+    """No model that save_model meets holds such a threshold: a Model is
+    frozen, and a changed copy is checked as a new one is.
     """
     model = make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4)
-    model.threshold = threshold
+    with pytest.raises(FrozenInstanceError):
+        model.threshold = threshold
     with pytest.raises(DataError, match="threshold"):
-        cs.save_model(model, tmp_path / "model.ssm")
-    assert list(tmp_path.iterdir()) == []
-    model.threshold = 1.0
-    cs.save_model(model, tmp_path / "model.ssm")
+        replace(model, threshold=threshold)
+    cs.save_model(replace(model, threshold=1.0), tmp_path / "model.ssm")
     assert cs.load_model(tmp_path / "model.ssm").threshold == 1.0
 
 
