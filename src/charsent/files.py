@@ -30,14 +30,16 @@ def read_bytes(path: Path, what: str, error: type[CharsentError] = DataError) ->
 
 
 def read_text(path: Path, what: str, error: type[CharsentError] = DataError) -> str:
-    """The file `what` at `path` decoded as UTF-8, newlines untranslated,
-    or `error` if it cannot be read or decoded.
+    """The file `what` at `path` decoded as UTF-8, newlines untranslated
+    and one leading byte order mark dropped, or `error` if it cannot be
+    read or decoded.
     """
     blob = read_bytes(path, what, error)
     try:
-        return blob.decode("utf-8")
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: {what} is not valid UTF-8 (byte {exc.start})") from exc
+    return text.removeprefix("\ufeff")
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:

@@ -25,8 +25,12 @@ _EVIDENCE_RATE = 0.30  # favored pool
 _COUNTER_RATE = 0.10  # opposing pool
 
 
-def _pool_weights(favored: tuple, opposing: tuple) -> tuple[list, np.ndarray]:
-    chars = list(favored) + list(opposing) + list(NEUTRAL_POOL)
+def _cumulative(favored: tuple, opposing: tuple) -> np.ndarray:
+    """The cumulative table of a leaning's characters (favored pool,
+    opposing pool, neutral pool), normalised as `Generator.choice(p=...)`
+    normalises `p`, so searching it with the same uniforms draws the
+    same indices as `choice` would.
+    """
     neutral_rate = 1.0 - _EVIDENCE_RATE - _COUNTER_RATE
     weights = np.concatenate(
         [
@@ -35,35 +39,53 @@ def _pool_weights(favored: tuple, opposing: tuple) -> tuple[list, np.ndarray]:
             np.full(len(NEUTRAL_POOL), neutral_rate / len(NEUTRAL_POOL)),
         ]
     )
-    return chars, weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+# Each leaning's characters, its favored pool first, their polarity (+1
+# for the positive pool, -1 for the negative pool, 0 for neutral) and
+# their cumulative table.
+_CHARS = (
+    POSITIVE_POOL + NEGATIVE_POOL + NEUTRAL_POOL,
+    NEGATIVE_POOL + POSITIVE_POOL + NEUTRAL_POOL,
+)
+_CODES = np.array([[ord(c) for c in chars] for chars in _CHARS], dtype="<u4")
+_POLARITY = np.array(
+    [[(c in POSITIVE_POOL) - (c in NEGATIVE_POOL) for c in chars] for chars in _CHARS], dtype=np.int8
+)
+_CDFS = (_cumulative(POSITIVE_POOL, NEGATIVE_POOL), _cumulative(NEGATIVE_POOL, POSITIVE_POOL))
 
 
 def generate_corpus(n: int, seed: int, name: str = "synthetic") -> Corpus:
     """n seeded reviews, alternating positive and negative leaning.
+
+    Each review draws its length with one `integers` call, then one
+    uniform per character, searched in its leaning's cumulative table.
+    These draws are the seed contract: changing them changes every
+    seeded corpus.
 
     The label is 1 exactly when the sampled text contains strictly more
     positive-pool than negative-pool characters, so roughly 5% of
     reviews end up labeled against their leaning and the class balance
     stays near even.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"n must be an integer >= 1, got {n!r}")
     rng = substream(seed, "synthetic")
-    pos_chars, pos_weights = _pool_weights(POSITIVE_POOL, NEGATIVE_POOL)
-    neg_chars, neg_weights = _pool_weights(NEGATIVE_POOL, POSITIVE_POOL)
-    positive_set = set(POSITIVE_POOL)
-    negative_set = set(NEGATIVE_POOL)
-
-    reviews = []
+    drawn = np.empty(n * MAX_LENGTH, dtype=np.uint8)
+    bounds = [0]
     for index in range(n):
-        if index % 2 == 0:
-            chars, weights = pos_chars, pos_weights
-        else:
-            chars, weights = neg_chars, neg_weights
         length = int(rng.integers(MIN_LENGTH, MAX_LENGTH + 1))
-        drawn = rng.choice(len(chars), size=length, p=weights)
-        text = "".join(chars[i] for i in drawn)
-        pos_count = sum(1 for ch in text if ch in positive_set)
-        neg_count = sum(1 for ch in text if ch in negative_set)
-        reviews.append(Review(text=text, label=1 if pos_count > neg_count else 0))
+        start = bounds[-1]
+        drawn[start : start + length] = _CDFS[index % 2].searchsorted(rng.random(length), side="right")
+        bounds.append(start + length)
+    drawn = drawn[: bounds[-1]]
+    leaning = np.repeat((np.arange(n) % 2).astype(np.uint8), np.diff(bounds))
+    balance = np.add.reduceat(_POLARITY[leaning, drawn], bounds[:-1], dtype=np.int64).tolist()
+    text = _CODES[leaning, drawn].tobytes().decode("utf-32-le")
+    reviews = [
+        Review(text=text[a:b], label=int(p > 0)) for a, b, p in zip(bounds, bounds[1:], balance)
+    ]
     return Corpus(reviews=reviews, name=name)

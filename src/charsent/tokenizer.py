@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -25,8 +26,13 @@ UNK_TOKEN = "<unk>"
 
 
 def segment_chars(text: str) -> list[str]:
-    """One token per Unicode scalar value, in order, whitespace dropped."""
-    return [c for c in text if not c.isspace()]
+    """One token per Unicode scalar value, in order, whitespace dropped.
+
+    `str.split()` splits on exactly the code points for which
+    `str.isspace()` holds, so joining its pieces drops those and no
+    others.
+    """
+    return list("".join(text.split()))
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Ids of the first max_len tokens, UNK for out-of-vocabulary ones."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    return TokenSequence(ids=tuple(map(vocab.id_for, tokens[:max_len])))
+    return TokenSequence(ids=tuple(map(vocab.token_to_id.get, tokens[:max_len], repeat(UNK_ID))))
 
 
 def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:

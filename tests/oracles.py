@@ -181,3 +181,33 @@ class NegativeSamplerRef:
             draws = self.cumulative.searchsorted(self.rng.random(k - len(out)), side="right")
             out += [i for i in draws.tolist() if i not in exclude]
         return out
+
+
+def synthetic_reviews_ref(n, rng, positive_pool, negative_pool, neutral_pool):
+    """(text, label) pairs drawn as `generate_corpus` draws them: one
+    `rng.choice(p=...)` call per review, after its length, with the
+    favored pool at 0.30, the opposing one at 0.10 and the rest neutral;
+    reviews alternate positive and negative leaning, and the label is 1
+    when positive-pool characters outnumber negative-pool ones.
+    """
+    def pool(favored, opposing):
+        chars = list(favored) + list(opposing) + list(neutral_pool)
+        weights = np.concatenate(
+            [
+                np.full(len(favored), 0.30 / len(favored)),
+                np.full(len(opposing), 0.10 / len(opposing)),
+                np.full(len(neutral_pool), (1.0 - 0.30 - 0.10) / len(neutral_pool)),
+            ]
+        )
+        return chars, weights / weights.sum()
+
+    leanings = (pool(positive_pool, negative_pool), pool(negative_pool, positive_pool))
+    out = []
+    for index in range(n):
+        chars, weights = leanings[index % 2]
+        length = int(rng.integers(10, 61))
+        text = "".join(chars[i] for i in rng.choice(len(chars), size=length, p=weights))
+        pos = sum(1 for ch in text if ch in positive_pool)
+        neg = sum(1 for ch in text if ch in negative_pool)
+        out.append((text, 1 if pos > neg else 0))
+    return out

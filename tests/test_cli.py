@@ -45,6 +45,13 @@ def test_build_config_file_and_overrides(tmp_path):
     assert cfg.word2vec.seed == cfg.training.seed == 5  # the pipeline seed reaches both
 
 
+def test_build_config_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 5, "word2vec": {"dim": 32}}), encoding="utf-8-sig")
+    cfg = cli.build_config(str(path), [], None)
+    assert (cfg.seed, cfg.word2vec.dim) == (5, 32)
+
+
 def test_build_config_set_value_types():
     cfg = cli.build_config(
         None,

@@ -156,6 +156,22 @@ def test_load_corpus_csv(tmp_path):
     assert [(r.text, r.label) for r in corpus.reviews] == [("很好,很棒", 1), ("糟糕", 0)]
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("c.csv", 'text,label\n"很好,很棒",1\n糟糕,0\n'),
+        ("c.jsonl", '{"text": "很好,很棒", "label": 1}\n{"text": "糟糕", "label": 0}\n'),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_load_corpus_ignores_a_leading_byte_order_mark(tmp_path, name, content):
+    # as Excel, or pandas with encoding="utf-8-sig", saves a CSV
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8-sig")
+    corpus = cs.load_corpus(path)
+    assert [(r.text, r.label) for r in corpus.reviews] == [("很好,很棒", 1), ("糟糕", 0)]
+
+
 def test_load_corpus_csv_suffix_in_any_case(tmp_path):
     path = tmp_path / "x.CSV"
     path.write_text('text,label\n"多行\n文本",1\n', encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 import charsent as cs
 from charsent.corpus import Corpus, Review
 from charsent.errors import DataError
+from charsent.files import read_text
 from charsent.training import EpochRecord
 
 from helpers import make_model
@@ -58,3 +59,12 @@ def test_write_over_a_directory_raises_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
         cs.save_model(make_model(vocab, hidden_size=2, dim=2, max_len=4), tmp_path / "model.ssm")
     assert os.listdir(tmp_path) == ["model.ssm"]
+
+
+def test_read_text_drops_one_byte_order_mark_and_reports_file_offsets(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf\xe5\xa5\xbd")
+    assert read_text(path, "corpus file") == "\ufeff好"
+    path.write_bytes(b"\xef\xbb\xbf\xe5\xa5\xbd\xff")
+    with pytest.raises(DataError, match=r"not valid UTF-8 \(byte 6\)"):
+        read_text(path, "corpus file")

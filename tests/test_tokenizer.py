@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,16 @@ def test_segment_chars_basics():
     assert cs.segment_chars("很 好\t啊\n") == ["很", "好", "啊"]
     assert cs.segment_chars("") == []
     assert cs.segment_chars("  　 ") == []
+    # ideographic space, next line, line separator and the four
+    # information separators are whitespace to str.isspace()
+    assert cs.segment_chars("好\u3000坏\u0085中\u2028啊\x1c\x1d\x1e\x1f呀") == list("好坏中啊呀")
+    # zero-width space and BOM are not
+    assert cs.segment_chars("好\u200b坏\ufeff") == ["好", "\u200b", "坏", "\ufeff"]
+
+
+def test_segment_chars_drops_exactly_the_whitespace_code_points():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert cs.segment_chars(every) == [c for c in every if not c.isspace()]
 
 
 def test_segment_chars_mixed_scripts():
