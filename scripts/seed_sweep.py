@@ -63,7 +63,10 @@ def _seeds(text: str) -> list[int]:
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} is empty")
+        seeds.extend(span)
     return seeds
 
 

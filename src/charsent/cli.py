@@ -264,10 +264,6 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     train_c, val_c, test_c = split(
         corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed
     )
-    if not train_c.reviews or not val_c.reviews:
-        raise DataError(
-            f"split produced empty train or validation set from {len(corpus.reviews)} reviews"
-        )
     max_len = cfg.tokenizer.max_len
     train_set = encode_labeled(train_c, vocab, max_len)
     val_set = encode_labeled(val_c, vocab, max_len)

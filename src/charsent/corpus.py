@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import read_text, write_atomic
+from .files import located, read_text, write_atomic
 from .rng import substream
 from .tokenizer import segment_chars
 
@@ -52,9 +52,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.reviews)
 
-    def __iter__(self):
-        return iter(self.reviews)
-
     def texts(self) -> list[str]:
         return [r.text for r in self.reviews]
 
@@ -75,14 +72,6 @@ class PolarityLexicon:
 
     def scaled(self, factor: float) -> "PolarityLexicon":
         return PolarityLexicon({t: w * factor for t, w in self.entries.items()})
-
-
-def _review(where: str, text, label, source_id) -> Review:
-    """The Review of one corpus record, its DataError prefixed with `where`."""
-    try:
-        return Review(text=text, label=label, source_id=source_id)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
 
 
 def _json_lines(path: Path, what: str):
@@ -111,11 +100,10 @@ def load_corpus(path: str | Path) -> Corpus:
     reviews: list[Review] = []
     if path.suffix.lower() != ".csv":
         for where, record in _json_lines(path, "corpus file"):
-            if not isinstance(record, dict) or "text" not in record:
-                raise DataError(f"{where}: record must be an object with a 'text' field")
-            reviews.append(
-                _review(where, record["text"], record.get("label"), record.get("source_id"))
-            )
+            with located(where):
+                if not isinstance(record, dict) or "text" not in record:
+                    raise DataError("record must be an object with a 'text' field")
+                reviews.append(Review(record["text"], record.get("label"), record.get("source_id")))
     else:
         reader = csv.DictReader(io.StringIO(read_text(path, "corpus file"), newline=""))
         if reader.fieldnames is None or "text" not in reader.fieldnames:
@@ -127,7 +115,8 @@ def load_corpus(path: str | Path) -> Corpus:
             elif label in ("0", "1"):
                 label = int(label)
             source_id = row.get("source_id") or None
-            reviews.append(_review(f"{path}:{lineno}", row.get("text"), label, source_id))
+            with located(f"{path}:{lineno}"):
+                reviews.append(Review(row.get("text"), label, source_id))
     return Corpus(reviews=reviews, name=path.stem)
 
 

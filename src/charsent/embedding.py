@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .files import read_bytes, write_atomic
+from .files import located, read_bytes, write_atomic
 from .numerics import divergence_raises, sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, Vocabulary
@@ -288,24 +288,20 @@ def train_embeddings(
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
     to MIN_LEARNING_RATE. Returns the matrix and each epoch's mean
-    example loss. A floating-point overflow, invalid operation or
-    division by zero stops the run with NumericalError.
+    example loss. Sequences with no window at all (no token with a
+    neighbor) raise DataError. A floating-point overflow, invalid
+    operation or division by zero stops the run with NumericalError.
     """
-    if not sequences:
-        raise DataError("cannot train embeddings on an empty corpus")
-    matrix = init_embedding_matrix(vocab, config.dim, config.seed)
     counts = token_counts(sequences, len(vocab))
-    if counts.sum() == 0:
-        raise DataError("cannot train embeddings: corpus has no tokens")
-    sampler = NegativeSampler(counts, substream(config.seed, "negative_sampling"))
-    rng_sub = substream(config.seed, "subsample")
-    total_tokens = int(counts.sum())
-
     windows = [w for seq in sequences for w in extract_windows(seq, config.window)]
     if not windows:
         raise DataError(
             f"cannot train embeddings: no token has a neighbor within window {config.window}"
         )
+    matrix = init_embedding_matrix(vocab, config.dim, config.seed)
+    sampler = NegativeSampler(counts, substream(config.seed, "negative_sampling"))
+    rng_sub = substream(config.seed, "subsample")
+    total_tokens = int(counts.sum())
     per_epoch = sum(1 for _ in _examples(windows, config.mode))
     total_steps = max(1, config.epochs * per_epoch)
     lr0 = config.learning_rate
@@ -382,40 +378,39 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
     """
     path = Path(path)
     blob = read_bytes(path, "embedding file")
-    if not blob.startswith(EMBEDDING_MAGIC.encode("utf-8") + b" "):
-        raise DataError(f"{path}: not a {EMBEDDING_MAGIC} embedding file (bad magic)")
-    newline = blob.find(b"\n")
-    parts = blob[:newline].split(b" ")
-    if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
-        raise DataError(f"{path}: malformed embedding header")
-    vocab_size, dim = int(parts[1]), int(parts[2])
-    row_bytes = 4 * dim
-    # each row is at least a 1-byte token, a space, the floats and a newline
-    if dim < 1 or len(blob) - newline - 1 < vocab_size * (row_bytes + 3):
-        raise DataError(
-            f"{path}: {len(blob)} bytes, too short for {vocab_size} rows of dim {dim}"
+    with located(path):
+        if not blob.startswith(EMBEDDING_MAGIC.encode("utf-8") + b" "):
+            raise DataError(f"not a {EMBEDDING_MAGIC} embedding file (bad magic)")
+        newline = blob.find(b"\n")
+        parts = blob[:newline].split(b" ")
+        if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
+            raise DataError("malformed embedding header")
+        vocab_size, dim = int(parts[1]), int(parts[2])
+        row_bytes = 4 * dim
+        # each row is at least a 1-byte token, a space, the floats and a newline
+        if dim < 1 or len(blob) - newline - 1 < vocab_size * (row_bytes + 3):
+            raise DataError(f"{len(blob)} bytes, too short for {vocab_size} rows of dim {dim}")
+        tokens: list[str] = []
+        stored = np.empty((vocab_size, dim), dtype="<f4")
+        offset = newline + 1
+        try:
+            vocab_hash = parts[3].decode("utf-8")
+            for i in range(vocab_size):
+                space = blob.index(b" ", offset)
+                tokens.append(blob[offset:space].decode("utf-8"))
+                offset = space + 1 + row_bytes + 1
+                record = blob[space + 1 : offset]
+                if len(record) != row_bytes + 1 or record[-1:] != b"\n":
+                    raise DataError(f"truncated embedding record for row {i}")
+                stored[i] = np.frombuffer(record[:-1], dtype="<f4")
+        except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
+            raise DataError(f"malformed embedding record after byte {offset}") from exc
+        if offset != len(blob):
+            raise DataError(f"{len(blob) - offset} trailing bytes after the last row")
+        # checked before the cast, which warns on a signaling NaN
+        if not np.isfinite(stored).all():
+            raise DataError("embedding matrix contains non-finite entries")
+        matrix = EmbeddingMatrix(
+            vectors=stored.astype(np.float64), context_vectors=None, vocab_hash=vocab_hash
         )
-    tokens: list[str] = []
-    stored = np.empty((vocab_size, dim), dtype="<f4")
-    offset = newline + 1
-    try:
-        vocab_hash = parts[3].decode("utf-8")
-        for i in range(vocab_size):
-            space = blob.index(b" ", offset)
-            tokens.append(blob[offset:space].decode("utf-8"))
-            offset = space + 1 + row_bytes + 1
-            record = blob[space + 1 : offset]
-            if len(record) != row_bytes + 1 or record[-1:] != b"\n":
-                raise DataError(f"{path}: truncated embedding record for row {i}")
-            stored[i] = np.frombuffer(record[:-1], dtype="<f4")
-    except ValueError as exc:  # no space before a row's floats, or a token not UTF-8
-        raise DataError(f"{path}: malformed embedding record after byte {offset}") from exc
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last row")
-    # checked before the cast, which warns on a signaling NaN
-    if not np.isfinite(stored).all():
-        raise DataError(f"{path}: embedding matrix contains non-finite entries")
-    matrix = EmbeddingMatrix(
-        vectors=stored.astype(np.float64), context_vectors=None, vocab_hash=vocab_hash
-    )
     return matrix, tokens

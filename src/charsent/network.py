@@ -225,8 +225,13 @@ class Model:
             raise DataError("embedding dim does not match LSTM input dim")
         if self.embeddings.vocab_size != len(self.vocab):
             raise DataError("embedding row count does not match vocabulary size")
+        if type(self.max_len) is not int or self.max_len < 1:
+            raise DataError(f"max_len must be an integer >= 1, got {self.max_len!r}")
         if not threshold_ok(self.threshold):
             raise DataError(f"threshold must be a number in [0, 1], got {self.threshold!r}")
+        snapshot = self.metrics_snapshot
+        if snapshot is not None and not isinstance(snapshot, dict):
+            raise DataError(f"metrics_snapshot must be a dict or None, got {snapshot!r}")
 
     def copy(self) -> "Model":
         emb = EmbeddingMatrix(
@@ -267,11 +272,15 @@ class BatchCache:
     """One forward_batch pass, laid out for BPTT. The rows are sorted by
     length, descending and stable: sorted row k is input row order[k],
     and step t ran only the first n_t rows, those with length > t.
-    `ids` (T, B) is time-major. `x_rows`, `h_rows` and `gate_rows` hold
-    the inputs, hidden states and gates as rows of width dim, hidden and
-    4 hidden, row t B + k for sorted row k at step t, then zero rows up
-    to a multiple of _ROW_MULTIPLE. `xs` (T, B, dim), `hs` (T + 1, B,
-    hidden) and `gates` (T, 4, B, hidden) show the same memory by step.
+    `ids` (T, B) is time-major. `x_rows` and `h_rows` hold the inputs
+    and hidden states as rows of width dim and hidden, row t B + k for
+    sorted row k at step t, then zero rows up to a multiple of
+    _ROW_MULTIPLE. `gate_rows` has rows of width 4 hidden, padded alike,
+    and step t owns its B rows from t B: the forward pass fills that
+    block gate-major, as (4, B, hidden), and only BPTT writes row t B + k
+    as sorted row k's gate gradients, stacked f, i, o, c. `xs` (T, B,
+    dim), `hs` (T + 1, B, hidden) and `gates` (T, 4, B, hidden) show the
+    same memory by step.
     `hs` and `cs` have T + 1 slots, slot 0 the zero start state, so
     `hs[t]`/`cs[t]` feed step t and `hs[t + 1]`/`cs[t + 1]` are its
     outputs; `gates` holds f, i, o and c_tilde as the cell returns them.

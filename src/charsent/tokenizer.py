@@ -17,7 +17,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import read_text, write_atomic
+from .files import located, read_text, write_atomic
 
 PAD_ID = 0
 UNK_ID = 1
@@ -72,6 +72,16 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str], min_count: int) -> "Vocabulary":
+        """Ids 2.. for `tokens` in order; DataError unless min_count is an
+        integer >= 1 and the tokens are distinct strings other than PAD and UNK.
+        """
+        if type(min_count) is not int or min_count < 1:
+            raise DataError(f"vocabulary 'min_count' must be an integer >= 1, got {min_count!r}")
+        tokens = tuple(tokens)
+        if not all(isinstance(t, str) for t in tokens):
+            raise DataError("vocabulary 'tokens' must all be strings")
+        if PAD_TOKEN in tokens or UNK_TOKEN in tokens:
+            raise DataError(f"vocabulary tokens may not include {PAD_TOKEN} or {UNK_TOKEN}")
         id_to_token = (PAD_TOKEN, UNK_TOKEN, *tokens)
         token_to_id = {t: i for i, t in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):
@@ -85,18 +95,17 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         path = Path(path)
-        try:
-            payload = json.loads(read_text(path, "vocabulary file"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid vocabulary JSON ({exc.msg})") from exc
-        if not isinstance(payload, dict) or "tokens" not in payload or "min_count" not in payload:
-            raise DataError(f"{path}: vocabulary JSON needs 'min_count' and 'tokens'")
-        min_count, tokens = payload["min_count"], payload["tokens"]
-        if type(min_count) is not int or min_count < 1:
-            raise DataError(f"{path}: vocabulary field 'min_count' must be an integer >= 1")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise DataError(f"{path}: vocabulary field 'tokens' must be a list of strings")
-        return cls.from_tokens(tokens, min_count)
+        text = read_text(path, "vocabulary file")
+        with located(path):
+            try:
+                payload = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid vocabulary JSON ({exc.msg})") from exc
+            if not (isinstance(payload, dict) and {"min_count", "tokens"} <= payload.keys()):
+                raise DataError("vocabulary JSON needs 'min_count' and 'tokens'")
+            if not isinstance(payload["tokens"], list):
+                raise DataError("vocabulary field 'tokens' must be a list")
+            return cls.from_tokens(payload["tokens"], payload["min_count"])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 from .corpus import Corpus, clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .files import read_bytes, read_text, write_atomic
+from .files import located, read_bytes, read_text, write_atomic
 from .network import (
     LstmParams,
     Model,
@@ -224,8 +225,6 @@ def evaluate(model: Model, dataset: Dataset, threshold: float | None = None) -> 
     """Full evaluation of a labeled dataset at `threshold` (the model's
     stored threshold when omitted).
     """
-    if not dataset:
-        raise DataError("cannot evaluate an empty dataset")
     if threshold is None:
         threshold = model.threshold
     ps = predict_proba(model, [seq for seq, _ in dataset])
@@ -235,11 +234,23 @@ def evaluate(model: Model, dataset: Dataset, threshold: float | None = None) -> 
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's losses and accuracies: `epoch` an integer >= 1 and the
+    four metrics real numbers, no bool among them.
+    """
+
     epoch: int
     train_loss: float
     train_acc: float
     val_loss: float
     val_acc: float
+
+    def __post_init__(self):
+        if type(self.epoch) is not int or self.epoch < 1:
+            raise DataError(f"epoch must be an integer >= 1, got {self.epoch!r}")
+        for name in ("train_loss", "train_acc", "val_loss", "val_acc"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise DataError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -262,7 +273,10 @@ def train(
     rerun with identical inputs reproduces the history exactly.
     """
     if not train_set or not val_set:
-        raise DataError("train and validation sets must be non-empty")
+        raise DataError(
+            "train and validation sets must be non-empty, got "
+            f"{len(train_set)} training and {len(val_set)} validation examples"
+        )
     work = model.copy()
     if config.epochs == 0:
         return work, TrainHistory(records=[], best_epoch=0, stopped_early=False)
@@ -340,21 +354,27 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
 
 
 def load_history(path: str | Path) -> list[EpochRecord]:
-    """Read the records save_history wrote; DataError unless the file is
-    a JSON array of objects with exactly the EpochRecord fields.
+    """Read the records save_history wrote; DataError, naming the file
+    and the entry, unless the file is a JSON array of objects with
+    exactly the EpochRecord fields and values EpochRecord accepts.
     """
     path = Path(path)
-    try:
-        rows = json.loads(read_text(path, "history file"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid history JSON ({exc.msg})") from exc
-    if not isinstance(rows, list):
-        raise DataError(f"{path}: history must be a JSON array of epoch records")
+    text = read_text(path, "history file")
     keys = {f.name for f in fields(EpochRecord)}
-    for n, row in enumerate(rows):
-        if not isinstance(row, dict) or set(row) != keys:
-            raise DataError(f"{path}: history entry {n} must be an object with keys {sorted(keys)}")
-    return [EpochRecord(**row) for row in rows]
+    records = []
+    with located(path):
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid history JSON ({exc.msg})") from exc
+        if not isinstance(rows, list):
+            raise DataError("history must be a JSON array of epoch records")
+        for n, row in enumerate(rows):
+            with located(f"history entry {n}"):
+                if not isinstance(row, dict) or set(row) != keys:
+                    raise DataError(f"must be an object with keys {sorted(keys)}")
+                records.append(EpochRecord(**row))
+    return records
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -383,31 +403,26 @@ def save_model(model: Model, path: str | Path) -> None:
     write_atomic(path, MODEL_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + blocks)
 
 
-def _check_header(header, path: Path) -> None:
-    """Raise DataError unless every field load_model reads is present
-    with a usable type and range.
+def _check_header(header) -> None:
+    """Raise DataError unless the header is a JSON object of this format
+    version holding what sizes and fills the tensor blocks: the integers
+    h, d and vocab_size, each >= 1, and a token list. The types the
+    header builds check the rest.
     """
     if not isinstance(header, dict):
-        raise DataError(f"{path}: model header must be a JSON object")
-
-    def require(key: str, ok: bool) -> None:
-        if not ok:
-            raise DataError(f"{path}: model header field '{key}' is missing or invalid")
-
+        raise DataError("model header must be a JSON object")
     version = header.get("version")
     if type(version) is not int or version != MODEL_VERSION:
         raise DataError(
-            f"{path}: model format version {json.dumps(version)} is not supported "
+            f"model format version {json.dumps(version)} is not supported "
             f"(this charsent reads version {MODEL_VERSION})"
         )
-    lower_bounds = {"h": 1, "d": 1, "max_len": 1, "min_count": 1, "vocab_size": 2}
-    for key, low in lower_bounds.items():
+    for key in ("h", "d", "vocab_size"):
         value = header.get(key)
-        require(key, isinstance(value, int) and not isinstance(value, bool) and value >= low)
-    require("threshold", threshold_ok(header.get("threshold")))
-    require("vocab_hash", isinstance(header.get("vocab_hash"), str))
-    tokens = header.get("tokens")
-    require("tokens", isinstance(tokens, list) and all(isinstance(t, str) for t in tokens))
+        if type(value) is not int or value < 1:
+            raise DataError(f"model header field '{key}' is missing or invalid")
+    if not isinstance(header.get("tokens"), list):
+        raise DataError("model header field 'tokens' is missing or invalid")
 
 
 def load_model(path: str | Path) -> Model:
@@ -417,46 +432,39 @@ def load_model(path: str | Path) -> Model:
     """
     path = Path(path)
     blob = read_bytes(path, "model file")
-    if blob[:4] != MODEL_MAGIC:
-        raise DataError(f"{path}: not an SSM1 model file (bad magic)")
-    if len(blob) < 8:
-        raise DataError(f"{path}: truncated model header")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt model header") from exc
-    _check_header(header, path)
-    hsize = header["h"]
-    dim = header["d"]
-    vocab = Vocabulary.from_tokens(header["tokens"], header["min_count"])
-    if vocab.content_hash() != header["vocab_hash"]:
-        raise DataError(f"{path}: vocabulary hash mismatch")
-    if header["vocab_size"] != len(vocab):
-        raise DataError(f"{path}: vocabulary size mismatch")
-
-    shapes = param_shapes(hsize, dim) | {"embeddings": (header["vocab_size"], dim)}
-    offset = 8 + header_len
-    expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
-    if len(blob) != expected:
-        raise DataError(f"{path}: {len(blob)} bytes, but the header describes {expected}")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(block).all():  # before the cast, which warns on a signaling NaN
-            raise DataError(f"{path}: {name} contains non-finite entries")
-        tensors[name] = block.astype(np.float64).reshape(shape)
-        offset += 4 * count
-    vectors = tensors.pop("embeddings")
-
-    params = LstmParams(**tensors)
-    embeddings = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=header["vocab_hash"])
-    return Model(
-        vocab=vocab,
-        embeddings=embeddings,
-        params=params,
-        max_len=header["max_len"],
-        threshold=header["threshold"],
-        metrics_snapshot=header.get("metrics"),
-    )
+    with located(path):
+        if blob[:4] != MODEL_MAGIC:
+            raise DataError("not an SSM1 model file (bad magic)")
+        if len(blob) < 8:
+            raise DataError("truncated model header")
+        (header_len,) = struct.unpack("<I", blob[4:8])
+        try:
+            header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError("corrupt model header") from exc
+        _check_header(header)
+        dim = header["d"]
+        shapes = param_shapes(header["h"], dim) | {"embeddings": (header["vocab_size"], dim)}
+        offset = 8 + header_len
+        expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
+        if len(blob) != expected:
+            raise DataError(f"{len(blob)} bytes, but the header describes {expected}")
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+            if not np.isfinite(block).all():  # before the cast, which warns on a signaling NaN
+                raise DataError(f"{name} contains non-finite entries")
+            tensors[name] = block.astype(np.float64).reshape(shape)
+            offset += 4 * count
+        vectors = tensors.pop("embeddings")
+        return Model(
+            vocab=Vocabulary.from_tokens(header["tokens"], header.get("min_count")),
+            embeddings=EmbeddingMatrix(
+                vectors=vectors, context_vectors=None, vocab_hash=header.get("vocab_hash")
+            ),
+            params=LstmParams(**tensors),
+            max_len=header.get("max_len"),
+            threshold=header.get("threshold"),
+            metrics_snapshot=header.get("metrics"),
+        )

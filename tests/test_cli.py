@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import charsent as cs
 from charsent import cli
 from charsent.corpus import Corpus, Review, save_corpus
-from charsent.errors import ConfigError
+from charsent.errors import ConfigError, DataError
 from charsent.synthetic import generate_corpus
 
 from helpers import make_model
@@ -643,6 +644,57 @@ def test_main_unreadable_input_exits_with_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def _write_edited_model(path: Path, changes: dict) -> None:
+    """A tiny model saved to `path` with `changes` written over its SSM1
+    header; the tensor blocks keep their size.
+    """
+    cs.save_model(make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4), path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + header_len].decode("utf-8")) | changes
+    raw = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(b"SSM1" + struct.pack("<I", len(raw)) + raw + blob[8 + header_len :])
+
+
+# (command, the key that names the file, file name, its bytes or the
+# changes to a model header, what the error says); each rule is the
+# type's own (Vocabulary or Model), and the loader names the file
+RULES_IN_FILES = [
+    pytest.param("train", "paths.vocab", "vocab.json", '{"min_count": 1, "tokens": ["好", "好"]}'.encode(),
+                 "duplicate token in vocabulary", id="vocab-duplicate-token"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"tokens": ["好", "好"]},
+                 "duplicate token in vocabulary", id="model-duplicate-token"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"vocab_hash": "0" * 16},
+                 "embedding matrix does not match the vocabulary", id="model-wrong-vocab-hash"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"threshold": 2},
+                 "threshold must be a number in [0, 1], got 2", id="model-threshold-2"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"max_len": 0},
+                 "max_len must be an integer >= 1, got 0", id="model-max-len-0"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"metrics": 5},
+                 "metrics_snapshot must be a dict or None, got 5", id="model-metrics-5"),
+]
+
+
+@pytest.mark.parametrize("command, key, name, content, message", RULES_IN_FILES)
+def test_a_broken_rule_in_a_file_names_the_file_and_exits_3(
+    pipeline, tmp_path, capsys, command, key, name, content, message
+):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        _write_edited_model(path, content)
+    load = cs.Vocabulary.load if name == "vocab.json" else cs.load_model
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
+    argv = [command, "--config", str(pipeline / "cfg.json"),
+            "--set", f"paths.model={tmp_path / 'out.ssm'}", "--set", f"{key}={path}"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out.ssm").exists()
 
 
 def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys):

@@ -329,6 +329,14 @@ def test_training_without_a_window_raises():
         cs.train_embeddings(seqs, vocab, cs.W2vConfig(dim=4, epochs=1))
 
 
+@pytest.mark.parametrize("sequences", [[], [[]], [[2]]], ids=["no-text", "empty-text", "one-token"])
+def test_training_on_no_window_raises_one_error_whatever_is_missing(sequences):
+    vocab = cs.build_vocab(["好坏"], min_count=1)
+    with pytest.raises(DataError) as err:
+        cs.train_embeddings(sequences, vocab, cs.W2vConfig(window=3, dim=4, epochs=1))
+    assert str(err.value) == "cannot train embeddings: no token has a neighbor within window 3"
+
+
 def test_training_is_deterministic():
     _, a, _ = _train_setup("cbow")
     _, b, _ = _train_setup("cbow")

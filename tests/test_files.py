@@ -6,7 +6,7 @@ import charsent as cs
 from charsent.corpus import Corpus, Review
 from charsent.errors import DataError
 from charsent.files import read_text
-from charsent.training import EpochRecord
+from charsent.training import EpochRecord, load_history
 
 from helpers import make_model
 
@@ -68,3 +68,25 @@ def test_read_text_drops_one_byte_order_mark_and_reports_file_offsets(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf\xe5\xa5\xbd\xff")
     with pytest.raises(DataError, match=r"not valid UTF-8 \(byte 6\)"):
         read_text(path, "corpus file")
+
+
+LOADERS = [
+    pytest.param(cs.load_corpus, "c.jsonl", id="corpus-jsonl"),
+    pytest.param(cs.load_corpus, "c.csv", id="corpus-csv"),
+    pytest.param(cs.load_lexicon, "lex.jsonl", id="lexicon"),
+    pytest.param(cs.Vocabulary.load, "vocab.json", id="vocabulary"),
+    pytest.param(cs.load_embeddings, "emb.bin", id="embeddings"),
+    pytest.param(cs.load_model, "model.ssm", id="model"),
+    pytest.param(load_history, "history.json", id="history"),
+]
+
+
+@pytest.mark.parametrize("content", [None, b"{", b"\xff"], ids=["missing", "malformed", "not-utf8"])
+@pytest.mark.parametrize("load, name", LOADERS)
+def test_every_loader_error_starts_with_its_file(tmp_path, load, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value).startswith(str(path))

@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from charsent import cli
 from charsent.corpus import save_corpus
 from charsent.synthetic import generate_corpus
@@ -38,6 +40,16 @@ def test_scripts_run_end_to_end(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(neighbors, "SYNTHETIC_REVIEWS", 60)
     assert neighbors.main(["--synthetic", "--seed", "5", "--dim", "8", "--queries", "好坏"]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])
+def test_seed_sweep_rejects_an_empty_seed_range_as_a_usage_error(capsys, seeds):
+    sweep = _load_script("seed_sweep")
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(["--seeds", seeds])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "is empty" in err and "Traceback" not in err
 
 
 def test_seed_sweep_smoke(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -724,6 +725,20 @@ def test_model_rejects_a_threshold_outside_unit_interval(threshold):
         )
 
 
+@pytest.mark.parametrize("max_len", [0, -3, 2.5, True, None])
+def test_model_rejects_a_max_len_below_one(max_len):
+    model = make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4)
+    with pytest.raises(DataError, match="max_len must be an integer >= 1"):
+        replace(model, max_len=max_len)
+
+
+@pytest.mark.parametrize("snapshot", [5, [], "x"])
+def test_model_rejects_a_metrics_snapshot_that_is_not_a_dict(snapshot):
+    model = make_model(cs.build_vocab(["好坏"], min_count=1), hidden_size=2, dim=2, max_len=4)
+    with pytest.raises(DataError, match="metrics_snapshot must be a dict or None"):
+        replace(model, metrics_snapshot=snapshot)
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1, math.nan, True])
 def test_scoring_rejects_a_threshold_outside_unit_interval(tiny_model, threshold):
     dataset = cs.encode_labeled(generate_corpus(4, seed=3), tiny_model.vocab, tiny_model.max_len)
@@ -802,6 +817,36 @@ def test_load_history_rejects_missing_or_malformed_files(tmp_path, content):
     with pytest.raises(DataError) as err:
         load_history(path)
     assert str(path) in str(err.value)
+
+
+GOOD_RECORD = {"epoch": 1, "train_loss": 0.5, "train_acc": 0.75, "val_loss": 0.25, "val_acc": 1}
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"epoch": "x", "train_loss": None, "train_acc": [], "val_loss": "a", "val_acc": {}}, "epoch"),
+        ({"epoch": 0}, "epoch"),
+        ({"epoch": 1.0}, "epoch"),
+        ({"epoch": True}, "epoch"),
+        ({"train_loss": None}, "train_loss"),
+        ({"train_acc": []}, "train_acc"),
+        ({"val_loss": "0.5"}, "val_loss"),
+        ({"val_acc": {}}, "val_acc"),
+        ({"val_acc": False}, "val_acc"),
+    ],
+)
+def test_load_history_rejects_mistyped_values_naming_file_and_entry(tmp_path, changes, field):
+    from charsent.training import EpochRecord, load_history
+
+    path = tmp_path / "history.json"
+    path.write_text(json.dumps([GOOD_RECORD, GOOD_RECORD | changes]), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: history entry 1: {field} must be"):
+        load_history(path)
+    with pytest.raises(DataError, match=f"^{field} must be"):
+        EpochRecord(**(GOOD_RECORD | changes))
+    path.write_text(json.dumps([GOOD_RECORD]), encoding="utf-8")
+    assert load_history(path) == [EpochRecord(**GOOD_RECORD)]
 
 
 def test_trained_model_beats_chance(trained_setup):
