@@ -34,7 +34,7 @@ from .embedding import (
     train_embeddings,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .files import read_text
+from .files import located, read_text
 from .network import Model, init_lstm_params, predict, threshold_ok
 from .tokenizer import Vocabulary, build_vocab, segment_chars
 from .training import (
@@ -261,12 +261,10 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     embeddings, tokens = load_embeddings(emb_path)
     if tuple(tokens) != vocab.id_to_token:
         raise DataError(f"{emb_path}: embedding tokens do not match the vocabulary {vocab_path}")
-    train_c, val_c, test_c = split(
-        corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed
-    )
+    parts = split(corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed)
     max_len = cfg.tokenizer.max_len
-    train_set = encode_labeled(train_c, vocab, max_len)
-    val_set = encode_labeled(val_c, vocab, max_len)
+    with located(corpus_path):
+        train_set, val_set, test_set = (encode_labeled(part, vocab, max_len) for part in parts)
 
     params = init_lstm_params(cfg.network.hidden_size, embeddings.dim, cfg.seed)
     model = Model(vocab=vocab, embeddings=embeddings, params=params, max_len=max_len)
@@ -285,8 +283,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         "val": best.metrics_snapshot,
         "model_path": str(model_path),
     }
-    if test_c.reviews:
-        test_set = encode_labeled(test_c, vocab, max_len)
+    if test_set:
         summary["test"] = evaluate(best, test_set).to_dict()
     save_model(best, model_path)
     history_path = cfg.paths.history
@@ -302,8 +299,8 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("labeled", "evaluate")
     model = load_model(model_path)
     corpus = load_corpus(corpus_path)
-    dataset = encode_labeled(corpus, model.vocab, model.max_len)
-    metrics = evaluate(model, dataset, cfg.threshold)
+    with located(corpus_path):
+        metrics = evaluate(model, encode_labeled(corpus, model.vocab, model.max_len), cfg.threshold)
     _emit(metrics.to_dict())
     return 0
 

@@ -11,7 +11,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,14 +60,24 @@ class Corpus:
 
 @dataclass(frozen=True)
 class PolarityLexicon:
-    """Token -> polarity weight map; unlisted tokens score 0."""
+    """Token -> polarity weight map, unlisted tokens scoring 0, from a dict
+    or (token, weight) pairs, the last pair for a token winning.
+    """
 
     entries: dict[str, float]
 
     def __post_init__(self):
-        for token, weight in self.entries.items():
-            if not math.isfinite(weight):
-                raise DataError(f"lexicon weight for {token!r} is not finite")
+        pairs = self.entries.items() if isinstance(self.entries, dict) else self.entries
+        checked = {}
+        for token, weight in pairs:
+            if not isinstance(token, str):
+                raise DataError(f"lexicon token must be a string, not {type(token).__name__}")
+            # compared, not converted: float() takes a bool, and overflows on a huge int
+            finite = isinstance(weight, numbers.Real) and abs(weight) <= sys.float_info.max
+            if isinstance(weight, bool) or not finite:
+                raise DataError(f"lexicon weight for {token!r} is not a finite number")
+            checked[token] = float(weight)
+        object.__setattr__(self, "entries", checked)
 
     def weight(self, token: str) -> float:
         return self.entries.get(token, 0.0)
@@ -182,22 +194,15 @@ def split(
 
 
 def load_lexicon(path: str | Path) -> PolarityLexicon:
-    """Load a JSONL lexicon of {"token": str, "weight": finite float}."""
+    """Load a JSONL lexicon: one {"token": ..., "weight": ...} object per line."""
     path = Path(path)
-    entries: dict[str, float] = {}
+    pairs = []
     for where, record in _json_lines(path, "lexicon file"):
-        if not isinstance(record, dict):
-            raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        token = record.get("token")
-        weight = record.get("weight")
-        if not isinstance(token, str) or isinstance(weight, bool) or not isinstance(
-            weight, (int, float)
-        ):
-            raise DataError(f"{where}: expected fields 'token' (string) and 'weight' (number)")
-        if not math.isfinite(weight):
-            raise DataError(f"{where}: weight for {token!r} is not finite")
-        entries[token] = float(weight)
-    return PolarityLexicon(entries)
+        if not (isinstance(record, dict) and {"token", "weight"} <= record.keys()):
+            raise DataError(f"{where}: expected a JSON object with fields 'token' and 'weight'")
+        pairs.append((record["token"], record["weight"]))
+    with located(path):
+        return PolarityLexicon(pairs)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

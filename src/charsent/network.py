@@ -327,8 +327,6 @@ def _batch_inputs(sequences: list[TokenSequence], model: Model):
     if not sequences:
         raise DataError("empty batch")
     lengths = np.array([s.true_length for s in sequences], dtype=np.int64)
-    if (lengths == 0).any():
-        raise DataError("cannot run the network on an empty sequence")
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     ids = np.zeros((int(lengths[0]), len(sequences)), dtype=np.int64)
@@ -537,10 +535,6 @@ def predict(text: str, model: Model, threshold: float | None = None) -> tuple[in
         threshold = model.threshold
     if not threshold_ok(threshold):
         raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
-    cleaned = clean_text(text)
-    tokens = segment_chars(cleaned)
-    if not tokens:
-        raise DataError("text is empty after cleaning")
-    seq = encode(tokens, model.vocab, model.max_len)
+    seq = encode(segment_chars(clean_text(text)), model.vocab, model.max_len)
     p, _ = sequence_forward(seq, model)
     return (1 if p >= threshold else 0), p

@@ -110,11 +110,13 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """A text's token ids, truncated and never padded; PAD may not occur."""
+    """A text's token ids, at least one, truncated and never padded; PAD may not occur."""
 
     ids: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.ids:
+            raise DataError("a token sequence needs at least one token")
         if PAD_ID in self.ids:
             raise DataError("PAD id in a token sequence")
 

@@ -35,6 +35,7 @@ from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 MODEL_MAGIC = b"SSM1"
 MODEL_VERSION = 1
 _EVAL_CHUNK = 256
+_QUOTE_CHARS = 20  # of a review's text, in an error that names the review
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,7 @@ class Metrics:
     tn: int
 
     def to_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "mae": self.mae,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
+        return asdict(self)
 
 
 def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> Metrics:
@@ -184,16 +175,19 @@ Dataset = list[tuple[TokenSequence, int]]
 
 def encode_labeled(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Dataset:
     """Clean and encode a labeled corpus for training or evaluation, as
-    predict cleans and encodes one text.
+    predict cleans and encodes one text. A review with no label, or no
+    token after cleaning, raises DataError quoting the start of its text.
     """
     out: Dataset = []
     for review in corpus.reviews:
-        if review.label is None:
-            raise DataError("labels required: corpus contains an unlabeled review")
-        tokens = segment_chars(clean_text(review.text))
-        if not tokens:
-            raise DataError("corpus contains a review with no tokens after cleaning")
-        out.append((encode(tokens, vocab, max_len), review.label))
+        try:
+            if review.label is None:
+                raise DataError("labels required, but the review has none")
+            out.append((encode(segment_chars(clean_text(review.text)), vocab, max_len), review.label))
+        except DataError as exc:
+            text = review.text
+            quote = repr(text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "...")
+            raise DataError(f"review {quote}: {exc}") from exc
     return out
 
 

@@ -553,7 +553,44 @@ def test_evaluate_unlabeled_corpus_names_the_problem(pipeline, tmp_path, capsys)
         ]
     )
     assert code == 3
-    assert "labels required" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {unlabeled}: review '好棒': ") and "labels required" in err
+    # a review with no token after cleaning, and a file with no review at all
+    for content, message in [
+        ('{"text": "http://x.y/z", "label": 1}\n',
+         "review 'http://x.y/z': a token sequence needs at least one token"),
+        ("", "cannot compute metrics on an empty dataset"),
+    ]:
+        unlabeled.write_text(content, encoding="utf-8")
+        argv = ["evaluate", "--config", str(pipeline / "cfg.json"), "--set", f"paths.labeled={unlabeled}"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {unlabeled}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"label": None}, "labels required, but the review has none"),
+        ({"text": "http://x.y/z " * 3}, "a token sequence needs at least one token"),
+    ],
+    ids=["unlabeled", "no-token-after-cleaning"],
+)
+def test_train_finds_a_bad_test_split_review_before_training(pipeline, tmp_path, capsys, bad, message):
+    cfg = cli.build_config(str(pipeline / "cfg.json"), [], None)
+    reviews = cs.load_corpus(pipeline / "labeled.jsonl").reviews
+    *_, test_c = cs.split(Corpus(reviews), cfg.split.train_frac, cfg.split.val_frac, cfg.seed)
+    target = test_c.reviews[0]
+    labeled = tmp_path / "labeled.jsonl"
+    save_corpus(Corpus([dataclasses.replace(r, **bad) if r is target else r for r in reviews]), labeled)
+    model, history = tmp_path / "model.ssm", tmp_path / "history.json"
+    argv = ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.labeled={labeled}",
+            "--set", f"paths.model={model}", "--set", f"paths.history={history}"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "training on" not in err
+    text = dataclasses.replace(target, **bad).text
+    assert err.startswith(f"error: {labeled}: review '{text[:20]}") and err.endswith(f": {message}\n")
+    assert not model.exists() and not history.exists()
 
 
 def test_removed_stop_chars_key_is_unknown(pipeline, capsys):
@@ -660,8 +697,11 @@ def _write_edited_model(path: Path, changes: dict) -> None:
 
 # (command, the key that names the file, file name, its bytes or the
 # changes to a model header, what the error says); each rule is the
-# type's own (Vocabulary or Model), and the loader names the file
+# type's own (Vocabulary, Model or PolarityLexicon), and the loader
+# names the file
 RULES_IN_FILES = [
+    pytest.param("prelabel", "paths.lexicon", "lex.jsonl", f'{{"token": "好", "weight": {10**400}}}'.encode(),
+                 "lexicon weight for '好' is not a finite number", id="lexicon-weight-too-large-for-a-float"),
     pytest.param("train", "paths.vocab", "vocab.json", '{"min_count": 1, "tokens": ["好", "好"]}'.encode(),
                  "duplicate token in vocabulary", id="vocab-duplicate-token"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"tokens": ["好", "好"]},
@@ -686,7 +726,7 @@ def test_a_broken_rule_in_a_file_names_the_file_and_exits_3(
         path.write_bytes(content)
     else:
         _write_edited_model(path, content)
-    load = cs.Vocabulary.load if name == "vocab.json" else cs.load_model
+    load = {"vocab.json": cs.Vocabulary.load, "lex.jsonl": cs.load_lexicon}.get(name, cs.load_model)
     with pytest.raises(DataError) as err:
         load(path)
     assert str(err.value) == f"{path}: {message}"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -215,6 +216,57 @@ def test_load_lexicon_rejects_nonfinite(tmp_path):
     path.write_text('{"token": "好", "weight": 1}\n[1,2]\n', encoding="utf-8")
     with pytest.raises(DataError, match=r"lex\.jsonl:2: expected a JSON object"):
         cs.load_lexicon(path)
+    path.write_text('{"token": "好"}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"lex\.jsonl:1: expected a JSON object with fields 'token' and 'weight'"):
+        cs.load_lexicon(path)
+
+
+HUGE_INT = 10**400  # too large for a float
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({5: 1.0}, "lexicon token must be a string, not int"),
+        ({"好": True}, "lexicon weight for '好' is not a finite number"),
+        ({"好": "1"}, "lexicon weight for '好' is not a finite number"),
+        ({"好": math.inf}, "lexicon weight for '好' is not a finite number"),
+        ({"好": math.nan}, "lexicon weight for '好' is not a finite number"),
+        ({"好": HUGE_INT}, "lexicon weight for '好' is not a finite number"),
+        ([("好", 1.0), (["坏"], -1.0)], "lexicon token must be a string, not list"),
+    ],
+    ids=["token-int", "weight-bool", "weight-str", "weight-inf", "weight-nan", "weight-huge-int", "token-list"],
+)
+def test_polarity_lexicon_checks_each_entry(entries, message):
+    with pytest.raises(DataError) as err:
+        PolarityLexicon(entries)
+    assert str(err.value) == message
+
+
+def test_polarity_lexicon_stores_float_weights_and_keeps_the_last_pair():
+    lex = PolarityLexicon([("好", 1), ("坏", -2.5), ("好", 3)])
+    assert lex.entries == {"好": 3.0, "坏": -2.5}
+    assert all(type(w) is float for w in lex.entries.values())
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"token": 5, "weight": 1}', "lexicon token must be a string, not int"),
+        ('{"token": ["好"], "weight": 1}', "lexicon token must be a string, not list"),
+        ('{"token": "好", "weight": true}', "lexicon weight for '好' is not a finite number"),
+        ('{"token": "好", "weight": null}', "lexicon weight for '好' is not a finite number"),
+        ('{"token": "好", "weight": 1e400}', "lexicon weight for '好' is not a finite number"),
+        (f'{{"token": "好", "weight": {HUGE_INT}}}', "lexicon weight for '好' is not a finite number"),
+    ],
+    ids=["token-int", "token-list", "weight-true", "weight-null", "weight-1e400", "weight-huge-int"],
+)
+def test_load_lexicon_errors_start_with_the_path(tmp_path, line, message):
+    path = tmp_path / "lex.jsonl"
+    path.write_text('{"token": "坏", "weight": -1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        cs.load_lexicon(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def _toy_corpus(n):

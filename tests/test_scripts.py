@@ -20,7 +20,7 @@ def _load_script(name: str):
     return module
 
 
-def test_scripts_run_end_to_end(tmp_path, capsys, monkeypatch):
+def test_scripts_run_end_to_end(tmp_path, capsys):
     save_corpus(generate_corpus(60, seed=5), tmp_path / "labeled.jsonl")
     names = {"labeled": "labeled.jsonl", "vocab": "vocab.json", "embeddings": "emb.bin"}
     config = {
@@ -36,10 +36,10 @@ def test_scripts_run_end_to_end(tmp_path, capsys, monkeypatch):
     assert neighbors.main(["--embeddings", str(tmp_path / "emb.bin"), "--queries", "好坏"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("好: ") and "not in vocabulary" not in out
-    # --synthetic trains the space CLI embed trains on the same corpus and settings
-    monkeypatch.setattr(neighbors, "SYNTHETIC_REVIEWS", 60)
-    assert neighbors.main(["--synthetic", "--seed", "5", "--dim", "8", "--queries", "好坏"]) == 0
-    assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit) as exit_info:
+        neighbors.main(["--queries", "好坏"])
+    assert exit_info.value.code == 2
+    assert "--embeddings" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])

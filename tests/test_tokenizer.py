@@ -95,7 +95,8 @@ def test_token_sequence_invariants_enforced():
             TokenSequence(ids=ids)
     with pytest.raises(DataError, match="PAD"):
         cs.encode([PAD_TOKEN], cs.build_vocab(["好"], min_count=1), max_len=4)
-    assert TokenSequence(ids=()).true_length == 0
+    with pytest.raises(DataError, match="at least one token"):
+        TokenSequence(ids=())
     with pytest.raises(AttributeError):
         TokenSequence(ids=(2, 3)).true_length = 1
 
@@ -109,6 +110,10 @@ def test_decode_drops_padding():
 @given(st.lists(st.sampled_from(list("好坏中啊呀很不太")), max_size=30), st.integers(4, 16))
 def test_encode_shape_properties(tokens, max_len):
     vocab = cs.build_vocab(["好坏中啊呀很不太"], min_count=1)
+    if not tokens:
+        with pytest.raises(DataError, match="at least one token"):
+            cs.encode(tokens, vocab, max_len=max_len)
+        return
     seq = cs.encode(tokens, vocab, max_len=max_len)
     assert seq.ids == tuple(vocab.id_for(t) for t in tokens[:max_len])
     assert seq.true_length == min(len(tokens), max_len)
