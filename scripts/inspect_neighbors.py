@@ -22,8 +22,11 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--embeddings", type=Path, required=True, help="W2V1 embedding file")
     ap.add_argument("--queries", default="好坏", help="characters to look up")
-    ap.add_argument("--top", type=int, default=5)
-    return ap.parse_args(argv)
+    ap.add_argument("--top", type=int, default=5, help="neighbors per query, at least 1")
+    args = ap.parse_args(argv)
+    if args.top < 1:
+        ap.error(f"--top must be at least 1, got {args.top}")
+    return args
 
 
 def main(argv=None) -> int:

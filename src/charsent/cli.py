@@ -34,7 +34,7 @@ from .embedding import (
     train_embeddings,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .files import located, read_text
+from .files import located, parse_json, read_text
 from .network import Model, init_lstm_params, predict, threshold_ok
 from .tokenizer import Vocabulary, build_vocab, segment_chars
 from .training import (
@@ -142,13 +142,6 @@ def _merge(section, override: dict, prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _parse_set_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw  # bare strings (paths, mode names) need no quoting
-
-
 def _nest(dotted: str, value) -> dict:
     out = value
     for part in reversed(dotted.split(".")):
@@ -164,18 +157,23 @@ def build_config(
     cfg = PipelineConfig()
     if config_path is not None:
         path = Path(config_path)
-        try:
-            loaded = json.loads(read_text(path, "config file", ConfigError))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON in config file: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
-        cfg = _merge(cfg, loaded)
+        text = read_text(path, "config file", ConfigError)
+        with located(path, ConfigError):
+            loaded = parse_json(text, "config file", ConfigError)
+            if not isinstance(loaded, dict):
+                raise ConfigError("config root must be a JSON object")
+            cfg = _merge(cfg, loaded)
     for item in overrides or []:
         key, eq, raw = item.partition("=")
         if not eq:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        cfg = _merge(cfg, _nest(key, _parse_set_value(raw)))
+        try:
+            value = parse_json(raw, f"--set {key}", ConfigError)
+        except ConfigError as exc:
+            if not isinstance(exc.__cause__, json.JSONDecodeError):
+                raise  # JSON too deep or too long to read is still JSON
+            value = raw  # bare strings (paths, mode names) need no quoting
+        cfg = _merge(cfg, _nest(key, value))
     seed = cfg.seed if seed_flag is None else seed_flag
     w2v, training = replace(cfg.word2vec, seed=seed), replace(cfg.training, seed=seed)
     return replace(cfg, seed=seed, word2vec=w2v, training=training)
@@ -229,11 +227,12 @@ def cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     vocab_path = cfg.require_path("vocab", "embed")
     emb_path = cfg.require_path("embeddings", "embed")
     texts = [clean_text(text) for text in load_corpus(corpus_path).texts()]
-    vocab = build_vocab(texts, min_count=cfg.tokenizer.min_count)
-    # full untruncated id streams: clipping to max_len is a classifier
-    # concern, not an embedding one
-    sequences = [[vocab.id_for(t) for t in segment_chars(text)] for text in texts]
-    matrix, epoch_losses = train_embeddings(sequences, vocab, cfg.word2vec)
+    with located(corpus_path):  # a corpus too small to embed
+        vocab = build_vocab(texts, min_count=cfg.tokenizer.min_count)
+        # full untruncated id streams: clipping to max_len is a classifier
+        # concern, not an embedding one
+        sequences = [[vocab.id_for(t) for t in segment_chars(text)] for text in texts]
+        matrix, epoch_losses = train_embeddings(sequences, vocab, cfg.word2vec)
     vocab.save(vocab_path)
     save_embeddings(matrix, vocab, emb_path)
     _emit(
@@ -259,7 +258,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus = load_corpus(corpus_path)
     vocab = Vocabulary.load(vocab_path)
     embeddings, tokens = load_embeddings(emb_path)
-    if tuple(tokens) != vocab.id_to_token:
+    if tuple(tokens) != vocab.id_to_token or embeddings.vocab_hash != vocab.content_hash():
         raise DataError(f"{emb_path}: embedding tokens do not match the vocabulary {vocab_path}")
     parts = split(corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed)
     max_len = cfg.tokenizer.max_len
@@ -274,7 +273,8 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         f"training on {len(train_set)} reviews, validating on {len(val_set)}, "
         f"h={cfg.network.hidden_size}, d={embeddings.dim}"
     )
-    best, history = train(train_set, val_set, model, cfg.training)
+    with located(corpus_path):  # a split too small to train on
+        best, history = train(train_set, val_set, model, cfg.training)
 
     summary: dict = {
         "best_epoch": history.best_epoch,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import located, read_text, write_atomic
+from .files import json_lines, located, read_text, write_atomic
 from .rng import substream
 from .tokenizer import segment_chars
 
@@ -86,24 +86,6 @@ class PolarityLexicon:
         return PolarityLexicon({t: w * factor for t, w in self.entries.items()})
 
 
-def _json_lines(path: Path, what: str):
-    """(where, parsed value) for each non-blank line of a JSONL file,
-    `where` being `path:lineno`. Lines end at LF, CR LF or CR, as in a
-    file read in text mode, and not at U+2028 or U+0085.
-    """
-    content = read_text(path, what)
-    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-        yield where, record
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file: CSV when the suffix is `.csv` in any case,
     JSONL otherwise. One Review per record, file order kept.
@@ -111,16 +93,20 @@ def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
     reviews: list[Review] = []
     if path.suffix.lower() != ".csv":
-        for where, record in _json_lines(path, "corpus file"):
+        for where, record in json_lines(path, "corpus file"):
             with located(where):
                 if not isinstance(record, dict) or "text" not in record:
                     raise DataError("record must be an object with a 'text' field")
                 reviews.append(Review(record["text"], record.get("label"), record.get("source_id")))
     else:
         reader = csv.DictReader(io.StringIO(read_text(path, "corpus file"), newline=""))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
         if reader.fieldnames is None or "text" not in reader.fieldnames:
             raise DataError(f"{path}: CSV header must include a 'text' column")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             label = row.get("label")
             if label in (None, ""):
                 label = None
@@ -197,9 +183,10 @@ def load_lexicon(path: str | Path) -> PolarityLexicon:
     """Load a JSONL lexicon: one {"token": ..., "weight": ...} object per line."""
     path = Path(path)
     pairs = []
-    for where, record in _json_lines(path, "lexicon file"):
-        if not (isinstance(record, dict) and {"token", "weight"} <= record.keys()):
-            raise DataError(f"{where}: expected a JSON object with fields 'token' and 'weight'")
+    for where, record in json_lines(path, "lexicon file"):
+        with located(where):
+            if not (isinstance(record, dict) and {"token", "weight"} <= record.keys()):
+                raise DataError("expected a JSON object with fields 'token' and 'weight'")
         pairs.append((record["token"], record["weight"]))
     with located(path):
         return PolarityLexicon(pairs)

@@ -3,14 +3,16 @@
 The config, corpus, lexicon, vocabulary, embedding and model files are
 read whole through `read_bytes` or `read_text`, so a missing, unreadable
 or undecodable file raises the caller's error class (ConfigError for the
-config file, DataError for the rest) and never a raw OSError. Every
-artifact is written through `write_atomic`: a reader sees the old file
-or the complete new one, never a partial write. A loader builds its
-objects inside `located`, so every DataError it raises names its file.
+config file, DataError for the rest), as does JSON that `parse_json`
+cannot read. Every artifact is written through `write_atomic`: a reader
+sees the old file or the complete new one, never a partial write. A
+loader builds its objects inside `located`, so its errors name its file.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import secrets
 from pathlib import Path
@@ -43,21 +45,47 @@ def read_text(path: Path, what: str, error: type[CharsentError] = DataError) -> 
     return text.removeprefix("\ufeff")
 
 
+def parse_json(text: str | bytes, what: str, error: type[CharsentError] = DataError):
+    """The value of the JSON text `what`, bytes read as strict UTF-8, or
+    `error` if json.loads refuses it, even for its nesting or an integer's
+    digit count, or if it is not UTF-8.
+    """
+    try:  # json.loads would read bytes as UTF-16 or UTF-32 too
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError too
+        problem = {RecursionError: "nested too deep", ValueError: "an integer too long to read"}
+        raise error(f"invalid JSON in {what} ({problem.get(type(exc), exc)})") from exc
+
+
+def json_lines(path: Path, what: str):
+    """(where, parsed value) for each non-blank line of a JSONL file,
+    `where` being `path:lineno`. Lines end at LF, CR LF or CR, as in a
+    file read in text mode, and not at U+2028 or U+0085.
+    """
+    for lineno, line in enumerate(io.StringIO(read_text(path, what), newline=None), start=1):
+        if line := line.strip():
+            where = f"{path}:{lineno}"
+            with located(where):
+                record = parse_json(line, what)
+            yield where, record
+
+
 class located:
     """Context manager that prefixes `where: ` (a file, or `file:line`)
-    to any DataError raised inside it. A class, as contextlib.suppress
-    is, for its speed: a corpus loader enters one per record.
+    to any `error` raised inside it. A class, as contextlib.suppress is,
+    for its speed: a corpus loader enters one per record.
     """
 
-    def __init__(self, where: str | Path):
+    def __init__(self, where: str | Path, error: type[CharsentError] = DataError):
         self.where = where
+        self.error = error
 
     def __enter__(self) -> None:
         return None
 
     def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, DataError):
-            raise DataError(f"{self.where}: {exc}") from exc
+        if isinstance(exc, self.error):
+            raise self.error(f"{self.where}: {exc}") from exc
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:

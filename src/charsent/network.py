@@ -242,7 +242,7 @@ class Model:
         return replace(self, embeddings=emb, params=self.params.copy())
 
 
-# OpenBLAS 0.3.31 (Haswell kernels) splits a product's inner dimension
+# OpenBLAS 0.3.31 (SkylakeX kernels) splits a product's inner dimension
 # among its threads so that the rounding depends on the thread count
 # unless that dimension is a multiple of 32. Swept over K = 8..4192 at
 # h=32, d=16 and h=128, d=64, such K never differed between one and two

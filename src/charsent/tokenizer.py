@@ -17,7 +17,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import located, read_text, write_atomic
+from .files import located, parse_json, read_text, write_atomic
 
 PAD_ID = 0
 UNK_ID = 1
@@ -97,10 +97,7 @@ class Vocabulary:
         path = Path(path)
         text = read_text(path, "vocabulary file")
         with located(path):
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid vocabulary JSON ({exc.msg})") from exc
+            payload = parse_json(text, "vocabulary file")
             if not (isinstance(payload, dict) and {"min_count", "tokens"} <= payload.keys()):
                 raise DataError("vocabulary JSON needs 'min_count' and 'tokens'")
             if not isinstance(payload["tokens"], list):

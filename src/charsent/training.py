@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Corpus, clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .files import located, read_bytes, read_text, write_atomic
+from .files import located, parse_json, read_bytes, read_text, write_atomic
 from .network import (
     LstmParams,
     Model,
@@ -200,7 +200,7 @@ def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
     OpenBLAS picks its gate-product kernel by the product's size, so a
     row's bits can depend on how many rows run beside it at each step.
     The read-out sums within a row and adds no such dependence. With
-    random weights and 1000 texts (OpenBLAS 0.3.31, Haswell kernels),
+    random weights and 1000 texts (OpenBLAS 0.3.31, SkylakeX kernels),
     each text scored alone and in the whole set differed in 71
     probabilities at h=32, d=16 and in 109 at h=128, d=64, by at most
     1.1e-16; the first 500 texts and the whole set differed in 4 of
@@ -357,10 +357,7 @@ def load_history(path: str | Path) -> list[EpochRecord]:
     keys = {f.name for f in fields(EpochRecord)}
     records = []
     with located(path):
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid history JSON ({exc.msg})") from exc
+        rows = parse_json(text, "history file")
         if not isinstance(rows, list):
             raise DataError("history must be a JSON array of epoch records")
         for n, row in enumerate(rows):
@@ -400,8 +397,9 @@ def save_model(model: Model, path: str | Path) -> None:
 def _check_header(header) -> None:
     """Raise DataError unless the header is a JSON object of this format
     version holding what sizes and fills the tensor blocks: the integers
-    h, d and vocab_size, each >= 1, and a token list. The types the
-    header builds check the rest.
+    h, d and vocab_size, each in [1, 2**31), so that the size they give
+    has too few digits for str() to refuse, and a token list. The types
+    the header builds check the rest.
     """
     if not isinstance(header, dict):
         raise DataError("model header must be a JSON object")
@@ -413,7 +411,7 @@ def _check_header(header) -> None:
         )
     for key in ("h", "d", "vocab_size"):
         value = header.get(key)
-        if type(value) is not int or value < 1:
+        if type(value) is not int or not 1 <= value < 2**31:
             raise DataError(f"model header field '{key}' is missing or invalid")
     if not isinstance(header.get("tokens"), list):
         raise DataError("model header field 'tokens' is missing or invalid")
@@ -432,10 +430,7 @@ def load_model(path: str | Path) -> Model:
         if len(blob) < 8:
             raise DataError("truncated model header")
         (header_len,) = struct.unpack("<I", blob[4:8])
-        try:
-            header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError("corrupt model header") from exc
+        header = parse_json(blob[8 : 8 + header_len], "model header")
         _check_header(header)
         dim = header["d"]
         shapes = param_shapes(header["h"], dim) | {"embeddings": (header["vocab_size"], dim)}

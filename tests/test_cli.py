@@ -471,7 +471,7 @@ def test_embed_one_character_corpus_exits_3(tmp_path):
         timeout=60,
     )
     assert done.returncode == 3, done.stderr
-    assert done.stderr.decode().startswith("error: cannot draw negatives")
+    assert done.stderr.decode().startswith(f"error: {labeled}: cannot draw negatives")
     assert not (tmp_path / "emb.bin").exists()
 
 
@@ -493,7 +493,7 @@ def test_embed_corpus_without_a_window_exits_3(tmp_path):
         timeout=60,
     )
     assert done.returncode == 3, done.stderr
-    assert done.stderr.decode().startswith("error: cannot train embeddings: no token has a neighbor")
+    assert done.stderr.decode().startswith(f"error: {labeled}: cannot train embeddings: no token has a neighbor")
     assert not (tmp_path / "emb.bin").exists()
 
 
@@ -640,6 +640,10 @@ def test_train_with_json_embeddings_exits_3(pipeline, tmp_path, capsys):
 
 
 NOT_UTF8 = b'{"text": "\xe5\xa5\xbd\xff", "label": 1}\n'
+# JSON that json.loads cannot read: nested past the recursion limit, or
+# holding an integer past int()'s 4300-digit limit
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+TOO_LONG = "1" * 5000
 
 # (command, the key that names the file, file name, its bytes or None
 # for a directory, exit code)
@@ -659,6 +663,17 @@ UNREADABLE_INPUTS = [
                  id="vocab-min-count-string"),
     pytest.param("train", "paths.vocab", "vocab.json", b'{"min_count": 1, "tokens": 5}', 3,
                  id="vocab-tokens-number"),
+    pytest.param("train", "--config", "cfg.json", TOO_DEEP.encode(), 2, id="config-too-deep"),
+    pytest.param("train", "--config", "cfg.json", f'{{"seed": {TOO_LONG}}}'.encode(), 2,
+                 id="config-integer-too-long"),
+    pytest.param("train", "paths.labeled", "labeled.jsonl", TOO_DEEP.encode(), 3, id="jsonl-too-deep"),
+    pytest.param("train", "paths.labeled", "labeled.jsonl", f'{{"text": "好", "label": {TOO_LONG}}}'.encode(), 3,
+                 id="jsonl-integer-too-long"),
+    pytest.param("prelabel", "paths.lexicon", "lex.jsonl", f'{{"token": "好", "weight": {TOO_LONG}}}'.encode(), 3,
+                 id="lexicon-integer-too-long"),
+    pytest.param("train", "paths.vocab", "vocab.json", TOO_DEEP.encode(), 3, id="vocab-too-deep"),
+    pytest.param("evaluate", "paths.model", "model.ssm",
+                 b"SSM1" + struct.pack("<I", len(TOO_DEEP)) + TOO_DEEP.encode(), 3, id="model-header-too-deep"),
 ]
 
 
@@ -679,8 +694,76 @@ def test_main_unreadable_input_exits_with_error_line(
                 "--set", f"paths.model={tmp_path / 'out.ssm'}", "--set", f"{key}={path}"]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}"), err[:300]
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("value", [TOO_DEEP, TOO_LONG], ids=["too-deep", "integer-too-long"])
+def test_set_value_past_the_parser_limits_exits_2(capsys, value):
+    # JSON all the same, so not taken as a bare string
+    assert cli.main(["train", "--set", f"seed={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: invalid JSON in --set seed (")
+
+
+def test_nesting_around_the_recursion_limit_names_the_file(tmp_path, capsys):
+    """From 900 to 1100 deep json.loads goes from reading the nesting to
+    refusing it; at every depth, a whole document or a field nested
+    that deep ends in one error line that names the file.
+    """
+    config, corpus = tmp_path / "cfg.json", tmp_path / "labeled.jsonl"
+    embed = ["embed", "--set", f"paths.labeled={corpus}",
+             "--set", f"paths.vocab={tmp_path / 'vocab.json'}",
+             "--set", f"paths.embeddings={tmp_path / 'emb.bin'}"]
+    for depth in range(900, 1101, 10):
+        nested = "[" * depth + "]" * depth
+        for text in (nested, f'{{"seed": {nested}}}'):
+            config.write_text(text, encoding="utf-8")
+            assert cli.main(["train", "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {config}: "), (depth, err[:200])
+        for text in (nested, f'{{"text": "好", "label": {nested}}}'):
+            corpus.write_text(text + "\n", encoding="utf-8")
+            assert cli.main(embed) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {corpus}:1: "), (depth, err[:200])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "labeled.jsonl"]
+
+
+def test_train_on_a_corpus_too_small_to_split_names_the_file(pipeline, tmp_path, capsys):
+    labeled = tmp_path / "labeled.jsonl"
+    save_corpus(Corpus([Review(text="好棒", label=1), Review(text="太差", label=0)]), labeled)
+    argv = ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.labeled={labeled}",
+            "--set", f"paths.model={tmp_path / 'model.ssm'}", "--set", f"paths.history={tmp_path / 'history.json'}"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {labeled}: train and validation sets must be non-empty, "
+        "got 1 training and 0 validation examples"
+    )
+    assert os.listdir(tmp_path) == ["labeled.jsonl"]
+
+
+def test_embed_on_an_empty_corpus_names_the_file(tmp_path, capsys):
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_bytes(b"")
+    argv = ["embed", "--set", f"paths.labeled={labeled}",
+            "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={tmp_path / 'emb.bin'}"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {labeled}: cannot build a vocabulary from an empty corpus\n"
+    assert os.listdir(tmp_path) == ["labeled.jsonl"]
+
+
+def test_train_with_a_vocabulary_of_another_min_count_names_both_files(pipeline, tmp_path, capsys):
+    # the same tokens, so only the vocabulary hash, which covers min_count, differs
+    vocab = cs.Vocabulary.load(pipeline / "vocab.json")
+    other = tmp_path / "vocab.json"
+    cs.Vocabulary.from_tokens(vocab.tokens, min_count=vocab.min_count + 1).save(other)
+    argv = ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.vocab={other}",
+            "--set", f"paths.model={tmp_path / 'model.ssm'}"]
+    assert cli.main(argv) == 3
+    emb = pipeline / "emb.bin"
+    assert capsys.readouterr().err == f"error: {emb}: embedding tokens do not match the vocabulary {other}\n"
+    assert os.listdir(tmp_path) == ["vocab.json"]
 
 
 def _write_edited_model(path: Path, changes: dict) -> None:
@@ -704,6 +787,8 @@ RULES_IN_FILES = [
                  "lexicon weight for '好' is not a finite number", id="lexicon-weight-too-large-for-a-float"),
     pytest.param("train", "paths.vocab", "vocab.json", '{"min_count": 1, "tokens": ["好", "好"]}'.encode(),
                  "duplicate token in vocabulary", id="vocab-duplicate-token"),
+    pytest.param("evaluate", "paths.model", "model.ssm", {"h": 10**2200},
+                 "model header field 'h' is missing or invalid", id="model-h-of-2201-digits"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"tokens": ["好", "好"]},
                  "duplicate token in vocabulary", id="model-duplicate-token"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"vocab_hash": "0" * 16},

@@ -1,4 +1,6 @@
+import ast
 import os
+from pathlib import Path
 
 import pytest
 
@@ -81,7 +83,17 @@ LOADERS = [
 ]
 
 
-@pytest.mark.parametrize("content", [None, b"{", b"\xff"], ids=["missing", "malformed", "not-utf8"])
+# JSON nested past the recursion limit, and an integer past int()'s
+# 4300-digit limit: json.loads raises RecursionError and ValueError on them
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+TOO_LONG = b'{"text": "x", "weight": ' + b"1" * 5000 + b"}"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{", b"\xff", TOO_DEEP, TOO_LONG],
+    ids=["missing", "malformed", "not-utf8", "too-deep", "integer-too-long"],
+)
 @pytest.mark.parametrize("load, name", LOADERS)
 def test_every_loader_error_starts_with_its_file(tmp_path, load, name, content):
     path = tmp_path / name
@@ -90,3 +102,27 @@ def test_every_loader_error_starts_with_its_file(tmp_path, load, name, content):
     with pytest.raises(DataError) as err:
         load(path)
     assert str(err.value).startswith(str(path))
+
+
+def test_json_is_parsed_only_in_files_py():
+    """One home for the JSON parse rule: no other module calls json.load
+    or json.loads, catches JSONDecodeError, or raises the interpreter's
+    recursion or integer-digit limits.
+    """
+    found = []
+    for source in sorted(Path(cs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("setrecursionlimit", "set_int_max_str_digits"):
+                found.append(f"{source.name}:{node.lineno}: {name}")
+            if source.name == "files.py":
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    found.append(f"{source.name}:{node.lineno}: json.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{source.name}:{node.lineno}: from json import")
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "JSONDecodeError" in ast.unparse(node.type):
+                    found.append(f"{source.name}:{node.lineno}: except JSONDecodeError")
+    assert found == []

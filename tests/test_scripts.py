@@ -40,6 +40,11 @@ def test_scripts_run_end_to_end(tmp_path, capsys):
         neighbors.main(["--queries", "好坏"])
     assert exit_info.value.code == 2
     assert "--embeddings" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        neighbors.main(["--embeddings", str(tmp_path / "emb.bin"), "--top", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--top must be at least 1, got 0" in err
 
 
 @pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])
