@@ -8,9 +8,8 @@ best-epoch `val_acc` (the epoch of lowest validation loss, as the test
 reads it), that epoch and the epochs run. It also scores the validation
 split with the saved model and splits its errors by evidence margin,
 the count of positive- minus negative-pool characters in the text:
-ties (0), +-1 and the rest. The saved model holds float32 weights, so
-its error count can differ by a review from the epoch's `val_acc`.
-The summary gives the minimum and the median `val_acc`.
+ties (0), +-1 and the rest. The saved model is the best epoch's, so
+its error count matches that epoch's `val_acc`. The summary gives the minimum and the median `val_acc`.
 
 Each seed's record also carries the `test` metrics that CLI `train`
 prints for the held-out split.

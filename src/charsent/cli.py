@@ -18,6 +18,7 @@ from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 from .corpus import (
+    check_split_fractions,
     clean_corpus,
     clean_text,
     load_corpus,
@@ -69,6 +70,9 @@ class TokenizerConfig:
 class SplitConfig:
     train_frac: float = 0.7
     val_frac: float = 0.15
+
+    def __post_init__(self):
+        check_split_fractions(self.train_frac, self.val_frac)
 
 
 @dataclass(frozen=True)
@@ -142,13 +146,18 @@ def _merge(section, override: dict, prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _nest(dotted: str, value) -> dict:
-    out = value
-    for part in reversed(dotted.split(".")):
-        if not part:
-            raise ConfigError(f"malformed --set key: {dotted!r}")
-        out = {part: out}
-    return out
+def _set_dotted(tree: dict, dotted: str, value) -> None:
+    """Put `value` at the dotted key's place in the nested dict `tree`;
+    it replaces what an earlier key put there or at a key enclosing it.
+    """
+    *parents, last = parts = dotted.split(".")
+    if not all(parts):
+        raise ConfigError(f"malformed --set key: {dotted!r}")
+    for part in parents:
+        if not isinstance(tree.get(part), dict):
+            tree[part] = {}
+        tree = tree[part]
+    tree[last] = value
 
 
 def build_config(
@@ -163,6 +172,9 @@ def build_config(
             if not isinstance(loaded, dict):
                 raise ConfigError("config root must be a JSON object")
             cfg = _merge(cfg, loaded)
+    # every --set value is merged at once, so that a section's rules see
+    # all of them: split.train_frac=0.9 and split.val_frac=0.05 are valid together
+    tree: dict = {}
     for item in overrides or []:
         key, eq, raw = item.partition("=")
         if not eq:
@@ -173,7 +185,8 @@ def build_config(
             if not isinstance(exc.__cause__, json.JSONDecodeError):
                 raise  # JSON too deep or too long to read is still JSON
             value = raw  # bare strings (paths, mode names) need no quoting
-        cfg = _merge(cfg, _nest(key, value))
+        _set_dotted(tree, key, value)
+    cfg = _merge(cfg, tree)
     seed = cfg.seed if seed_flag is None else seed_flag
     w2v, training = replace(cfg.word2vec, seed=seed), replace(cfg.training, seed=seed)
     return replace(cfg, seed=seed, word2vec=w2v, training=training)

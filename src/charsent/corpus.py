@@ -31,6 +31,8 @@ _WS_RE = re.compile(r"\s+")
 class Review:
     """One review: raw or cleaned text, an optional 0/1 polarity and an
     optional source id. These are the record rules of every corpus file.
+    The text and the source id must be valid Unicode: a lone surrogate,
+    which a JSON `\\ud800` escape gives, cannot be written as UTF-8.
     """
 
     text: str
@@ -38,12 +40,21 @@ class Review:
     source_id: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise DataError(f"text must be a string, not {type(self.text).__name__}")
+        _check_string("text", self.text)
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise DataError(f"label must be the integer 0 or 1, got {self.label!r}")
-        if self.source_id is not None and not isinstance(self.source_id, str):
-            raise DataError(f"source_id must be a string, not {type(self.source_id).__name__}")
+        if self.source_id is not None:
+            _check_string("source_id", self.source_id)
+
+
+def _check_string(name: str, value) -> None:
+    """Raise DataError unless `value` is a string that UTF-8 can encode."""
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, not {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{name} is not valid Unicode (a lone surrogate at index {exc.start})") from None
 
 
 @dataclass
@@ -155,6 +166,17 @@ def prelabel(text: str, lexicon: PolarityLexicon) -> tuple[int, float]:
     return (1 if score >= 0 else 0), score
 
 
+def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    """Raise ConfigError unless train_frac > 0, val_frac >= 0 and their
+    sum is at most 1; the rule of `split` and of the config's split section.
+    """
+    if not (0 < train_frac and 0 <= val_frac and train_frac + val_frac <= 1):
+        raise ConfigError(
+            "train_frac must be > 0 and val_frac >= 0, summing to at most 1, "
+            f"got train_frac={train_frac}, val_frac={val_frac}"
+        )
+
+
 def split(
     corpus: Corpus, train_frac: float, val_frac: float, seed: int
 ) -> tuple[Corpus, Corpus, Corpus]:
@@ -163,10 +185,7 @@ def split(
     Sizes are floor(n*train_frac) and floor(n*val_frac); the remainder
     is the test set. The same seed always yields the same partition.
     """
-    if not (0 < train_frac and 0 <= val_frac and train_frac + val_frac <= 1):
-        raise ConfigError(
-            f"invalid split fractions train={train_frac}, val={val_frac}"
-        )
+    check_split_fractions(train_frac, val_frac)
     n = len(corpus)
     order = substream(seed, "split").permutation(n)
     n_train = math.floor(n * train_frac)

@@ -383,7 +383,10 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
             raise DataError(f"not a {EMBEDDING_MAGIC} embedding file (bad magic)")
         newline = blob.find(b"\n")
         parts = blob[:newline].split(b" ")
-        if newline < 0 or len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
+        # each size is digits, at most 18 of them: no file holds more
+        # rows or floats, and int() refuses past 4300 digits
+        sizes_ok = all(part.isdigit() and len(part) <= 18 for part in parts[1:3])
+        if newline < 0 or len(parts) != 4 or not sizes_ok:
             raise DataError("malformed embedding header")
         vocab_size, dim = int(parts[1]), int(parts[2])
         row_bytes = 4 * dim

@@ -204,11 +204,7 @@ class Model:
     writable, and training updates them in place.
 
     `metrics_snapshot`, when set, is train's validation report
-    (Metrics.to_dict) for these float64 weights at the best epoch.
-    save_model stores the weights as float32, so a reloaded model's
-    scores differ from it in the last digits: on acceptance criterion
-    06's pipeline the reloaded validation loss reads 0.12600355 against
-    the snapshot's 0.12600353.
+    (Metrics.to_dict) for these weights at the best epoch.
     """
 
     vocab: Vocabulary

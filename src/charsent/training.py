@@ -33,7 +33,9 @@ from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
 MODEL_MAGIC = b"SSM1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+# the tensor blocks' element type in each SSM1 version this charsent reads
+_BLOCK_DTYPES = {1: "<f4", 2: "<f8"}
 _EVAL_CHUNK = 256
 _QUOTE_CHARS = 20  # of a review's text, in an error that names the review
 
@@ -370,11 +372,9 @@ def load_history(path: str | Path) -> list[EpochRecord]:
 
 def save_model(model: Model, path: str | Path) -> None:
     """Serialize a model: magic, length-prefixed JSON header, then the
-    tensor blocks as little-endian float32 in a fixed order (the gate
+    tensor blocks as little-endian float64 in a fixed order (the gate
     matrix and the gate biases, each stacked f, i, o, c, the read-out
-    weights and bias, then the embedding matrix). The header's metrics
-    are the model's metrics_snapshot, which describes the float64
-    weights, not the float32 ones written here.
+    weights and bias, then the embedding matrix).
     """
     header = {
         "version": MODEL_VERSION,
@@ -390,24 +390,25 @@ def save_model(model: Model, path: str | Path) -> None:
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     tensors = [*model.params.tensors().values(), model.embeddings.vectors]
-    blocks = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors)
+    dtype = _BLOCK_DTYPES[MODEL_VERSION]
+    blocks = b"".join(np.ascontiguousarray(t, dtype=dtype).tobytes() for t in tensors)
     write_atomic(path, MODEL_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + blocks)
 
 
 def _check_header(header) -> None:
-    """Raise DataError unless the header is a JSON object of this format
-    version holding what sizes and fills the tensor blocks: the integers
-    h, d and vocab_size, each in [1, 2**31), so that the size they give
-    has too few digits for str() to refuse, and a token list. The types
-    the header builds check the rest.
+    """Raise DataError unless the header is a JSON object of a format
+    version this charsent reads, holding what sizes and fills the tensor
+    blocks: the integers h, d and vocab_size, each in [1, 2**31), so
+    that the size they give has too few digits for str() to refuse, and
+    a token list. The types the header builds check the rest.
     """
     if not isinstance(header, dict):
         raise DataError("model header must be a JSON object")
     version = header.get("version")
-    if type(version) is not int or version != MODEL_VERSION:
+    if type(version) is not int or version not in _BLOCK_DTYPES:
         raise DataError(
             f"model format version {json.dumps(version)} is not supported "
-            f"(this charsent reads version {MODEL_VERSION})"
+            f"(this charsent reads versions {', '.join(map(str, _BLOCK_DTYPES))})"
         )
     for key in ("h", "d", "vocab_size"):
         value = header.get(key)
@@ -418,9 +419,9 @@ def _check_header(header) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Load an SSM1 model file; inverse of save_model up to float32
-    quantization of the tensors. The file must be exactly as long as
-    its header says.
+    """Load an SSM1 model file, the inverse of save_model: the model
+    comes back bit for bit. Version 1 files, whose blocks are float32,
+    load too. The file must be exactly as long as its header says.
     """
     path = Path(path)
     blob = read_bytes(path, "model file")
@@ -432,20 +433,21 @@ def load_model(path: str | Path) -> Model:
         (header_len,) = struct.unpack("<I", blob[4:8])
         header = parse_json(blob[8 : 8 + header_len], "model header")
         _check_header(header)
+        dtype = np.dtype(_BLOCK_DTYPES[header["version"]])
         dim = header["d"]
         shapes = param_shapes(header["h"], dim) | {"embeddings": (header["vocab_size"], dim)}
         offset = 8 + header_len
-        expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
+        expected = offset + dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
         if len(blob) != expected:
             raise DataError(f"{len(blob)} bytes, but the header describes {expected}")
         tensors: dict[str, np.ndarray] = {}
         for name, shape in shapes.items():
             count = math.prod(shape)
-            block = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+            block = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
             if not np.isfinite(block).all():  # before the cast, which warns on a signaling NaN
                 raise DataError(f"{name} contains non-finite entries")
             tensors[name] = block.astype(np.float64).reshape(shape)
-            offset += 4 * count
+            offset += dtype.itemsize * count
         vectors = tensors.pop("embeddings")
         return Model(
             vocab=Vocabulary.from_tokens(header["tokens"], header.get("min_count")),

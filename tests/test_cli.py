@@ -63,6 +63,7 @@ def test_build_config_set_value_types():
             "paths.model=out dir/model.ssm",
             "training.learning_rate=0.005",
             "split.train_frac=1",
+            "split.val_frac=0",
         ],
         None,
     )
@@ -72,6 +73,26 @@ def test_build_config_set_value_types():
     assert cfg.paths.model == "out dir/model.ssm"
     assert cfg.training.learning_rate == 0.005
     assert cfg.split.train_frac == 1.0 and type(cfg.split.train_frac) is float
+    assert cfg.split.val_frac == 0.0 and type(cfg.split.val_frac) is float
+
+
+def test_build_config_checks_the_set_values_together():
+    cfg = cli.build_config(None, ["split.train_frac=0.9", "split.val_frac=0.05"], None)
+    assert (cfg.split.train_frac, cfg.split.val_frac) == (0.9, 0.05)
+    with pytest.raises(ConfigError, match=r"^split\.train_frac must be > 0 .* got train_frac=0.9, val_frac=0.15$"):
+        cli.build_config(None, ["split.train_frac=0.9"], None)
+
+
+def test_split_fractions_are_checked_when_the_config_is_read(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    missing = tmp_path / "missing.jsonl"
+    config.write_text(json.dumps({"split": {"train_frac": 0.9}, "paths": {"labeled": str(missing)}}))
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {config}: split.train_frac must be > 0 and val_frac >= 0, summing to at most 1, "
+        "got train_frac=0.9, val_frac=0.15\n"
+    )
 
 
 def test_build_config_seed_flag_wins(tmp_path):
@@ -451,6 +472,18 @@ def test_prelabel_keeps_source_ids(tmp_path, capsys):
     assert [(r["text"], r["source_id"]) for r in rows] == [("好好", "a1"), ("太差", "b2")]
 
 
+@pytest.mark.parametrize("command", ["prelabel", "embed"])
+def test_a_corpus_text_that_is_not_valid_unicode_exits_3(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"text": "好棒", "label": 1}\n{"text": "\\ud800好坏", "label": 1}\n', encoding="utf-8")
+    argv = [command, "--set", f"paths.corpus={corpus}", "--set", f"paths.labeled={corpus}",
+            "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={tmp_path / 'emb.bin'}"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {corpus}:2: text is not valid Unicode (a lone surrogate at index 0)\n")
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
 def test_embed_one_character_corpus_exits_3(tmp_path):
     """Every negative draw would be the excluded center; the run must
     stop with a data error instead of redrawing forever.
@@ -540,6 +573,19 @@ def test_evaluate_output_is_reproducible(pipeline, capsys):
     assert cli.main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_evaluate_on_the_saved_model_reprints_trains_blocks(pipeline, tmp_path, capsys):
+    _, summary = _summary(pipeline, "train")
+    labeled = cs.load_corpus(pipeline / "labeled.jsonl")
+    defaults = cli.PipelineConfig().split
+    _, val, test = cs.split(labeled, defaults.train_frac, defaults.val_frac, seed=31)
+    for name, part in (("val", val), ("test", test)):
+        save_corpus(part, tmp_path / f"{name}.jsonl")
+        code, out = _run(capsys, ["evaluate", "--config", str(pipeline / "cfg.json"),
+                                  "--set", f"paths.labeled={tmp_path / f'{name}.jsonl'}"])
+        assert code == 0
+        assert out == summary[name], name
 
 
 def test_evaluate_unlabeled_corpus_names_the_problem(pipeline, tmp_path, capsys):

@@ -27,6 +27,13 @@ def test_review_text_and_source_id_validation():
             Review(text=text, source_id=source_id)
 
 
+def test_review_refuses_a_lone_surrogate():
+    for field, surrogate in (("text", "\ud800"), ("source_id", "\udfff")):
+        fields = {"text": "好", "source_id": "a1"} | {field: f"好{surrogate}坏"}
+        with pytest.raises(DataError, match=f"^{field} is not valid Unicode .* at index 1"):
+            Review(**fields)
+
+
 def test_clean_text_strips_urls_mentions_hashtags():
     raw = "这部电影 http://t.cn/abc 太好了 @某人 #强烈推荐#　必看"
     out = cs.clean_text(raw)

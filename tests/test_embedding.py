@@ -449,7 +449,10 @@ def test_load_embeddings_rejects_every_truncation_and_trailing_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("header", [b"W2V1 x 2 h", b"W2V1 4 2.0 h", b"W2V1 -4 2 h", b"W2V1 4 0 h",
-                                    b"W2V1 4 2", b"W2V1 99999999999 2 h"])
+                                    b"W2V1 4 2", b"W2V1 99999999999 2 h",
+                                    # more digits than int() reads, and than any file's size
+                                    pytest.param(b"W2V1 " + b"9" * 4301 + b" 2 h", id="size-of-4301-digits"),
+                                    pytest.param(b"W2V1 4 " + b"1" * 19 + b" h", id="dim-of-19-digits")])
 def test_load_embeddings_rejects_bad_header_fields(tmp_path, header):
     blob = _tiny_embedding_bytes(tmp_path)
     path = tmp_path / "edited.bin"

@@ -1,17 +1,21 @@
 """The exit-code contract under mutated input files.
 
-Each JSON-bearing file the CLI reads (the config, a JSONL corpus, the
-lexicon, `vocab.json` and the SSM1 model) is damaged in one way:
-truncated, a byte flipped, a value nested deep, a value replaced by an
-integer too long to read, a byte made invalid UTF-8, or a byte order
-mark put in front. Every stage that reads the file then runs in-process
-and must exit 0, 2 or 3; on a non-zero exit its one `error:` line starts
-with the damaged file and the stage leaves its output directory as it
-was. Hypothesis draws the damage, derandomized, so every run tries the
-same cases.
+Each file the pipeline reads (the config, a JSONL and a CSV corpus, the
+lexicon, `vocab.json`, the W2V1 embeddings, the SSM1 model and the
+history) is damaged in one way: truncated, a byte flipped, a value
+nested deep, a value replaced by an integer too long to read, a byte
+made invalid UTF-8, or a byte order mark put in front. A value is a
+JSON scalar, a CSV cell, or a field of the W2V1 header line. Every
+stage that reads the file then runs in-process and must exit 0, 2 or
+3; on a non-zero exit its one `error:` line starts with the damaged
+file and the stage leaves its output directory as it was. No CLI stage
+reads the history file, so `load_history` stands in for one, its
+DataError counting as exit 3. Hypothesis draws the damage,
+derandomized, so every run tries the same cases.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -27,7 +31,9 @@ from hypothesis import strategies as st
 import charsent as cs
 from charsent import cli
 from charsent.corpus import sample_lexicon_path
+from charsent.errors import DataError
 from charsent.synthetic import generate_corpus
+from charsent.training import load_history
 
 # tiny sizes: a stage takes milliseconds
 CONFIG = {
@@ -42,10 +48,15 @@ CONFIG = {
 KINDS = {
     "config": ("cfg.json", ["prelabel", "embed", "train", "evaluate", "predict"]),
     "corpus": ("labeled.jsonl", ["prelabel", "embed", "train", "evaluate"]),
+    "csv-corpus": ("labeled.csv", ["prelabel", "embed", "train", "evaluate"]),
     "lexicon": ("lex.jsonl", ["prelabel"]),
     "vocab": ("vocab.json", ["train"]),
+    "embeddings": ("emb.bin", ["train"]),
     "model": ("model.ssm", ["evaluate", "predict"]),
+    "history": ("history.json", ["load_history"]),
 }
+# a CSV corpus is read where the JSONL one is
+STANDS_FOR = {"labeled.csv": "labeled.jsonl"}
 # the file each stage reads, and writes, under each path key
 READS = {
     "prelabel": {"corpus": "labeled.jsonl", "lexicon": "lex.jsonl"},
@@ -69,6 +80,17 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _stage(command: str, files: dict[str, Path], out: Path) -> tuple[int, str]:
+    """Exit code and stderr of `command` reading `files`, writing into `out`."""
+    if command != "load_history":
+        return _run(_argv(command, files, out))
+    try:
+        load_history(files["history.json"])
+    except DataError as exc:
+        return 3, f"error: {exc}\n"
+    return 0, ""
+
+
 def _argv(command: str, files: dict[str, Path], out: Path) -> list[str]:
     """CLI `command` reading `files` (file name -> path) and writing into `out`."""
     paths = {key: files[name] for key, name in READS[command].items()}
@@ -85,13 +107,21 @@ def built(tmp_path_factory):
     that makes it from a 24-review synthetic corpus.
     """
     root = tmp_path_factory.mktemp("inputs")
-    cs.save_corpus(generate_corpus(24, seed=7), root / "labeled.jsonl")
+    corpus = generate_corpus(24, seed=7)
+    cs.save_corpus(corpus, root / "labeled.jsonl")
+    with open(root / "labeled.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "label", "source_id"])
+        writer.writerows((r.text, r.label, f"s{i}") for i, r in enumerate(corpus.reviews))
     shutil.copy(sample_lexicon_path(), root / "lex.jsonl")
     (root / "cfg.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     files = {path.name: path for path in root.iterdir()}
     assert _run(_argv("embed", files, root))[0] == 0
     files |= {"vocab.json": root / "vocab.json", "emb.bin": root / "emb.bin"}
     assert _run(_argv("train", files, root))[0] == 0
+    blob = (root / "model.ssm").read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    assert json.loads(blob[8 : 8 + header_len])["version"] == 2  # the SSM1 cases damage a version-2 file
     return root
 
 
@@ -119,10 +149,24 @@ def _replace_leaf(text: str, pick: int, make) -> str:
     return json.dumps(value, ensure_ascii=False).replace(json.dumps(PLACEHOLDER), make(old))
 
 
-def _replace_json(blob: bytes, kind: str, pick: int, make) -> bytes:
-    """`blob` with one JSON scalar rewritten: in the document, in one
-    line of a JSONL file, or in an SSM1 model's header.
+def _replace_value(blob: bytes, kind: str, pick: int, make) -> bytes:
+    """`blob` with one value rewritten: a JSON scalar in the document, in
+    one line of a JSONL file or in an SSM1 model's header, a cell of a
+    CSV file, or a field of a W2V1 header line.
     """
+    if kind == "csv-corpus":
+        rows = list(csv.reader(io.StringIO(blob.decode("utf-8"), newline="")))
+        row = rows[pick % len(rows)]
+        column = pick // len(rows) % len(row)
+        row[column] = make(row[column])
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        return text.getvalue().encode("utf-8")
+    if kind == "embeddings":
+        header, newline, rest = blob.partition(b"\n")
+        fields = header.decode("utf-8").split(" ")
+        fields[pick % len(fields)] = make(fields[pick % len(fields)])
+        return " ".join(fields).encode("utf-8") + newline + rest
     if kind == "model":
         (header_len,) = struct.unpack("<I", blob[4:8])
         header = _replace_leaf(blob[8 : 8 + header_len].decode("utf-8"), pick, make).encode("utf-8")
@@ -158,10 +202,10 @@ def _mutate(blob: bytes, kind: str, mutation: str, args: tuple) -> bytes:
         return _set_byte(blob, at, blob[at] ^ args[1])
     if mutation == "deep-nesting":
         pick, depth = args
-        return _replace_json(blob, kind, pick, lambda old: "[" * depth + old + "]" * depth)
+        return _replace_value(blob, kind, pick, lambda old: "[" * depth + old + "]" * depth)
     if mutation == "huge-integer":
         pick, digits = args
-        return _replace_json(blob, kind, pick, lambda old: "9" * digits)
+        return _replace_value(blob, kind, pick, lambda old: "9" * digits)
     if mutation == "invalid-utf8":  # 0xFF is never part of UTF-8; a model's text is its header
         text = range(8, 8 + struct.unpack("<I", blob[4:8])[0]) if kind == "model" else range(len(blob))
         return _set_byte(blob, text[args[0] % len(text)], 0xFF)
@@ -198,10 +242,10 @@ def test_a_mutated_input_exits_0_2_or_3_naming_the_file(built, tmp_path_factory,
         out = Path(tempfile.mkdtemp(dir=base))
         mutated = out / f"mutated.{name}"
         mutated.write_bytes(_mutate(original, kind, mutation, args))
-        files = {path.name: path for path in built.iterdir()} | {name: mutated}
+        files = {path.name: path for path in built.iterdir()} | {STANDS_FOR.get(name, name): mutated}
         for command in stages:
             before = _digest(out)
-            code, err = _run(_argv(command, files, out))
+            code, err = _stage(command, files, out)
             assert code in (0, 2, 3), (command, code, err)
             if code == 0:
                 continue

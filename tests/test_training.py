@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import charsent as cs
 from charsent import training
 from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
+from charsent.network import param_shapes
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
 from charsent.training import _EVAL_CHUNK, AdamState
@@ -604,11 +605,61 @@ def test_model_save_load_roundtrip(tmp_path, trained_setup):
     assert back.threshold == model.threshold
     assert back.vocab.token_to_id == model.vocab.token_to_id
     assert back.metrics_snapshot == model.metrics_snapshot
-    # float32 storage: probabilities must agree to 1e-6
     for seq, _ in test_set[:20]:
         p_orig, _ = cs.sequence_forward(seq, model)
         p_back, _ = cs.sequence_forward(seq, back)
-        assert abs(p_orig - p_back) <= 1e-6
+        assert p_orig == p_back
+
+
+def _model_bits(model: cs.Model) -> dict:
+    """Everything a Model holds, each array as its dtype, shape and bytes."""
+    arrays = {**model.params.tensors(), "embeddings": model.embeddings.vectors}
+    return {
+        "arrays": {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()},
+        "tokens": model.vocab.id_to_token,
+        "vocab_hash": model.embeddings.vocab_hash,
+        "max_len": model.max_len,
+        "threshold": model.threshold,
+        "metrics": model.metrics_snapshot,
+    }
+
+
+# finite float64 values, with the ones float32 cannot hold drawn often:
+# -0.0, subnormals and magnitudes past float32's largest
+_WEIGHTS = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, 3.5e38, -1.7e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.sampled_from("好坏棒差"), min_size=1, max_size=4, unique=True),
+    st.data(),
+)
+def test_save_then_load_is_the_model_bit_for_bit(tmp_path_factory, hidden, dim, tokens, data):
+    vocab = cs.Vocabulary.from_tokens(tokens, min_count=1)
+
+    def draw(shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(_WEIGHTS, min_size=size, max_size=size))).reshape(shape)
+
+    params = cs.LstmParams(**{name: draw(shape) for name, shape in param_shapes(hidden, dim).items()})
+    embeddings = cs.EmbeddingMatrix(
+        vectors=draw((len(vocab), dim)), context_vectors=None, vocab_hash=vocab.content_hash()
+    )
+    model = cs.Model(
+        vocab=vocab,
+        embeddings=embeddings,
+        params=params,
+        max_len=data.draw(st.integers(1, 200)),
+        threshold=data.draw(st.floats(0, 1)),
+        metrics_snapshot=data.draw(st.none() | st.just({"loss": 0.1 + 0.2, "tp": 3})),
+    )
+    path = tmp_path_factory.mktemp("roundtrip") / "model.ssm"
+    cs.save_model(model, path)
+    assert _model_bits(cs.load_model(path)) == _model_bits(model)
 
 
 def test_model_file_magic_and_errors(tmp_path, trained_setup):
@@ -665,16 +716,22 @@ def test_load_model_flipped_bytes_raise_only_charsent_errors(tmp_path_factory, f
 
 
 def test_load_model_signaling_nan_raises_data_error_without_warning(tmp_path):
-    blob = bytearray(_tiny_model_bytes(tmp_path))
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    floats = 8 + header_len  # w_gates[0, 0]
-    blob[floats : floats + 4] = b"\x00\x00\xa0\x7f"  # float32 signaling NaN
-    path = tmp_path / "snan.ssm"
-    path.write_bytes(bytes(blob))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DataError, match="non-finite"):
-            cs.load_model(path)
+    cases = [
+        (2, _tiny_model_bytes(tmp_path), b"\x01\x00\x00\x00\x00\x00\xf0\x7f"),  # float64 signaling NaN
+        (1, (FIXTURES / "ssm1_h2_d2.ssm").read_bytes(), b"\x00\x00\xa0\x7f"),  # float32 signaling NaN
+    ]
+    for version, original, snan in cases:
+        blob = bytearray(original)
+        (header_len,) = struct.unpack("<I", blob[4:8])
+        assert json.loads(blob[8 : 8 + header_len])["version"] == version
+        floats = 8 + header_len  # w_gates[0, 0]
+        blob[floats : floats + len(snan)] = snan
+        path = tmp_path / "snan.ssm"
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                cs.load_model(path)
 
 
 @pytest.mark.parametrize(
@@ -699,7 +756,7 @@ def test_load_model_rejects_missing_or_mistyped_header_fields(tmp_path, key):
             cs.load_model(path)
 
 
-@pytest.mark.parametrize("version", [0, 2])
+@pytest.mark.parametrize("version", [0, 3])
 def test_load_model_rejects_another_format_version(tmp_path, version):
     blob = _tiny_model_bytes(tmp_path)
     (header_len,) = struct.unpack("<I", blob[4:8])
@@ -782,9 +839,9 @@ def test_ssm1_per_gate_file_loads_as_stacked_f_i_o_c(tmp_path):
     (w_f, w_i, w_o, w_c, then b_f, b_i, b_o, b_c); the JSON beside it
     holds those tensors. Its bytes load as the stacked gate matrix, the
     cell reads the blocks as forget, input, output and candidate (the
-    per-gate scalar oracle agrees), and saving writes the same bytes.
+    per-gate scalar oracle agrees), and saving it again writes a version
+    2 file that loads to the same arrays.
     """
-    blob = (FIXTURES / "ssm1_h2_d2.ssm").read_bytes()
     per_gate = json.loads((FIXTURES / "ssm1_h2_d2.json").read_text(encoding="utf-8"))
     model = cs.load_model(FIXTURES / "ssm1_h2_d2.ssm")
     params = model.params
@@ -802,7 +859,10 @@ def test_ssm1_per_gate_file_loads_as_stacked_f_i_o_c(tmp_path):
     assert abs(p - p_ref) < 1e-12
 
     cs.save_model(model, tmp_path / "again.ssm")
-    assert (tmp_path / "again.ssm").read_bytes() == blob
+    again = (tmp_path / "again.ssm").read_bytes()
+    (header_len,) = struct.unpack("<I", again[4:8])
+    assert json.loads(again[8 : 8 + header_len])["version"] == 2
+    assert _model_bits(cs.load_model(tmp_path / "again.ssm")) == _model_bits(model)
 
 
 @pytest.mark.parametrize(
