@@ -36,8 +36,9 @@ from .embedding import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .files import located, parse_json, read_text
-from .network import Model, init_lstm_params, predict, threshold_ok
-from .tokenizer import Vocabulary, build_vocab, segment_chars
+from .network import Model, check_hidden_size, init_lstm_params, predict, threshold_ok
+from .rng import check_seed
+from .tokenizer import Vocabulary, build_vocab, check_max_len, check_min_count, segment_chars
 from .training import (
     TrainConfig,
     encode_labeled,
@@ -65,6 +66,10 @@ class TokenizerConfig:
     max_len: int = 120
     min_count: int = 1
 
+    def __post_init__(self):
+        check_max_len(self.max_len)
+        check_min_count(self.min_count)
+
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -79,12 +84,16 @@ class SplitConfig:
 class NetworkConfig:
     hidden_size: int = 128
 
+    def __post_init__(self):
+        check_hidden_size(self.hidden_size)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every config key, its default and its type. The top-level seed is
     the only seed key; `build_config` copies it into both sections.
-    A null threshold means the model's stored one (train stores 0.5).
+    A set threshold replaces the one on the model a stage scores with;
+    null keeps the model's (a new model's is 0.5).
     """
 
     seed: int = 0
@@ -97,8 +106,13 @@ class PipelineConfig:
     training: TrainConfig = TrainConfig()
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.threshold is not None and not threshold_ok(self.threshold):
             raise ConfigError("threshold must lie in [0, 1]")
+
+    def scoring(self, model: Model) -> Model:
+        """`model` with the configured threshold, when one is set."""
+        return model if self.threshold is None else replace(model, threshold=self.threshold)
 
     def require_path(self, key: str, command: str) -> Path:
         value = getattr(self.paths, key)
@@ -279,9 +293,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         train_set, val_set, test_set = (encode_labeled(part, vocab, max_len) for part in parts)
 
     params = init_lstm_params(cfg.network.hidden_size, embeddings.dim, cfg.seed)
-    model = Model(vocab=vocab, embeddings=embeddings, params=params, max_len=max_len)
-    if cfg.threshold is not None:
-        model = replace(model, threshold=cfg.threshold)
+    model = cfg.scoring(Model(vocab=vocab, embeddings=embeddings, params=params, max_len=max_len))
     _note(
         f"training on {len(train_set)} reviews, validating on {len(val_set)}, "
         f"h={cfg.network.hidden_size}, d={embeddings.dim}"
@@ -310,24 +322,24 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model_path = cfg.require_path("model", "evaluate")
     corpus_path = cfg.require_path("labeled", "evaluate")
-    model = load_model(model_path)
+    model = cfg.scoring(load_model(model_path))
     corpus = load_corpus(corpus_path)
     with located(corpus_path):
-        metrics = evaluate(model, encode_labeled(corpus, model.vocab, model.max_len), cfg.threshold)
+        metrics = evaluate(model, encode_labeled(corpus, model.vocab, model.max_len))
     _emit(metrics.to_dict())
     return 0
 
 
 def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model_path = cfg.require_path("model", "predict")
-    model = load_model(model_path)
+    model = cfg.scoring(load_model(model_path))
     if isinstance(sys.stdin, io.TextIOWrapper):
         sys.stdin.reconfigure(errors="surrogateescape")  # as argv: bad bytes become surrogates
     texts = args.text if args.text else (line.rstrip("\n") for line in sys.stdin)
     for text in texts:
         try:
             text.encode("utf-8")  # fails on the surrogates of undecodable bytes
-            label, p = predict(text, model, cfg.threshold)
+            label, p = predict(text, model)
         except UnicodeEncodeError:
             _emit({"error": "invalid UTF-8"})
             continue

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .files import located, read_bytes, write_atomic
+from .files import SIZE_LIMIT, located, read_bytes, write_atomic
 from .numerics import divergence_raises, sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, Vocabulary
@@ -50,8 +50,8 @@ class W2vConfig:
             raise ConfigError("window must be >= 1")
         if self.negatives < 1:
             raise ConfigError("negatives must be >= 1")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+        if not 1 <= self.dim < SIZE_LIMIT:
+            raise ConfigError(f"dim must lie in [1, {SIZE_LIMIT}), got {self.dim}")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 0:

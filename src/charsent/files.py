@@ -19,6 +19,12 @@ from pathlib import Path
 
 from .errors import CharsentError, DataError
 
+# Every size in a model header (h, d and the vocabulary size) lies below
+# this, so the byte count they give has too few digits for str() to
+# refuse. The config's sizes share the bound: train writes no model that
+# load_model refuses.
+SIZE_LIMIT = 2**31
+
 
 def read_bytes(path: Path, what: str, error: type[CharsentError] = DataError) -> bytes:
     """The bytes of the file `what` at `path`, or `error` if it cannot

@@ -43,6 +43,7 @@ import numpy as np
 from .corpus import clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError
+from .files import SIZE_LIMIT
 from .numerics import sigmoid
 from .rng import substream
 from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
@@ -122,13 +123,20 @@ class LstmParams:
         return LstmParams(**{name: getattr(self, name).copy() for name in PARAM_NAMES})
 
 
+def check_hidden_size(hidden_size: int) -> None:
+    """Raise ConfigError unless 1 <= hidden_size < SIZE_LIMIT; the rule
+    of init_lstm_params and of the config's network section.
+    """
+    if not 1 <= hidden_size < SIZE_LIMIT:
+        raise ConfigError(f"hidden_size must lie in [1, {SIZE_LIMIT}), got {hidden_size}")
+
+
 def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
     """Glorot-uniform gate weights (each gate's own fan-out), zero
     biases except the forget bias at +1.0 (starts with long memory),
     Glorot read-out.
     """
-    if hidden_size < 1:
-        raise ConfigError(f"hidden_size must be >= 1, got {hidden_size}")
+    check_hidden_size(hidden_size)
     if input_dim < 1:
         raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
     rng = substream(seed, "lstm_init")
@@ -198,10 +206,11 @@ def threshold_ok(value) -> bool:
 @dataclass(frozen=True)
 class Model:
     """A complete classifier: vocabulary, embeddings, cell parameters,
-    and the inference fingerprint (max_len, threshold). It is frozen, so
-    the checks of __post_init__ hold for its whole life, and
-    dataclasses.replace makes a changed copy; the arrays inside stay
-    writable, and training updates them in place.
+    max_len and the decision threshold, the only one predict and
+    evaluate label with. It is frozen, so the checks of __post_init__
+    hold for its whole life, and dataclasses.replace makes a changed
+    copy (another threshold, say); the arrays inside stay writable, and
+    training updates them in place.
 
     `metrics_snapshot`, when set, is train's validation report
     (Metrics.to_dict) for these weights at the best epoch.
@@ -522,15 +531,10 @@ def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCach
     return float(ps[0]), cache
 
 
-def predict(text: str, model: Model, threshold: float | None = None) -> tuple[int, float]:
+def predict(text: str, model: Model) -> tuple[int, float]:
     """Full pipeline on one string: clean, segment, encode, forward (no
-    dropout). Returns (label, p) with label 1 iff p >= threshold, by
-    default the model's; one outside [0, 1] raises ConfigError.
+    dropout). Returns (label, p) with label 1 iff p >= model.threshold.
     """
-    if threshold is None:
-        threshold = model.threshold
-    if not threshold_ok(threshold):
-        raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
     seq = encode(segment_chars(clean_text(text)), model.vocab, model.max_len)
     p, _ = sequence_forward(seq, model)
-    return (1 if p >= threshold else 0), p
+    return (1 if p >= model.threshold else 0), p

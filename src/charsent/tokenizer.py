@@ -122,12 +122,27 @@ class TokenSequence:
         return len(self.ids)
 
 
+def check_min_count(min_count: int) -> None:
+    """Raise ConfigError unless min_count >= 1; the rule of build_vocab
+    and of the config's tokenizer section.
+    """
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+
+
+def check_max_len(max_len: int) -> None:
+    """Raise ConfigError unless max_len >= 1; the rule of encode and of
+    the config's tokenizer section.
+    """
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+
+
 def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
     """Count characters over texts and keep those seen at least
     `min_count` times.
     """
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+    check_min_count(min_count)
     texts = list(texts)
     counts: Counter[str] = Counter()
     for text in texts:
@@ -143,8 +158,7 @@ def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Ids of the first max_len tokens, UNK for out-of-vocabulary ones."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    check_max_len(max_len)
     return TokenSequence(ids=tuple(map(vocab.token_to_id.get, tokens[:max_len], repeat(UNK_ID))))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Corpus, clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .files import located, parse_json, read_bytes, read_text, write_atomic
+from .files import SIZE_LIMIT, located, parse_json, read_bytes, read_text, write_atomic
 from .network import (
     LstmParams,
     Model,
@@ -140,7 +140,7 @@ class Metrics:
         return asdict(self)
 
 
-def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float = 0.5) -> Metrics:
+def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float) -> Metrics:
     """Confusion counts and the five headline quantities from predicted
     probabilities and 0/1 labels; prediction ties at the threshold go
     to the positive class. A threshold outside [0, 1] raises ConfigError.
@@ -217,15 +217,11 @@ def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
     return ps
 
 
-def evaluate(model: Model, dataset: Dataset, threshold: float | None = None) -> Metrics:
-    """Full evaluation of a labeled dataset at `threshold` (the model's
-    stored threshold when omitted).
-    """
-    if threshold is None:
-        threshold = model.threshold
+def evaluate(model: Model, dataset: Dataset) -> Metrics:
+    """Full evaluation of a labeled dataset at the model's threshold."""
     ps = predict_proba(model, [seq for seq, _ in dataset])
     ys = np.array([y for _, y in dataset], dtype=np.int64)
-    return compute_metrics(ps, ys, threshold)
+    return compute_metrics(ps, ys, model.threshold)
 
 
 @dataclass(frozen=True)
@@ -252,8 +248,12 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list[EpochRecord]
-    best_epoch: int
     stopped_early: bool
+
+    @property
+    def best_epoch(self) -> int:
+        """The first epoch of lowest validation loss; 0 with no records."""
+        return min(self.records, key=lambda r: r.val_loss).epoch if self.records else 0
 
 
 def train(
@@ -274,9 +274,6 @@ def train(
             f"{len(train_set)} training and {len(val_set)} validation examples"
         )
     work = model.copy()
-    if config.epochs == 0:
-        return work, TrainHistory(records=[], best_epoch=0, stopped_early=False)
-
     tensors = dict(work.params.tensors())
     if not config.freeze_embeddings:
         tensors["embeddings"] = work.embeddings.vectors
@@ -285,13 +282,8 @@ def train(
     rng_dropout = substream(config.seed, "dropout")
     hsize = work.params.hidden_size
 
-    records: list[EpochRecord] = []
-    best_epoch = 0
-    best_loss = np.inf
-    best: Model | None = None
-    since_best = 0
-    stopped_early = False
-
+    history = TrainHistory(records=[], stopped_early=False)
+    best = work
     for epoch in range(1, config.epochs + 1):
         with divergence_raises("training", epoch):
             order = rng_shuffle.permutation(len(train_set))
@@ -318,7 +310,7 @@ def train(
             val_metrics = evaluate(work, val_set)
         if not np.isfinite(val_metrics.loss):
             raise NumericalError(f"training diverged: non-finite validation loss at epoch {epoch}")
-        records.append(
+        history.records.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=train_metrics.loss,
@@ -327,20 +319,12 @@ def train(
                 val_acc=val_metrics.accuracy,
             )
         )
-        if val_metrics.loss < best_loss:
-            best_loss = val_metrics.loss
-            best_epoch = epoch
+        if history.best_epoch == epoch:
             best = replace(work.copy(), metrics_snapshot=val_metrics.to_dict())
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                stopped_early = True
-                break
-
-    return best, TrainHistory(
-        records=records, best_epoch=best_epoch, stopped_early=stopped_early
-    )
+        elif epoch - history.best_epoch >= config.patience:
+            history.stopped_early = True
+            break
+    return best, history
 
 
 def save_history(history: TrainHistory, path: str | Path) -> None:
@@ -398,9 +382,8 @@ def save_model(model: Model, path: str | Path) -> None:
 def _check_header(header) -> None:
     """Raise DataError unless the header is a JSON object of a format
     version this charsent reads, holding what sizes and fills the tensor
-    blocks: the integers h, d and vocab_size, each in [1, 2**31), so
-    that the size they give has too few digits for str() to refuse, and
-    a token list. The types the header builds check the rest.
+    blocks: the integers h, d and vocab_size, each in [1, SIZE_LIMIT),
+    and a token list. The types the header builds check the rest.
     """
     if not isinstance(header, dict):
         raise DataError("model header must be a JSON object")
@@ -412,7 +395,7 @@ def _check_header(header) -> None:
         )
     for key in ("h", "d", "vocab_size"):
         value = header.get(key)
-        if type(value) is not int or not 1 <= value < 2**31:
+        if type(value) is not int or not 1 <= value < SIZE_LIMIT:
             raise DataError(f"model header field '{key}' is missing or invalid")
     if not isinstance(header.get("tokens"), list):
         raise DataError("model header field 'tokens' is missing or invalid")

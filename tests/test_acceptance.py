@@ -315,7 +315,8 @@ def test_criterion_08_metrics_match_brute_force(trained_setup):
 
     # the same identity through evaluate() on the trained fixture
     model, test_set = trained_setup["model"], trained_setup["test_set"]
-    got = cs.evaluate(model, test_set, threshold=0.5)
+    assert model.threshold == 0.5
+    got = cs.evaluate(model, test_set)
     ps2, ys2 = [], []
     for seq, y in test_set:
         p, _ = cs.sequence_forward(seq, model)

@@ -162,6 +162,16 @@ RANGE_ERRORS = [
     pytest.param("word2vec.learning_rate=0", "must be > 0", id="word2vec.learning_rate"),
     pytest.param("threshold=1.5", "must lie in [0, 1]", id="threshold=1.5"),
     pytest.param("threshold=-0.2", "must lie in [0, 1]", id="threshold=-0.2"),
+    # rules a stage or a library entry point checks too; a size stays
+    # below the model header's bound, 2**31
+    pytest.param("seed=-1", "must be a non-negative integer, got -1", id="seed"),
+    pytest.param("tokenizer.max_len=0", "must be >= 1, got 0", id="tokenizer.max_len"),
+    pytest.param("tokenizer.min_count=0", "must be >= 1, got 0", id="tokenizer.min_count"),
+    *(
+        pytest.param(f"{key}={size}", f"must lie in [1, 2147483648), got {size}", id=f"{key}={size}")
+        for key in ("network.hidden_size", "word2vec.dim")
+        for size in (0, 2**31, 10**12)
+    ),
 ]
 
 

@@ -25,7 +25,7 @@ def _savers():
 
     def history(path, v):
         record = EpochRecord(epoch=v + 1, train_loss=0.5, train_acc=0.5, val_loss=0.5, val_acc=0.5)
-        cs.save_history(cs.TrainHistory(records=[record], best_epoch=1, stopped_early=False), path)
+        cs.save_history(cs.TrainHistory(records=[record], stopped_early=False), path)
 
     return [
         ("corpus", corpus),

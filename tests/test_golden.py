@@ -7,6 +7,10 @@ numpy build and CPU match the recorded fingerprint, since another BLAS
 may sum the same products in another order; otherwise the test warns,
 naming the artifacts whose bytes went unchecked.
 
+A second test runs the golden run in child interpreters under each
+OpenBLAS kernel this CPU supports, at one and at two threads, and
+requires the same artifact bytes at both thread counts of a kernel.
+
 After a change that moves these numbers on purpose, rewrite the file
 with `PYTHONPATH=src python3 tests/test_golden.py` and say why in the
 change log.
@@ -15,9 +19,13 @@ change log.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -111,6 +119,81 @@ def test_golden_run(tmp_path):
             + ", ".join(f"{name} ({digest[:12]}...)" for name, digest in golden["sha256"].items()),
             stacklevel=1,
         )
+
+
+# OpenBLAS kernels this host may run, as OPENBLAS_CORETYPE names them,
+# each with the CPU flags it needs; Katmai is what 0.3.31 runs when asked
+# for Prescott
+KERNELS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Katmai": {"sse2"},
+}
+
+_KERNEL_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+import test_golden
+kernel = test_golden.runtime_kernel()
+assert kernel == sys.argv[1], f"asked for {sys.argv[1]}, runs {kernel}"
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(test_golden.golden_run(Path(tmp))["sha256"]))
+"""
+
+
+def runtime_kernel() -> str | None:
+    """The kernel name the loaded OpenBLAS reports, or None when numpy's
+    bundled OpenBLAS cannot be asked.
+    """
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            fn = lib.scipy_openblas_get_corename64_
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU's feature flags as Linux lists them; none elsewhere."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags") for flag in line.split(":")[1].split()}
+
+
+def test_each_blas_kernel_gives_one_set_of_bits_at_one_and_two_threads():
+    """The golden run writes the same artifacts at one and at two
+    OpenBLAS threads under every kernel this CPU runs. Each run is a
+    child interpreter, since OpenBLAS reads OPENBLAS_CORETYPE and
+    OPENBLAS_NUM_THREADS when numpy loads. Kernels are compared only
+    with themselves: they round the same products differently.
+    """
+    if runtime_kernel() is None:
+        pytest.skip("numpy's OpenBLAS does not report its kernel")
+    flags = _cpu_flags()
+    kernels = [name for name, needs in KERNELS.items() if needs <= flags]
+    if not kernels:
+        pytest.skip("no listed OpenBLAS kernel runs on this CPU")
+    pythonpath = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
+    for kernel in kernels:
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": pythonpath}
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _KERNEL_RUN, kernel],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+            )
+            for threads in ("1", "2")
+        ]
+        outputs = [run.communicate(timeout=120) for run in runs]
+        for run, (out, err) in zip(runs, outputs):
+            assert run.returncode == 0, (kernel, err)
+        assert outputs[0][0] == outputs[1][0], kernel
 
 
 if __name__ == "__main__":

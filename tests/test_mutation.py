@@ -3,15 +3,17 @@
 Each file the pipeline reads (the config, a JSONL and a CSV corpus, the
 lexicon, `vocab.json`, the W2V1 embeddings, the SSM1 model and the
 history) is damaged in one way: truncated, a byte flipped, a value
-nested deep, a value replaced by an integer too long to read, a byte
-made invalid UTF-8, or a byte order mark put in front. A value is a
-JSON scalar, a CSV cell, or a field of the W2V1 header line. Every
-stage that reads the file then runs in-process and must exit 0, 2 or
-3; on a non-zero exit its one `error:` line starts with the damaged
-file and the stage leaves its output directory as it was. No CLI stage
-reads the history file, so `load_history` stands in for one, its
-DataError counting as exit 3. Hypothesis draws the damage,
-derandomized, so every run tries the same cases.
+nested deep, a value replaced by an integer too long to read or by a
+value of another JSON type, a byte made invalid UTF-8, or a byte order
+mark put in front. A value is a JSON scalar, a CSV cell, or a field of
+the W2V1 header line. A W2V1 field that is not JSON counts as a
+string, and a CSV corpus gets a label that is not a number. Every stage
+that reads the file then runs in-process and must exit 0, 2 or 3; on a
+non-zero exit its one `error:` line starts with the damaged file and
+the stage leaves its output directory as it was. No CLI stage reads the
+history file, so `load_history` stands in for one, its DataError
+counting as exit 3. Hypothesis draws the damage, derandomized, so every
+run tries the same cases.
 """
 
 import contextlib
@@ -149,15 +151,19 @@ def _replace_leaf(text: str, pick: int, make) -> str:
     return json.dumps(value, ensure_ascii=False).replace(json.dumps(PLACEHOLDER), make(old))
 
 
-def _replace_value(blob: bytes, kind: str, pick: int, make) -> bytes:
+def _replace_value(blob: bytes, kind: str, pick: int, make, csv_label: bool = False) -> bytes:
     """`blob` with one value rewritten: a JSON scalar in the document, in
     one line of a JSONL file or in an SSM1 model's header, a cell of a
-    CSV file, or a field of a W2V1 header line.
+    CSV file (with `csv_label`, a review's label), or a field of a W2V1
+    header line.
     """
     if kind == "csv-corpus":
         rows = list(csv.reader(io.StringIO(blob.decode("utf-8"), newline="")))
-        row = rows[pick % len(rows)]
-        column = pick // len(rows) % len(row)
+        if csv_label:
+            row, column = rows[1 + pick % (len(rows) - 1)], rows[0].index("label")
+        else:
+            row = rows[pick % len(rows)]
+            column = pick // len(rows) % len(row)
         row[column] = make(row[column])
         text = io.StringIO(newline="")
         csv.writer(text).writerows(rows)
@@ -180,15 +186,17 @@ def _replace_value(blob: bytes, kind: str, pick: int, make) -> bytes:
     return _replace_leaf(text, pick, make).encode("utf-8")
 
 
-# each mutation's parameters: byte positions and JSON scalars are picked
-# modulo their count. A huge integer has more digits than int() reads;
-# a readable one as large, put in the config, is a size that no config
-# check bounds and that a stage would try to allocate.
+# each mutation's parameters: byte positions, JSON scalars and the
+# replacing type are picked modulo their count. A huge integer has more
+# digits than int() reads; a readable one as large, put in the config,
+# can be a count no config check bounds (word2vec.negatives) and that a
+# stage would try to allocate.
 MUTATIONS = {
     "truncated": st.tuples(st.integers(0, 2**16)),
     "flipped-byte": st.tuples(st.integers(0, 2**16), st.integers(1, 255)),
     "deep-nesting": st.tuples(st.integers(0, 2**10), st.integers(900, 1100) | st.just(100_000)),
     "huge-integer": st.tuples(st.integers(0, 2**10), st.integers(4301, 6000)),
+    "wrong-type": st.tuples(st.integers(0, 2**10), st.integers(0, 4)),
     "invalid-utf8": st.tuples(st.integers(0, 2**16)),
     "leading-bom": st.tuples(),
 }
@@ -206,10 +214,34 @@ def _mutate(blob: bytes, kind: str, mutation: str, args: tuple) -> bytes:
     if mutation == "huge-integer":
         pick, digits = args
         return _replace_value(blob, kind, pick, lambda old: "9" * digits)
+    if mutation == "wrong-type":
+        pick, choice = args
+        # a CSV cell has a type only as a label, which must be a number
+        return _replace_value(blob, kind, pick, lambda old: _other_type(old, choice), csv_label=True)
     if mutation == "invalid-utf8":  # 0xFF is never part of UTF-8; a model's text is its header
         text = range(8, 8 + struct.unpack("<I", blob[4:8])[0]) if kind == "model" else range(len(blob))
         return _set_byte(blob, text[args[0] % len(text)], 0xFF)
     return b"\xef\xbb\xbf" + blob
+
+
+# one JSON value of each type
+TYPED_VALUES = ['"x"', "7", "true", "null", "[]", "{}"]
+
+
+def _json_type(text: str) -> type:
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return str
+    return float if type(value) is int else type(value)  # one JSON number type
+
+
+def _other_type(old: str, choice: int) -> str:
+    """A JSON value whose type is not that of `old`, the `choice`-th
+    (modulo their count) of TYPED_VALUES of another type.
+    """
+    others = [v for v in TYPED_VALUES if _json_type(v) is not _json_type(old)]
+    return others[choice % len(others)]
 
 
 def _set_byte(blob: bytes, at: int, value: int) -> bytes:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,11 +371,11 @@ def test_predict_labels_and_threshold(small_vocab):
     label, p = cs.predict("好坏中", model)
     assert label == (1 if p >= 0.5 else 0)
     # ties at the threshold go positive
-    label_tie, _ = cs.predict("好坏中", model, threshold=p)
+    label_tie, _ = cs.predict("好坏中", replace(model, threshold=p))
     assert label_tie == 1
-    label_zero, _ = cs.predict("好坏中", model, threshold=0.0)
+    label_zero, _ = cs.predict("好坏中", replace(model, threshold=0.0))
     assert label_zero == 1
-    label_one, _ = cs.predict("好坏中", model, threshold=1.0)
+    label_one, _ = cs.predict("好坏中", replace(model, threshold=1.0))
     assert label_one == 0
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -361,7 +362,8 @@ def test_metrics_identities(ps, data):
 
 def test_evaluate_agrees_with_per_example_forward():
     model, dataset = _grad_setup(seed=8, n=9)
-    metrics = cs.evaluate(model, dataset, threshold=0.5)
+    assert model.threshold == 0.5
+    metrics = cs.evaluate(model, dataset)
     ps = []
     for seq, _ in dataset:
         p, _ = cs.sequence_forward(seq, model)
@@ -530,6 +532,20 @@ def test_train_zero_epochs_returns_copy():
     assert not history.stopped_early
     assert np.array_equal(best.params.w_gates, model.params.w_gates)
     assert best.params.w_gates is not model.params.w_gates
+
+
+def test_best_epoch_is_the_first_epoch_of_lowest_validation_loss():
+    def history(*val_losses):
+        records = [
+            training.EpochRecord(epoch=e, train_loss=1.0, train_acc=0.5, val_loss=v, val_acc=0.5)
+            for e, v in enumerate(val_losses, start=1)
+        ]
+        return cs.TrainHistory(records=records, stopped_early=False)
+
+    assert history().best_epoch == 0
+    assert history(0.7).best_epoch == 1
+    assert history(0.7, 0.4, 0.5, 0.4).best_epoch == 2
+    assert history(0.3, 0.4, 0.5).best_epoch == 1
 
 
 def test_train_freeze_embeddings():
@@ -796,13 +812,24 @@ def test_model_rejects_a_metrics_snapshot_that_is_not_a_dict(snapshot):
         replace(model, metrics_snapshot=snapshot)
 
 
+def test_scoring_reads_the_models_threshold_and_takes_none_of_its_own(tiny_model):
+    assert list(inspect.signature(cs.predict).parameters) == ["text", "model"]
+    assert list(inspect.signature(cs.evaluate).parameters) == ["model", "dataset"]
+    parameter = inspect.signature(cs.compute_metrics).parameters["threshold"]
+    assert parameter.default is inspect.Parameter.empty
+    dataset = cs.encode_labeled(generate_corpus(12, seed=3), tiny_model.vocab, tiny_model.max_len)
+    ps = training.predict_proba(tiny_model, [seq for seq, _ in dataset])
+    ys = np.array([y for _, y in dataset])
+    for threshold in (0.0, float(np.median(ps)), 1.0):
+        model = replace(tiny_model, threshold=threshold)
+        assert cs.evaluate(model, dataset) == cs.compute_metrics(ps, ys, threshold)
+        label, p = cs.predict("好坏", model)
+        assert label == int(p >= threshold)
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1, math.nan, True])
-def test_scoring_rejects_a_threshold_outside_unit_interval(tiny_model, threshold):
-    dataset = cs.encode_labeled(generate_corpus(4, seed=3), tiny_model.vocab, tiny_model.max_len)
-    with pytest.raises(ConfigError, match="threshold"):
-        cs.predict("好", tiny_model, threshold)
-    with pytest.raises(ConfigError, match="threshold"):
-        cs.evaluate(tiny_model, dataset, threshold)
+def test_scoring_rejects_a_threshold_outside_unit_interval(threshold):
+    # predict and evaluate read the Model's threshold, which the Model checks
     with pytest.raises(ConfigError, match="threshold"):
         cs.compute_metrics(np.array([0.2, 0.8]), np.array([0, 1]), threshold)
 
