@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,10 @@ class W2vConfig:
             raise ConfigError(f"mode must be 'cbow' or 'skipgram', got {self.mode!r}")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.negatives < 1:
-            raise ConfigError("negatives must be >= 1")
-        if not 1 <= self.dim < SIZE_LIMIT:
-            raise ConfigError(f"dim must lie in [1, {SIZE_LIMIT}), got {self.dim}")
+        for name in ("negatives", "dim"):
+            size = getattr(self, name)
+            if not 1 <= size < SIZE_LIMIT:
+                raise ConfigError(f"{name} must lie in [1, {SIZE_LIMIT}), got {size}")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 0:
@@ -104,15 +104,29 @@ def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    out: list[tuple[int, list[int]]] = []
-    n = len(ids)
-    for pos, center in enumerate(ids):
-        lo = max(0, pos - window)
-        hi = min(n, pos + window + 1)
-        context = [ids[j] for j in range(lo, hi) if j != pos]
-        if context:
-            out.append((center, context))
-    return out
+    ids = list(ids)  # slices of a list concatenate; an array's would add
+    if len(ids) < 2:
+        return []
+    # each context's first index, max(0, pos - window), with no call per position
+    starts = chain(repeat(0, window), range(len(ids) - window))
+    return [
+        (center, ids[lo:pos] + ids[pos + 1 : pos + window + 1])
+        for (pos, center), lo in zip(enumerate(ids), starts)
+    ]
+
+
+def _example_count(n: int, mode: str, window: int) -> int:
+    """Examples per epoch from a text of n tokens, in closed form. Every
+    position of a text of two or more tokens is one CBOW example; each
+    ordered pair of positions at distance 1..window is one skip-gram
+    example, 2 * (n - k) of them at distance k.
+    """
+    if n < 2:
+        return 0
+    if mode == "cbow":
+        return n
+    m = min(window, n - 1)
+    return 2 * m * n - m * (m + 1)
 
 
 def _objective(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
@@ -264,19 +278,21 @@ def _subsample(sequence_ids, counts, total, threshold, rng):
     return kept
 
 
-def _examples(windows, mode: str):
-    """One epoch's examples as (input ids, target id, excluded negatives).
+def _examples(sequences, mode: str, window: int):
+    """One epoch's examples as (input ids, target id, excluded negatives),
+    text by text in corpus order, holding one text's windows at a time.
 
     CBOW predicts each center from its context. Skip-gram predicts each
     context token from the center alone, a one-token CBOW context, and
     also keeps that context token out of the negatives.
     """
-    for center, context in windows:
-        if mode == "cbow":
-            yield context, center, (center,)
-        else:
-            for ctx in context:
-                yield [center], ctx, (center, ctx)
+    for seq in sequences:
+        for center, context in extract_windows(seq, window):
+            if mode == "cbow":
+                yield context, center, (center,)
+            else:
+                for ctx in context:
+                    yield [center], ctx, (center, ctx)
 
 
 def train_embeddings(
@@ -287,14 +303,15 @@ def train_embeddings(
     Runs `config.epochs` passes of cbow_step over every example of the
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
-    to MIN_LEARNING_RATE. Returns the matrix and each epoch's mean
-    example loss. Sequences with no window at all (no token with a
-    neighbor) raise DataError. A floating-point overflow, invalid
-    operation or division by zero stops the run with NumericalError.
+    to MIN_LEARNING_RATE. Each pass builds one text's windows at a time.
+    Returns the matrix and each epoch's mean example loss. Sequences
+    with no window at all (no token with a neighbor), or an epoch that
+    subsampling leaves without one, raise DataError. A floating-point
+    overflow, invalid operation or division by zero stops the run with
+    NumericalError.
     """
     counts = token_counts(sequences, len(vocab))
-    windows = [w for seq in sequences for w in extract_windows(seq, config.window)]
-    if not windows:
+    if not any(len(seq) >= 2 for seq in sequences):
         raise DataError(
             f"cannot train embeddings: no token has a neighbor within window {config.window}"
         )
@@ -302,30 +319,32 @@ def train_embeddings(
     sampler = NegativeSampler(counts, substream(config.seed, "negative_sampling"))
     rng_sub = substream(config.seed, "subsample")
     total_tokens = int(counts.sum())
-    per_epoch = sum(1 for _ in _examples(windows, config.mode))
+    per_epoch = sum(_example_count(len(seq), config.mode, config.window) for seq in sequences)
     total_steps = max(1, config.epochs * per_epoch)
     lr0 = config.learning_rate
     lr_floor = min(MIN_LEARNING_RATE, lr0)
+    threshold = config.subsample_threshold
 
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(1, config.epochs + 1):
-        epoch_windows = windows
-        if config.subsample_threshold is not None:
-            kept = (
-                _subsample(seq, counts, total_tokens, config.subsample_threshold, rng_sub)
-                for seq in sequences
-            )
-            epoch_windows = [w for seq in kept for w in extract_windows(seq, config.window)]
+        texts = sequences
+        if threshold is not None:
+            texts = (_subsample(seq, counts, total_tokens, threshold, rng_sub) for seq in sequences)
         epoch_loss = 0.0
         epoch_start = step
         with divergence_raises("word2vec", epoch):
-            for inputs, target, exclude in _examples(epoch_windows, config.mode):
+            for inputs, target, exclude in _examples(texts, config.mode, config.window):
                 lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
                 negatives = sampler.sample(config.negatives, exclude=exclude)
                 epoch_loss += cbow_step(inputs, target, negatives, matrix, lr)
                 step += 1
-        epoch_losses.append(epoch_loss / max(1, step - epoch_start))
+        if step == epoch_start:
+            raise DataError(
+                f"cannot train embeddings: subsampling at threshold {threshold} "
+                f"kept no window in epoch {epoch}"
+            )
+        epoch_losses.append(epoch_loss / (step - epoch_start))
     return matrix, epoch_losses
 
 

@@ -169,7 +169,7 @@ RANGE_ERRORS = [
     pytest.param("tokenizer.min_count=0", "must be >= 1, got 0", id="tokenizer.min_count"),
     *(
         pytest.param(f"{key}={size}", f"must lie in [1, 2147483648), got {size}", id=f"{key}={size}")
-        for key in ("network.hidden_size", "word2vec.dim")
+        for key in ("network.hidden_size", "word2vec.dim", "word2vec.negatives")
         for size in (0, 2**31, 10**12)
     ),
 ]
@@ -806,6 +806,23 @@ def test_embed_on_an_empty_corpus_names_the_file(tmp_path, capsys):
             "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={tmp_path / 'emb.bin'}"]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"error: {labeled}: cannot build a vocabulary from an empty corpus\n"
+    assert os.listdir(tmp_path) == ["labeled.jsonl"]
+
+
+def test_embed_when_subsampling_empties_an_epoch_exits_3(tmp_path, capsys):
+    """An epoch with no window has no mean loss; the run must stop with
+    a data error instead of reporting 0.0.
+    """
+    labeled = tmp_path / "labeled.jsonl"
+    save_corpus(generate_corpus(40, seed=5), labeled)
+    argv = ["embed", "--set", f"paths.labeled={labeled}",
+            "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+            "--set", "word2vec.dim=4", "--set", "word2vec.subsample_threshold=1e-9"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {labeled}: cannot train embeddings: subsampling at threshold 1e-09 "
+        "kept no window in epoch 1\n"
+    )
     assert os.listdir(tmp_path) == ["labeled.jsonl"]
 
 

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from charsent.embedding import (
     SAMPLE_BLOCK,
     EmbeddingMatrix,
     NegativeSampler,
+    _example_count,
     cbow_gradients,
     cbow_step,
     extract_windows,
@@ -272,42 +275,82 @@ def test_training_reduces_average_loss(mode):
     assert np.all(matrix.vectors[PAD_ID] == 0.0)
 
 
-@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
-def test_training_replays_the_scalar_step_stream(mode):
-    """train_embeddings is the documented schedule of one-example steps:
+def _replay_step_stream(seqs, vocab, cfg):
+    """train_embeddings as the documented schedule of one-example steps:
     windows in corpus order, the seeded sampler excluding the center (and
-    the context token for skip-gram), and the linear lr decay per step.
+    the context token for skip-gram), and the linear lr decay per step
+    over the unsubsampled example count. With a subsample threshold each
+    epoch first draws one uniform per token, in corpus order, and keeps
+    the token when it falls below min(1, sqrt(threshold / frequency)).
+    Returns the matrix, the epoch losses and each epoch's step count.
     """
-    corpus = ["好棒好棒极了", "坏差坏差极了", "好棒妙", "坏差糟"] * 3
-    vocab = cs.build_vocab(corpus, min_count=1)
-    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in corpus]
-    cfg = cs.W2vConfig(mode=mode, window=2, negatives=3, epochs=2, dim=8, seed=6)
-    got, losses = cs.train_embeddings(seqs, vocab, cfg)
-
     want = init_embedding_matrix(vocab, cfg.dim, cfg.seed)
-    sampler = NegativeSampler(
-        token_counts(seqs, len(vocab)), substream(cfg.seed, "negative_sampling")
-    )
-    examples = []
-    for seq in seqs:
-        for center, context in extract_windows(seq, cfg.window):
-            if mode == "cbow":
-                examples.append((cbow_step, context, center, {center}))
-            else:
-                examples.extend((skipgram_step, center, ctx, {center, ctx}) for ctx in context)
+    counts = token_counts(seqs, len(vocab))
+    sampler = NegativeSampler(counts, substream(cfg.seed, "negative_sampling"))
+    rng_sub = substream(cfg.seed, "subsample")
+
+    def examples(texts):
+        out = []
+        for seq in texts:
+            for center, context in extract_windows(seq, cfg.window):
+                if cfg.mode == "cbow":
+                    out.append((cbow_step, context, center, {center}))
+                else:
+                    out.extend((skipgram_step, center, ctx, {center, ctx}) for ctx in context)
+        return out
+
+    def kept(tid):
+        f = counts[tid] / counts.sum()
+        keep = 1.0 if f <= cfg.subsample_threshold else math.sqrt(cfg.subsample_threshold / f)
+        return rng_sub.random() < keep
+
     lr0 = cfg.learning_rate
     floor = min(MIN_LEARNING_RATE, lr0)
-    total = cfg.epochs * len(examples)
-    want_losses = []
+    total = cfg.epochs * len(examples(seqs))
+    want_losses, epoch_steps = [], []
     step = 0
     for _ in range(cfg.epochs):
+        texts = seqs
+        if cfg.subsample_threshold is not None:
+            texts = [[tid for tid in seq if kept(tid)] for seq in seqs]
+        epoch = examples(texts)
         loss = 0.0
-        for step_fn, first, second, exclude in examples:
+        for step_fn, first, second, exclude in epoch:
             lr = lr0 - (lr0 - floor) * (step / total)
             negatives = sampler.sample(cfg.negatives, exclude=exclude)
             loss += step_fn(first, second, negatives, want, lr)
             step += 1
-        want_losses.append(loss / len(examples))
+        want_losses.append(loss / len(epoch))
+        epoch_steps.append(len(epoch))
+    return want, want_losses, epoch_steps
+
+
+_REPLAY_CORPUS = ["好棒好棒极了", "坏差坏差极了", "好棒妙", "坏差糟"] * 3
+
+
+@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+def test_training_replays_the_scalar_step_stream(mode):
+    vocab = cs.build_vocab(_REPLAY_CORPUS, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in _REPLAY_CORPUS]
+    cfg = cs.W2vConfig(mode=mode, window=2, negatives=3, epochs=2, dim=8, seed=6)
+    got, losses = cs.train_embeddings(seqs, vocab, cfg)
+    want, want_losses, _ = _replay_step_stream(seqs, vocab, cfg)
+    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.context_vectors, want.context_vectors)
+    assert losses == want_losses
+
+
+@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+def test_training_replays_the_subsampled_step_stream(mode):
+    vocab = cs.build_vocab(_REPLAY_CORPUS, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in _REPLAY_CORPUS]
+    cfg = cs.W2vConfig(
+        mode=mode, window=2, negatives=3, epochs=3, dim=8, seed=6, subsample_threshold=0.1
+    )
+    got, losses = cs.train_embeddings(seqs, vocab, cfg)
+    want, want_losses, epoch_steps = _replay_step_stream(seqs, vocab, cfg)
+    full = _replay_step_stream(seqs, vocab, replace(cfg, subsample_threshold=None))[2][0]
+    assert 0 < min(epoch_steps) <= max(epoch_steps) < full  # some windows lost, some kept
     assert np.array_equal(got.vectors, want.vectors)
     assert np.array_equal(got.context_vectors, want.context_vectors)
     assert losses == want_losses
@@ -337,6 +380,49 @@ def test_training_on_no_window_raises_one_error_whatever_is_missing(sequences):
     assert str(err.value) == "cannot train embeddings: no token has a neighbor within window 3"
 
 
+def test_training_raises_when_subsampling_empties_an_epoch():
+    # 1e-3 keeps each token here with probability 0.08 to 0.13; epoch 2 keeps no window
+    with pytest.raises(DataError) as err:
+        _train_setup("cbow", subsample=1e-3)
+    assert str(err.value) == (
+        "cannot train embeddings: subsampling at threshold 0.001 kept no window in epoch 2"
+    )
+
+
+@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+def test_example_count_is_the_number_of_enumerated_examples(mode):
+    for window in range(1, 8):
+        for n in range(16):
+            windows = extract_windows(list(range(2, n + 2)), window)
+            want = len(windows) if mode == "cbow" else sum(len(context) for _, context in windows)
+            assert _example_count(n, mode, window) == want, (window, n)
+
+
+def test_training_memory_does_not_grow_with_the_windows():
+    """One epoch holds one text's windows at a time, so beyond its inputs
+    the peak traced memory grows by at most about 32 bytes per token; a
+    list of every window costs about 140 bytes per token here.
+    """
+    texts = ["好棒好棒极了", "坏差坏差极了", "好棒妙", "坏差糟", "好极了", "差"]
+    vocab = cs.build_vocab(texts, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in texts]
+    cfg = cs.W2vConfig(window=2, negatives=1, epochs=1, dim=4)
+
+    def peak(copies):
+        corpus = seqs * copies
+        tracemalloc.start()
+        try:
+            cs.train_embeddings(corpus, vocab, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations
+    small, large = peak(50), peak(200)
+    added_tokens = 150 * sum(map(len, seqs))
+    assert (large - small) / added_tokens <= 32
+
+
 def test_training_is_deterministic():
     _, a, _ = _train_setup("cbow")
     _, b, _ = _train_setup("cbow")
@@ -360,7 +446,7 @@ def test_zero_epochs_returns_seeded_init():
 
 def test_subsampling_changes_training_but_keeps_shapes():
     _, plain, _ = _train_setup("cbow")
-    _, sub, _ = _train_setup("cbow", subsample=1e-3)
+    _, sub, _ = _train_setup("cbow", subsample=0.05)
     assert plain.vectors.shape == sub.vectors.shape
     assert not np.array_equal(plain.vectors, sub.vectors)
 
@@ -497,6 +583,8 @@ def test_w2v_config_validation():
         cs.W2vConfig(negatives=0)
     with pytest.raises(ConfigError):
         cs.W2vConfig(dim=0)
+    with pytest.raises(ConfigError, match=r"negatives must lie in \[1, 2147483648\), got 2147483648"):
+        cs.W2vConfig(negatives=2**31)
     with pytest.raises(ConfigError):
         cs.W2vConfig(subsample_threshold=0.0)
 
