@@ -268,14 +268,10 @@ def token_counts(sequences, vocab_size: int) -> np.ndarray:
     return np.bincount(ids, minlength=vocab_size)
 
 
-def _subsample(sequence_ids, counts, total, threshold, rng):
-    kept = []
-    for tid in sequence_ids:
-        f = counts[tid] / total
-        keep = 1.0 if f <= threshold else math.sqrt(threshold / f)
-        if rng.random() < keep:
-            kept.append(tid)
-    return kept
+def _keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep probability min(1, sqrt(t / f)) per id, f = count / total; a zero f divides nothing."""
+    freq = counts / counts.sum()
+    return np.sqrt(np.divide(threshold, freq, out=np.ones(len(freq)), where=freq > threshold))
 
 
 def _examples(sequences, mode: str, window: int):
@@ -311,26 +307,28 @@ def train_embeddings(
     NumericalError.
     """
     counts = token_counts(sequences, len(vocab))
-    if not any(len(seq) >= 2 for seq in sequences):
+    per_epoch = sum(_example_count(len(seq), config.mode, config.window) for seq in sequences)
+    if per_epoch == 0:
         raise DataError(
             f"cannot train embeddings: no token has a neighbor within window {config.window}"
         )
     matrix = init_embedding_matrix(vocab, config.dim, config.seed)
     sampler = NegativeSampler(counts, substream(config.seed, "negative_sampling"))
     rng_sub = substream(config.seed, "subsample")
-    total_tokens = int(counts.sum())
-    per_epoch = sum(_example_count(len(seq), config.mode, config.window) for seq in sequences)
-    total_steps = max(1, config.epochs * per_epoch)
+    total_steps = config.epochs * per_epoch
     lr0 = config.learning_rate
     lr_floor = min(MIN_LEARNING_RATE, lr0)
     threshold = config.subsample_threshold
+    keep = None if threshold is None else _keep_probabilities(counts, threshold).tolist()
 
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(1, config.epochs + 1):
-        texts = sequences
-        if threshold is not None:
-            texts = (_subsample(seq, counts, total_tokens, threshold, rng_sub) for seq in sequences)
+        # subsampling draws each text's uniforms in one call, in corpus order
+        texts = sequences if keep is None else (
+            [tid for tid, u in zip(seq, rng_sub.random(len(seq)).tolist()) if u < keep[tid]]
+            for seq in sequences
+        )
         epoch_loss = 0.0
         epoch_start = step
         with divergence_raises("word2vec", epoch):

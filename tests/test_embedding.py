@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsent as cs
+from charsent import embedding
 from charsent.embedding import (
     MIN_LEARNING_RATE,
     SAMPLE_BLOCK,
     EmbeddingMatrix,
     NegativeSampler,
     _example_count,
+    _keep_probabilities,
     cbow_gradients,
     cbow_step,
     extract_windows,
@@ -387,6 +389,81 @@ def test_training_raises_when_subsampling_empties_an_epoch():
     assert str(err.value) == (
         "cannot train embeddings: subsampling at threshold 0.001 kept no window in epoch 2"
     )
+
+
+def _scalar_keep(counts, threshold):
+    """The keep rule one id at a time: 1 if f <= t, else sqrt(t / f)."""
+    total = int(counts.sum())
+    keep = []
+    for tid in range(len(counts)):
+        f = counts[tid] / total
+        keep.append(1.0 if f <= threshold else math.sqrt(threshold / f))
+    return keep
+
+
+@st.composite
+def _counts_and_threshold(draw):
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+    counts[draw(st.integers(0, len(counts) - 1))] += 1  # some id is counted
+    total = sum(counts)
+    threshold = draw(
+        st.floats(min_value=1e-12, max_value=2.0)
+        | st.sampled_from([c / total for c in counts if c])  # f == t exactly
+    )
+    return np.array(counts, dtype=np.int64), threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_counts_and_threshold())
+def test_keep_table_equals_the_scalar_rule_for_every_id(case):
+    counts, threshold = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unseen id's zero f divides nothing
+        table = _keep_probabilities(counts, threshold)
+    assert table.dtype == np.float64
+    assert table.tolist() == _scalar_keep(counts, threshold)
+
+
+def test_keep_table_keeps_an_id_whose_frequency_is_the_threshold():
+    counts = np.array([0, 0, 1, 999])
+    assert counts[2] / counts.sum() == 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _keep_probabilities(counts, 1e-3)
+    assert table.tolist() == [1.0, 1.0, 1.0, math.sqrt(1e-3 / 0.999)]
+
+
+class _CountingGenerator:
+    """A Generator stand-in that records the size of each random() call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+def test_subsampling_draws_each_texts_uniforms_in_one_call(mode, monkeypatch):
+    texts = ["好棒好棒极了", "坏", "坏差坏差极了", "好棒妙", "差"]  # one-token texts still draw
+    vocab = cs.build_vocab(texts, min_count=1)
+    seqs = [[vocab.id_for(t) for t in cs.segment_chars(text)] for text in texts]
+    cfg = cs.W2vConfig(mode=mode, window=2, negatives=2, epochs=1, dim=4, subsample_threshold=0.05)
+    plain, plain_losses = cs.train_embeddings(seqs, vocab, cfg)
+    streams = {}
+
+    def counting_substream(seed, name):
+        rng = substream(seed, name)
+        if name == "subsample":
+            rng = streams[name] = _CountingGenerator(rng)
+        return rng
+
+    monkeypatch.setattr(embedding, "substream", counting_substream)
+    matrix, losses = cs.train_embeddings(seqs, vocab, cfg)
+    assert streams["subsample"].sizes == [len(seq) for seq in seqs]
+    assert np.array_equal(matrix.vectors, plain.vectors)
+    assert losses == plain_losses
 
 
 @pytest.mark.parametrize("mode", ["cbow", "skipgram"])
