@@ -36,10 +36,10 @@ from .network import (
     init_lstm_params,
     lstm_cell_forward,
     predict,
-    score_batch,
+    predict_proba,
     sequence_forward,
-    sigmoid,
 )
+from .numerics import sigmoid
 from .rng import substream
 from .tokenizer import (
     PAD_ID,

@@ -46,9 +46,7 @@ class W2vConfig:
     def __post_init__(self):
         if self.mode not in ("cbow", "skipgram"):
             raise ConfigError(f"mode must be 'cbow' or 'skipgram', got {self.mode!r}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        for name in ("negatives", "dim"):
+        for name in ("window", "negatives", "dim"):
             size = getattr(self, name)
             if not 1 <= size < SIZE_LIMIT:
                 raise ConfigError(f"{name} must lie in [1, {SIZE_LIMIT}), got {size}")

@@ -20,7 +20,8 @@ row's probability does not depend on its position in the batch.
 
 A batch runs sorted by length, descending and stable, and step t steps
 only the n_t rows still running, in the forward pass and in BPTT; the
-head puts the rows back in input order. The loss is binary
+head puts the rows back in input order. predict_proba takes the same
+steps holding only the step in flight. The loss is binary
 cross-entropy, and backward_batch runs exact BPTT over the cache
 forward_batch writes. Only the recurrence through the hidden-state
 columns of W stays in its time loop. After the loop, one product over
@@ -46,25 +47,9 @@ from .errors import ConfigError, DataError
 from .files import SIZE_LIMIT
 from .numerics import sigmoid
 from .rng import substream
-from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
+from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
 _P_CLAMP = 1e-12
-
-__all__ = [
-    "sigmoid",
-    "LstmParams",
-    "BatchCache",
-    "Model",
-    "init_lstm_params",
-    "lstm_cell_forward",
-    "sequence_forward",
-    "forward_batch",
-    "bce_loss",
-    "backward_batch",
-    "backward",
-    "score_batch",
-    "predict",
-]
 
 
 def param_shapes(hidden_size: int, input_dim: int) -> dict[str, tuple[int, ...]]:
@@ -426,6 +411,34 @@ def forward_batch(
     return ps, cache
 
 
+# the most rows predict_proba runs through the cell at once
+_EVAL_CHUNK = 256
+
+
+def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
+    """Probabilities for many sequences, in input order; no dropout.
+    The sequences run in order of length (stable), split into
+    ceil(n / 256) parts whose sizes differ by at most one. Each part
+    takes forward_batch's steps over its length-sorted live rows, so it
+    steps only to its own longest row, but holds only the step in
+    flight, two slots of hidden and cell state and one of gates, and
+    builds no BPTT cache. A part's probabilities are forward_batch's bit
+    for bit. A row's bits can still depend on how many rows run beside
+    it at each step, since OpenBLAS picks its gate-product kernel by the
+    product's size (README's design notes give the measured counts); the
+    read-out sums within a row and adds no such dependence.
+    """
+    ps = np.empty(len(sequences))
+    if not sequences:
+        return ps
+    by_length = np.argsort([s.true_length for s in sequences], kind="stable")
+    for part in np.array_split(by_length, math.ceil(len(by_length) / _EVAL_CHUNK)):
+        order, lengths, ids, x_rows = _batch_inputs([sequences[i] for i in part], model)
+        ps[part] = _head(_run_cell(x_rows, lengths, order, model.params, 2)[3], model.params)
+        del ids, x_rows  # free this part's inputs before the next part lays out its own
+    return ps
+
+
 def bce_loss(p, y):
     """Binary cross-entropy -[y ln p + (1-y) ln(1-p)], with p clamped
     to [1e-12, 1-1e-12] before the logs. Accepts scalars or arrays,
@@ -438,9 +451,10 @@ def bce_loss(p, y):
 def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str, np.ndarray]:
     """Exact gradients of the mean bce_loss over the batch for every
     parameter tensor and for the embedding matrix (nonzero only in the
-    rows the batch touched), accumulated backward through all time
-    steps. Each row's head gradient enters at that row's own last step,
-    and step t runs back only its n_t live rows.
+    rows the batch touched, and +0.0 in PAD's row, which never trains),
+    accumulated backward through all time steps. Each row's head
+    gradient enters at that row's own last step, and step t runs back
+    only its n_t live rows.
 
     Only the recurrence through the hidden-state block of the gate
     matrix stays in the time loop. Step t's gradients at the gates'
@@ -503,6 +517,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     np.matmul(d_pres[:rows], p.w_gates[:, hsize:], out=cache.x_rows[:rows])
     grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
     np.add.at(grads["embeddings"], cache.ids, cache.xs)
+    grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
     return grads
 
 
@@ -511,16 +526,6 @@ def backward(cache: BatchCache, y: int, model: Model) -> dict[str, np.ndarray]:
     bce_loss(p, y) for the cache of sequence_forward.
     """
     return backward_batch(cache, np.array([float(y)]), model)
-
-
-def score_batch(sequences: list[TokenSequence], model: Model) -> np.ndarray:
-    """The probabilities forward_batch gives without dropout, bit for
-    bit, in input order, from the same steps over the same length-sorted
-    live rows, holding only the step in flight: two slots of hidden and
-    cell state and one of gates, so no BPTT cache is built.
-    """
-    order, lengths, _, x_rows = _batch_inputs(sequences, model)
-    return _head(_run_cell(x_rows, lengths, order, model.params, 2)[3], model.params)
 
 
 def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:

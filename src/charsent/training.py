@@ -1,6 +1,6 @@
-"""Adam, the training loop with dropout and early stopping, batched
-scoring, the five-quantity evaluation report (loss, MAE, accuracy,
-precision, recall) and the SSM1 model and history files.
+"""Adam, the training loop with dropout and early stopping, the
+five-quantity evaluation report (loss, MAE, accuracy, precision,
+recall) and the SSM1 model and history files.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from .network import (
     bce_loss,
     forward_batch,
     param_shapes,
-    score_batch,
+    predict_proba,
     threshold_ok,
 )
 from .numerics import divergence_raises
 from .rng import substream
-from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
+from .tokenizer import TokenSequence, Vocabulary, encode, segment_chars
 
 MODEL_MAGIC = b"SSM1"
 MODEL_VERSION = 2
 # the tensor blocks' element type in each SSM1 version this charsent reads
 _BLOCK_DTYPES = {1: "<f4", 2: "<f8"}
-_EVAL_CHUNK = 256
 _QUOTE_CHARS = 20  # of a review's text, in an error that names the review
 
 
@@ -100,8 +99,8 @@ def adam_step(
         v <- b2 v + (1-b2) g^2      v_hat = v / (1 - b2^t)
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Rows that must stay fixed (the PAD embedding row) are handled by the
-    caller keeping their gradients at zero; their moments then never move.
+    A row whose gradient stays zero keeps zero moments and does not
+    move; backward_batch gives the PAD embedding row such a gradient.
     """
     state.t += 1
     bc1 = 1.0 - config.beta1**state.t
@@ -193,30 +192,6 @@ def encode_labeled(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Dataset:
     return out
 
 
-def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
-    """Probabilities for many sequences, in input order; no dropout.
-    The sequences run through score_batch in order of length (stable),
-    split into ceil(n / 256) parts whose sizes differ by at most one, so
-    each part steps only to its own longest row and holds only the step
-    in flight. Within a part, step t runs only the rows still going, and
-    OpenBLAS picks its gate-product kernel by the product's size, so a
-    row's bits can depend on how many rows run beside it at each step.
-    The read-out sums within a row and adds no such dependence. With
-    random weights and 1000 texts (OpenBLAS 0.3.31, SkylakeX kernels),
-    each text scored alone and in the whole set differed in 71
-    probabilities at h=32, d=16 and in 109 at h=128, d=64, by at most
-    1.1e-16; the first 500 texts and the whole set differed in 4 of
-    those 500 at either size.
-    """
-    ps = np.empty(len(sequences))
-    if not sequences:
-        return ps
-    order = np.argsort([s.true_length for s in sequences], kind="stable")
-    for part in np.array_split(order, math.ceil(len(order) / _EVAL_CHUNK)):
-        ps[part] = score_batch([sequences[i] for i in part], model)
-    return ps
-
-
 def evaluate(model: Model, dataset: Dataset) -> Metrics:
     """Full evaluation of a labeled dataset at the model's threshold."""
     ps = predict_proba(model, [seq for seq, _ in dataset])
@@ -302,7 +277,6 @@ def train(
                         f"training diverged: non-finite loss at epoch {epoch}, batch {batch_index}"
                     )
                 grads = backward_batch(cache, ys, work)
-                grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains
                 adam_step(tensors, grads, state, config)
                 del cache, grads  # free this batch's activations before the next pass
 

@@ -169,7 +169,7 @@ RANGE_ERRORS = [
     pytest.param("tokenizer.min_count=0", "must be >= 1, got 0", id="tokenizer.min_count"),
     *(
         pytest.param(f"{key}={size}", f"must lie in [1, 2147483648), got {size}", id=f"{key}={size}")
-        for key in ("network.hidden_size", "word2vec.dim", "word2vec.negatives")
+        for key in ("network.hidden_size", "word2vec.dim", "word2vec.negatives", "word2vec.window")
         for size in (0, 2**31, 10**12)
     ),
 ]
@@ -823,6 +823,20 @@ def test_embed_when_subsampling_empties_an_epoch_exits_3(tmp_path, capsys):
         f"error: {labeled}: cannot train embeddings: subsampling at threshold 1e-09 "
         "kept no window in epoch 1\n"
     )
+    assert os.listdir(tmp_path) == ["labeled.jsonl"]
+
+
+def test_embed_with_a_window_past_a_c_size_exits_2(tmp_path, capsys):
+    """A window too large for a C size is refused when the config is
+    read, before any window is built.
+    """
+    labeled = tmp_path / "labeled.jsonl"
+    save_corpus(generate_corpus(40, seed=5), labeled)
+    argv = ["embed", "--set", f"paths.labeled={labeled}",
+            "--set", f"paths.vocab={tmp_path / 'vocab.json'}", "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+            "--set", f"word2vec.window={2**63}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: word2vec.window must lie in [1, 2147483648), got {2**63}\n"
     assert os.listdir(tmp_path) == ["labeled.jsonl"]
 
 

@@ -126,3 +126,32 @@ def test_json_is_parsed_only_in_files_py():
                 if "JSONDecodeError" in ast.unparse(node.type):
                     found.append(f"{source.name}:{node.lineno}: except JSONDecodeError")
     assert found == []
+
+
+def test_only_network_names_its_private_functions():
+    """One home for the LSTM core: no other charsent module and no
+    script names a private function of charsent.network, so no second
+    loop over the cell, for scoring or for training, grows outside it.
+    """
+    package = Path(cs.__file__).parent
+    tree = ast.parse((package / "network.py").read_text(encoding="utf-8"))
+    private = {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    assert {"_batch_inputs", "_run_cell", "_head"} <= private
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "network.py"]
+    sources += sorted(scripts.glob("*.py"))
+    assert any(p.parent == scripts for p in sources)
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                name = getattr(node, "id", None)
+            if name in private:
+                found.append(f"{source.parent.name}/{source.name}:{node.lineno}: {name}")
+    assert found == []

@@ -214,9 +214,9 @@ def test_cell_steps_only_live_rows(small_vocab, monkeypatch):
         real(x_t, *rest)
 
     monkeypatch.setattr(network, "_cell_into", counting)
-    for run in (cs.forward_batch, cs.score_batch):
+    for run in (lambda: cs.forward_batch(seqs, model), lambda: cs.predict_proba(model, seqs)):
         stepped.clear()
-        run(seqs, model)
+        run()
         assert stepped == [4, 3, 2, 2, 1, 1, 1]
         assert sum(stepped) == sum(s.true_length for s in seqs)
 
@@ -236,12 +236,12 @@ def test_permuting_a_batch_permutes_its_probabilities(small_vocab, seed):
     seqs = [cs.encode(pool[k % 3 :][:n], small_vocab, max_len=10) for k, n in enumerate(lengths)]
     perm = rng.permutation(len(seqs))
     shuffled = [seqs[i] for i in perm]
-    for run in (lambda s: cs.forward_batch(s, model)[0], lambda s: cs.score_batch(s, model)):
+    for run in (lambda s: cs.forward_batch(s, model)[0], lambda s: cs.predict_proba(model, s)):
         assert np.array_equal(run(shuffled), run(seqs)[perm])
 
 
-def test_score_batch_equals_forward_batch_bit_for_bit(small_vocab):
-    """score_batch steps the cell through two state slots and
+def test_predict_proba_equals_forward_batch_bit_for_bit(small_vocab):
+    """predict_proba steps the cell through two state slots and
     forward_batch through one per step; both give the same
     probabilities, on a mixed-length batch with rows of length 1 and of
     the full length, on a batch of one and on an equal-length batch.
@@ -252,7 +252,7 @@ def test_score_batch_equals_forward_batch_bit_for_bit(small_vocab):
     equal = [cs.encode(pool[k : k + 6], small_vocab, max_len=10) for k in range(4)]
     for seqs in (mixed, mixed[2:3], equal):
         want, _ = cs.forward_batch(seqs, model)
-        assert np.array_equal(cs.score_batch(seqs, model), want)
+        assert np.array_equal(cs.predict_proba(model, seqs), want)
 
 
 def test_forget_gate_extremes(small_vocab):

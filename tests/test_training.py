@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsent as cs
-from charsent import training
+from charsent import network, training
 from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
-from charsent.network import param_shapes
+from charsent.network import _EVAL_CHUNK, param_shapes
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
-from charsent.training import _EVAL_CHUNK, AdamState
+from charsent.training import AdamState
 
 from helpers import make_model
 from oracles import (
@@ -247,6 +247,14 @@ def test_backward_zero_params_gives_readout_residual():
     grads = cs.backward(cache, y, model)
     assert np.all(grads["embeddings"][untouched] == 0.0)
 
+    # PAD's row is exactly +0.0 on a mixed-length batch, whose padding BPTT meets
+    seqs = [s for s, _ in dataset]
+    assert len({s.true_length for s in seqs}) > 1
+    _, cache = cs.forward_batch(seqs, model)
+    grads = cs.backward_batch(cache, np.array([float(y) for _, y in dataset]), model)
+    assert np.all(grads["embeddings"][PAD_ID] == 0.0)
+    assert not np.signbit(grads["embeddings"][PAD_ID]).any()
+
     for tensor in model.params.tensors().values():
         tensor[:] = 0.0
     for label in (0, 1):
@@ -403,13 +411,13 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     model, seqs = _mixed_length_sequences()
     index_of = {id(seq): i for i, seq in enumerate(seqs)}
     calls = []
-    real_score_batch = training.score_batch
+    real_batch_inputs = network._batch_inputs
 
-    def recording_score_batch(batch, model):
+    def recording_batch_inputs(batch, model):
         calls.append([index_of[id(seq)] for seq in batch])
-        return real_score_batch(batch, model)
+        return real_batch_inputs(batch, model)
 
-    monkeypatch.setattr(training, "score_batch", recording_score_batch)
+    monkeypatch.setattr(network, "_batch_inputs", recording_batch_inputs)
     training.predict_proba(model, seqs)
 
     assert len(calls) == math.ceil(len(seqs) / _EVAL_CHUNK)
@@ -447,6 +455,32 @@ def test_predict_proba_peaks_below_a_quarter_of_one_gates_array():
     assert peak < gates_bytes / 4
 
 
+def test_predict_proba_frees_each_part_before_the_next():
+    """Three 256-row parts peak no higher than one, give or take a
+    quarter of one part's embedded inputs: a part's inputs are gone
+    before the next part lays out its own.
+    """
+    length, dim, rows = 60, 16, 3 * _EVAL_CHUNK
+    vocab = cs.build_vocab(generate_corpus(60, seed=7).texts(), min_count=1)
+    model = make_model(vocab, hidden_size=64, dim=dim, max_len=length, seed=7, scale=0.4)
+    rng = np.random.default_rng(7)
+    seqs = [
+        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()))
+        for _ in range(rows)
+    ]
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            training.predict_proba(model, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_part = peak(seqs[:_EVAL_CHUNK])
+    assert peak(seqs) - one_part < _EVAL_CHUNK * length * dim * 8 / 4
+
+
 def _live_caches_at_each_call(monkeypatch) -> list[int]:
     """Wrap training.forward_batch; each call appends how many caches
     returned by earlier calls are still alive when it starts.
@@ -463,6 +497,13 @@ def _live_caches_at_each_call(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(training, "forward_batch", tracking_forward_batch)
     return live
+
+
+def test_predict_proba_has_one_home():
+    """Scoring sits beside the LSTM core; training and the package name
+    that one function.
+    """
+    assert cs.predict_proba is training.predict_proba is network.predict_proba
 
 
 def test_predict_proba_of_nothing_is_empty(tiny_model):
@@ -521,7 +562,7 @@ def test_train_frees_each_batch_before_the_next_pass(monkeypatch):
     config = cs.TrainConfig(epochs=2, batch_size=16, patience=2, seed=5)
     training.train(train_set, val_set, model, config)
     batches = math.ceil(len(train_set) / config.batch_size)
-    assert len(live) == 2 * batches  # scoring runs score_batch, which builds no cache
+    assert len(live) == 2 * batches  # scoring calls no forward_batch and builds no cache
     assert live == [0] * len(live)
 
 
