@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     matrix, tokens = cs.load_embeddings(args.embeddings)
     # rows 0 and 1 are the reserved padding/unknown ids
-    vocab = cs.Vocabulary.from_tokens(tokens[2:], min_count=1)
+    vocab = cs.Vocabulary(tokens[2:], min_count=1)
 
     for ch in args.queries:
         if ch not in vocab:

@@ -3,9 +3,10 @@
 
 Runs CLI `embed` then `train` with the acceptance-06 config (d=16,
 h=32, max_len 60, 30 epochs) on `generate_corpus(N, 42)`, once per
-pipeline seed, and prints one JSON object. For each seed it gives the
-best-epoch `val_acc` (the epoch of lowest validation loss, as the test
-reads it), that epoch and the epochs run. It also scores the validation
+pipeline seed, and prints one JSON object. For each seed it gives,
+from CLI `train`'s summary, the best-epoch `val_acc` (the epoch of
+lowest validation loss, as the test reads it), that epoch and the
+epochs run. It also scores the validation
 split with the saved model and splits its errors by evidence margin,
 the count of positive- minus negative-pool characters in the text:
 ties (0), +-1 and the rest. The saved model is the best epoch's, so
@@ -45,7 +46,7 @@ import charsent as cs
 from charsent import cli
 from charsent.corpus import save_corpus, split
 from charsent.synthetic import NEGATIVE_POOL, POSITIVE_POOL, generate_corpus
-from charsent.training import load_history, predict_proba
+from charsent.training import predict_proba
 
 CORPUS_SEED = 42
 CONFIG = {
@@ -83,7 +84,7 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
     corpus = generate_corpus(reviews, seed=CORPUS_SEED)
     save_corpus(corpus, work / "labeled.jsonl")
     names = {"labeled": "labeled.jsonl", "vocab": "vocab.json", "embeddings": "emb.bin",
-             "model": "model.ssm", "history": "history.json"}
+             "model": "model.ssm"}
     config = dict(CONFIG, seed=seed, paths={k: str(work / v) for k, v in names.items()})
     (work / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
     for stage in ("embed", "train"):
@@ -93,10 +94,7 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
         if code != 0:
             raise RuntimeError(f"seed {seed}: CLI {stage} exited {code}")
     # the last stage, CLI train, printed one JSON summary line
-    test = json.loads(out.getvalue())["test"]
-
-    records = load_history(work / "history.json")
-    best = min(records, key=lambda r: r.val_loss)
+    summary = json.loads(out.getvalue())
     model = cs.load_model(work / "model.ssm")
     defaults = cli.PipelineConfig().split
     val = split(corpus, defaults.train_frac, defaults.val_frac, seed)[1]
@@ -108,12 +106,12 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
         errors[_margin(review.text)] += int(miss)
     return {
         "seed": seed,
-        "best_val_acc": best.val_acc,
-        "best_epoch": best.epoch,
-        "epochs_run": len(records),
+        "best_val_acc": summary["val"]["accuracy"],
+        "best_epoch": summary["best_epoch"],
+        "epochs_run": summary["epochs_run"],
         "val_reviews": len(dataset),
         "val_errors_by_margin": errors,
-        "test": test,
+        "test": summary["test"],
     }
 
 

@@ -93,9 +93,6 @@ class PolarityLexicon:
     def weight(self, token: str) -> float:
         return self.entries.get(token, 0.0)
 
-    def scaled(self, factor: float) -> "PolarityLexicon":
-        return PolarityLexicon({t: w * factor for t, w in self.entries.items()})
-
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file: CSV when the suffix is `.csv` in any case,

@@ -7,8 +7,9 @@ update whose context is the center token alone. Training is one SGD
 step per example, in corpus order; a step gathers its k+1 output rows
 once and updates each matrix with one np.subtract.at call, and still
 gives every value the bits of a row-by-row loop. The input-side
-matrix is the product consumed by the classifier network; the
-output-side (context) matrix only exists while training.
+matrix is the product consumed by the classifier network and the one
+an EmbeddingMatrix holds; the output-side (context) matrix starts at
+zero inside train_embeddings and is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ class W2vConfig:
             raise ConfigError("subsample_threshold must be > 0 when set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Input-side vectors (one row per vocabulary id) plus the training-
-    only context vectors. The PAD row is all zeros and never trained.
+    """What a W2V1 file holds: input-side vectors, one row per vocabulary
+    id, and the hash of that vocabulary. The PAD row is all zeros and
+    never trained.
     """
 
     vectors: np.ndarray
-    context_vectors: np.ndarray | None
-    vocab_hash: str = ""
+    vocab_hash: str
 
     def __post_init__(self):
         if self.vectors.ndim != 2:
@@ -84,14 +85,11 @@ class EmbeddingMatrix:
 
 
 def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
-    """Seeded start state: input rows uniform in [-0.5/dim, +0.5/dim),
-    context rows zero, PAD row zero.
-    """
+    """Seeded start state: rows uniform in [-0.5/dim, +0.5/dim), PAD row zero."""
     rng = substream(seed, "embedding_init")
     vectors = (rng.random((len(vocab), dim)) - 0.5) / dim
     vectors[PAD_ID] = 0.0
-    context = np.zeros((len(vocab), dim))
-    return EmbeddingMatrix(vectors=vectors, context_vectors=context, vocab_hash=vocab.content_hash())
+    return EmbeddingMatrix(vectors=vectors, vocab_hash=vocab.content_hash())
 
 
 def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
@@ -127,7 +125,7 @@ def _example_count(n: int, mode: str, window: int) -> int:
     return 2 * m * n - m * (m + 1)
 
 
-def _objective(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
+def _objective(context_ids, center_id, negative_ids, vectors, context_vectors):
     """The one-example kernel of cbow_gradients and cbow_step, a fixed
     number of array calls: returns (loss, the gradient of each context
     position's input row, the output ids [center, *negatives], their
@@ -136,9 +134,9 @@ def _objective(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
     """
     # take() gathers rows faster than a list index; the sum and division
     # give the bits of .mean(axis=0)
-    h = matrix.vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
+    h = vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
     out_ids = [center_id, *negative_ids]
-    u = matrix.context_vectors.take(out_ids, axis=0)
+    u = context_vectors.take(out_ids, axis=0)
     # one dot per row: a single u @ h product rounds differently
     coef = sigmoid(np.fromiter(map(h.dot, u), np.float64, len(out_ids)))
     # the clamp keeps s and 1 - s above 9e-14, so every log is finite
@@ -175,10 +173,10 @@ def _subtract_rows(target: np.ndarray, ids: list, grads: np.ndarray, lr: float) 
     np.subtract.at(target, np.array(ids), lr * grads)
 
 
-def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix):
+def cbow_gradients(context_ids, center_id, negative_ids, vectors, context_vectors):
     """Loss and exact gradients of the negative-sampling objective around
-    h, the mean of the context's input rows, without touching the
-    matrices:
+    h, the mean of the context's rows of `vectors`, and the output rows
+    of `context_vectors`, without touching the matrices:
 
         loss = -ln s(u_center . h) - sum_neg ln s(-u_neg . h)
 
@@ -186,30 +184,32 @@ def cbow_gradients(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix
     dicts with duplicate ids accumulated.
     """
     loss, per_context, out_ids, out_grads = _objective(
-        context_ids, center_id, negative_ids, matrix
+        context_ids, center_id, negative_ids, vectors, context_vectors
     )
     in_grads = _row_sums(context_ids, [per_context] * len(context_ids))
     return loss, in_grads, _row_sums(out_ids, out_grads)
 
 
-def skipgram_gradients(center_id, context_id, negative_ids, matrix: EmbeddingMatrix):
+def skipgram_gradients(center_id, context_id, negative_ids, vectors, context_vectors):
     """The skip-gram objective: CBOW on the one-token context [center_id]."""
-    return cbow_gradients([center_id], context_id, negative_ids, matrix)
+    return cbow_gradients([center_id], context_id, negative_ids, vectors, context_vectors)
 
 
-def cbow_step(context_ids, center_id, negative_ids, matrix: EmbeddingMatrix, lr: float) -> float:
-    """One SGD step on a CBOW example; returns the pre-update loss."""
+def cbow_step(context_ids, center_id, negative_ids, vectors, context_vectors, lr: float) -> float:
+    """One SGD step on a CBOW example, updating both matrices in place;
+    returns the pre-update loss.
+    """
     loss, per_context, out_ids, out_grads = _objective(
-        context_ids, center_id, negative_ids, matrix
+        context_ids, center_id, negative_ids, vectors, context_vectors
     )
-    _subtract_rows(matrix.vectors, context_ids, per_context, lr)
-    _subtract_rows(matrix.context_vectors, out_ids, out_grads, lr)
+    _subtract_rows(vectors, context_ids, per_context, lr)
+    _subtract_rows(context_vectors, out_ids, out_grads, lr)
     return loss
 
 
-def skipgram_step(center_id, context_id, negative_ids, matrix: EmbeddingMatrix, lr: float) -> float:
+def skipgram_step(center_id, context_id, negative_ids, vectors, context_vectors, lr: float) -> float:
     """One SGD step on a skip-gram example: a CBOW step on [center_id]."""
-    return cbow_step([center_id], context_id, negative_ids, matrix, lr)
+    return cbow_step([center_id], context_id, negative_ids, vectors, context_vectors, lr)
 
 
 class NegativeSampler:
@@ -228,8 +228,7 @@ class NegativeSampler:
         total = weights.sum()
         if total <= 0:
             raise DataError("negative sampler needs at least one counted token")
-        self.probabilities = weights / total
-        self._cumulative = np.cumsum(self.probabilities)
+        self._cumulative = np.cumsum(weights / total)
         self._cumulative[-1] = 1.0
         self._support = set(np.flatnonzero(weights).tolist())
         self._rng = rng
@@ -298,11 +297,12 @@ def train_embeddings(
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
     to MIN_LEARNING_RATE. Each pass builds one text's windows at a time.
-    Returns the matrix and each epoch's mean example loss. Sequences
-    with no window at all (no token with a neighbor), or an epoch that
-    subsampling leaves without one, raise DataError. A floating-point
-    overflow, invalid operation or division by zero stops the run with
-    NumericalError.
+    Returns the input-side matrix and each epoch's mean example loss;
+    the output-side matrix starts at zero and is dropped on return.
+    Sequences with no window at all (no token with a neighbor), or an
+    epoch that subsampling leaves without one, raise DataError. A
+    floating-point overflow, invalid operation or division by zero
+    stops the run with NumericalError.
     """
     counts = token_counts(sequences, len(vocab))
     per_epoch = sum(_example_count(len(seq), config.mode, config.window) for seq in sequences)
@@ -311,6 +311,7 @@ def train_embeddings(
             f"cannot train embeddings: no token has a neighbor within window {config.window}"
         )
     matrix = init_embedding_matrix(vocab, config.dim, config.seed)
+    context = np.zeros_like(matrix.vectors)
     sampler = NegativeSampler(counts, substream(config.seed, "negative_sampling"))
     rng_sub = substream(config.seed, "subsample")
     total_steps = config.epochs * per_epoch
@@ -333,7 +334,7 @@ def train_embeddings(
             for inputs, target, exclude in _examples(texts, config.mode, config.window):
                 lr = lr0 - (lr0 - lr_floor) * (step / total_steps)
                 negatives = sampler.sample(config.negatives, exclude=exclude)
-                epoch_loss += cbow_step(inputs, target, negatives, matrix, lr)
+                epoch_loss += cbow_step(inputs, target, negatives, matrix.vectors, context, lr)
                 step += 1
         if step == epoch_start:
             raise DataError(
@@ -387,9 +388,9 @@ def save_embeddings(matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path
 
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
-    """Read a W2V1 file; returns the matrix (context side empty) and the
-    token list in id order for validation by the caller. The file must
-    end exactly after its last row.
+    """Read a W2V1 file; returns the matrix and the token list in id
+    order for validation by the caller. The file must end exactly after
+    its last row.
     """
     path = Path(path)
     blob = read_bytes(path, "embedding file")
@@ -428,7 +429,5 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
         # checked before the cast, which warns on a signaling NaN
         if not np.isfinite(stored).all():
             raise DataError("embedding matrix contains non-finite entries")
-        matrix = EmbeddingMatrix(
-            vectors=stored.astype(np.float64), context_vectors=None, vocab_hash=vocab_hash
-        )
+        matrix = EmbeddingMatrix(vectors=stored.astype(np.float64), vocab_hash=vocab_hash)
     return matrix, tokens

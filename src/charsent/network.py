@@ -224,11 +224,7 @@ class Model:
             raise DataError(f"metrics_snapshot must be a dict or None, got {snapshot!r}")
 
     def copy(self) -> "Model":
-        emb = EmbeddingMatrix(
-            vectors=self.embeddings.vectors.copy(),
-            context_vectors=None,
-            vocab_hash=self.embeddings.vocab_hash,
-        )
+        emb = replace(self.embeddings, vectors=self.embeddings.vectors.copy())
         return replace(self, embeddings=emb, params=self.params.copy())
 
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -37,16 +37,37 @@ def segment_chars(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Contiguous token ids with PAD=0 and UNK=1 always present.
+    """What vocab.json holds: the real tokens, which get ids 2.. in
+    order, and the min_count they were kept at. PAD=0 and UNK=1 are
+    always present. DataError unless min_count is an integer >= 1 and
+    the tokens are distinct strings other than PAD and UNK.
 
-    Real tokens get ids from 2 by descending corpus frequency, ties
+    build_vocab orders the tokens by descending corpus frequency, ties
     broken by codepoint order, so a rebuild from the same corpus is
     always identical.
     """
 
-    token_to_id: dict[str, int]
-    id_to_token: tuple[str, ...]
+    tokens: tuple[str, ...]
     min_count: int
+    id_to_token: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        min_count = self.min_count
+        if type(min_count) is not int or min_count < 1:
+            raise DataError(f"vocabulary 'min_count' must be an integer >= 1, got {min_count!r}")
+        tokens = tuple(self.tokens)
+        if not all(isinstance(t, str) for t in tokens):
+            raise DataError("vocabulary 'tokens' must all be strings")
+        if PAD_TOKEN in tokens or UNK_TOKEN in tokens:
+            raise DataError(f"vocabulary tokens may not include {PAD_TOKEN} or {UNK_TOKEN}")
+        id_to_token = (PAD_TOKEN, UNK_TOKEN, *tokens)
+        token_to_id = {t: i for i, t in enumerate(id_to_token)}
+        if len(token_to_id) != len(id_to_token):
+            raise DataError("duplicate token in vocabulary")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "id_to_token", id_to_token)
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -57,11 +78,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        """Real tokens only (ids 2..), in id order."""
-        return self.id_to_token[2:]
-
     def content_hash(self) -> str:
         payload = json.dumps(
             {"min_count": self.min_count, "tokens": list(self.tokens)},
@@ -69,24 +85,6 @@ class Vocabulary:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str], min_count: int) -> "Vocabulary":
-        """Ids 2.. for `tokens` in order; DataError unless min_count is an
-        integer >= 1 and the tokens are distinct strings other than PAD and UNK.
-        """
-        if type(min_count) is not int or min_count < 1:
-            raise DataError(f"vocabulary 'min_count' must be an integer >= 1, got {min_count!r}")
-        tokens = tuple(tokens)
-        if not all(isinstance(t, str) for t in tokens):
-            raise DataError("vocabulary 'tokens' must all be strings")
-        if PAD_TOKEN in tokens or UNK_TOKEN in tokens:
-            raise DataError(f"vocabulary tokens may not include {PAD_TOKEN} or {UNK_TOKEN}")
-        id_to_token = (PAD_TOKEN, UNK_TOKEN, *tokens)
-        token_to_id = {t: i for i, t in enumerate(id_to_token)}
-        if len(token_to_id) != len(id_to_token):
-            raise DataError("duplicate token in vocabulary")
-        return cls(token_to_id=token_to_id, id_to_token=id_to_token, min_count=min_count)
 
     def save(self, path: str | Path) -> None:
         payload = {"min_count": self.min_count, "tokens": list(self.tokens)}
@@ -102,7 +100,7 @@ class Vocabulary:
                 raise DataError("vocabulary JSON needs 'min_count' and 'tokens'")
             if not isinstance(payload["tokens"], list):
                 raise DataError("vocabulary field 'tokens' must be a list")
-            return cls.from_tokens(payload["tokens"], payload["min_count"])
+            return cls(payload["tokens"], payload["min_count"])
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary.from_tokens(kept, min_count)
+    return Vocabulary(kept, min_count)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:

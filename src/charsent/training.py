@@ -407,10 +407,8 @@ def load_model(path: str | Path) -> Model:
             offset += dtype.itemsize * count
         vectors = tensors.pop("embeddings")
         return Model(
-            vocab=Vocabulary.from_tokens(header["tokens"], header.get("min_count")),
-            embeddings=EmbeddingMatrix(
-                vectors=vectors, context_vectors=None, vocab_hash=header.get("vocab_hash")
-            ),
+            vocab=Vocabulary(header["tokens"], header.get("min_count")),
+            embeddings=EmbeddingMatrix(vectors=vectors, vocab_hash=header.get("vocab_hash")),
             params=LstmParams(**tensors),
             max_len=header.get("max_len"),
             threshold=header.get("threshold"),

@@ -49,7 +49,7 @@ def _random_instance(rng, hsize, dim, length, vocab_size=18, scale=0.5):
     vocab = cs.build_vocab([CHARS[: vocab_size - 2]], min_count=1)
     vectors = rng.normal(0, scale, (len(vocab), dim))
     vectors[PAD_ID] = 0.0
-    emb = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=vocab.content_hash())
+    emb = EmbeddingMatrix(vectors=vectors, vocab_hash=vocab.content_hash())
     model = cs.Model(vocab=vocab, embeddings=emb, params=params, max_len=max(length, 1))
     ids = rng.integers(2, len(vocab), size=length)
     tokens = [vocab.id_to_token[i] for i in ids]
@@ -132,29 +132,27 @@ def test_criterion_04_embedding_objective():
     vocab = cs.build_vocab([CHARS], min_count=1)
 
     # (a) at all-zero matrices both objectives cost (k+1) ln 2 exactly
-    zero = EmbeddingMatrix(
-        vectors=np.zeros((len(vocab), 8)),
-        context_vectors=np.zeros((len(vocab), 8)),
-        vocab_hash=vocab.content_hash(),
-    )
+    zero = (np.zeros((len(vocab), 8)), np.zeros((len(vocab), 8)))
     for k in (1, 2, 5, 10):
         negs = [2 + (i % 6) for i in range(k)]
-        got = cbow_step([3, 4], 5, negs, zero, lr=0.025)
+        got = cbow_step([3, 4], 5, negs, *zero, lr=0.025)
         assert abs(got - (k + 1) * math.log(2.0)) <= 1e-12
-        got = skipgram_step(3, 5, negs, zero, lr=0.025)
+        got = skipgram_step(3, 5, negs, *zero, lr=0.025)
         assert abs(got - (k + 1) * math.log(2.0)) <= 1e-12
 
     # (b) one step strictly decreases the re-evaluated loss from the
     # standard initialization (random input rows, zero context rows)
-    m = init_embedding_matrix(vocab, dim=8, seed=5)
-    before, _, _ = cbow_gradients([3, 4], 5, [2, 6], m)
-    cbow_step([3, 4], 5, [2, 6], m, lr=0.025)
-    after, _, _ = cbow_gradients([3, 4], 5, [2, 6], m)
+    vectors = init_embedding_matrix(vocab, dim=8, seed=5).vectors
+    m = (vectors, np.zeros_like(vectors))
+    before, _, _ = cbow_gradients([3, 4], 5, [2, 6], *m)
+    cbow_step([3, 4], 5, [2, 6], *m, lr=0.025)
+    after, _, _ = cbow_gradients([3, 4], 5, [2, 6], *m)
     assert after < before
-    m = init_embedding_matrix(vocab, dim=8, seed=5)
-    before, _, _ = skipgram_gradients(3, 5, [2, 6], m)
-    skipgram_step(3, 5, [2, 6], m, lr=0.025)
-    after, _, _ = skipgram_gradients(3, 5, [2, 6], m)
+    vectors = init_embedding_matrix(vocab, dim=8, seed=5).vectors
+    m = (vectors, np.zeros_like(vectors))
+    before, _, _ = skipgram_gradients(3, 5, [2, 6], *m)
+    skipgram_step(3, 5, [2, 6], *m, lr=0.025)
+    after, _, _ = skipgram_gradients(3, 5, [2, 6], *m)
     assert after < before
 
     # (c) gradients pass finite differences at d=8 within 1e-5 relative
@@ -162,31 +160,25 @@ def test_criterion_04_embedding_objective():
     vectors = rng.normal(0, 0.5, (len(vocab), 8))
     vectors[PAD_ID] = 0.0
     context = rng.normal(0, 0.5, (len(vocab), 8))
-    matrix = EmbeddingMatrix(
-        vectors=vectors, context_vectors=context, vocab_hash=vocab.content_hash()
-    )
     context_ids, center, negs = [3, 7, 7], 5, [2, 6, 6, 9]
 
     def cbow_loss():
-        loss, _, _ = cbow_gradients(context_ids, center, negs, matrix)
+        loss, _, _ = cbow_gradients(context_ids, center, negs, vectors, context)
         return loss
 
-    _, in_g, out_g = cbow_gradients(context_ids, center, negs, matrix)
-    for rows, array, loss_fn in (
-        (in_g, matrix.vectors, cbow_loss),
-        (out_g, matrix.context_vectors, cbow_loss),
-    ):
+    _, in_g, out_g = cbow_gradients(context_ids, center, negs, vectors, context)
+    for rows, array, loss_fn in ((in_g, vectors, cbow_loss), (out_g, context, cbow_loss)):
         for rid, grad in rows.items():
             for j in range(8):
                 num = central_difference(loss_fn, array, rid * 8 + j, step=1e-5)
                 assert relative_error(num, grad[j]) < 1e-5, (rid, j)
 
     def sg_loss():
-        loss, _, _ = skipgram_gradients(4, 8, negs, matrix)
+        loss, _, _ = skipgram_gradients(4, 8, negs, vectors, context)
         return loss
 
-    _, in_g, out_g = skipgram_gradients(4, 8, negs, matrix)
-    for rows, array in ((in_g, matrix.vectors), (out_g, matrix.context_vectors)):
+    _, in_g, out_g = skipgram_gradients(4, 8, negs, vectors, context)
+    for rows, array in ((in_g, vectors), (out_g, context)):
         for rid, grad in rows.items():
             for j in range(8):
                 num = central_difference(sg_loss, array, rid * 8 + j, step=1e-5)
@@ -407,7 +399,8 @@ def test_criterion_10_property_battery():
         text = "".join(lex_chars[i] for i in rng.integers(0, len(lex_chars), size=n))
         factor = float(rng.uniform(0.01, 10.0))
         label_a, score_a = cs.prelabel(text, lex)
-        label_b, score_b = cs.prelabel(text, lex.scaled(factor))
+        scaled = cs.PolarityLexicon({t: w * factor for t, w in lex.entries.items()})
+        label_b, score_b = cs.prelabel(text, scaled)
         assert label_a == label_b
         assert abs(score_b - factor * score_a) <= 1e-9 * max(1.0, abs(score_b))
 

@@ -567,7 +567,7 @@ def test_train_with_embeddings_for_other_tokens_exits_3(pipeline, tmp_path, caps
     matrix, tokens = cs.load_embeddings(pipeline / "emb.bin")
     tokens[2], tokens[3] = tokens[3], tokens[2]
     swapped = tmp_path / "swapped.bin"
-    cs.save_embeddings(matrix, cs.Vocabulary.from_tokens(tokens[2:], min_count=1), swapped)
+    cs.save_embeddings(matrix, cs.Vocabulary(tokens[2:], min_count=1), swapped)
     assert swapped.read_bytes().split(b"\n", 1)[0] == (pipeline / "emb.bin").read_bytes().split(b"\n", 1)[0]
     code = cli.main(
         ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={swapped}"]
@@ -844,7 +844,7 @@ def test_train_with_a_vocabulary_of_another_min_count_names_both_files(pipeline,
     # the same tokens, so only the vocabulary hash, which covers min_count, differs
     vocab = cs.Vocabulary.load(pipeline / "vocab.json")
     other = tmp_path / "vocab.json"
-    cs.Vocabulary.from_tokens(vocab.tokens, min_count=vocab.min_count + 1).save(other)
+    cs.Vocabulary(vocab.tokens, min_count=vocab.min_count + 1).save(other)
     argv = ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.vocab={other}",
             "--set", f"paths.model={tmp_path / 'model.ssm'}"]
     assert cli.main(argv) == 3

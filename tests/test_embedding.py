@@ -43,7 +43,7 @@ def _random_matrix(vocab_size=12, dim=8, seed=0, scale=0.5):
     vectors = rng.normal(0.0, scale, size=(vocab_size, dim))
     context = rng.normal(0.0, scale, size=(vocab_size, dim))
     vectors[PAD_ID] = 0.0
-    return EmbeddingMatrix(vectors=vectors, context_vectors=context, vocab_hash="x" * 16)
+    return vectors, context
 
 
 def test_extract_windows_boundaries():
@@ -63,24 +63,24 @@ def test_extract_windows_skips_empty_context():
 
 
 def test_loss_at_zero_context_is_closed_form():
-    matrix = _random_matrix()
-    matrix.context_vectors[:] = 0.0
+    vectors, context = _random_matrix()
+    context[:] = 0.0
     for k in (1, 3, 5, 9):
-        loss, _, _ = cbow_gradients([4, 5], 3, [6] * k, matrix)
+        loss, _, _ = cbow_gradients([4, 5], 3, [6] * k, vectors, context)
         assert loss == pytest.approx((k + 1) * math.log(2.0), abs=1e-12)
-        loss, _, _ = skipgram_gradients(4, 3, [6, 7][: min(k, 2)], matrix)
+        loss, _, _ = skipgram_gradients(4, 3, [6, 7][: min(k, 2)], vectors, context)
         assert loss == pytest.approx((min(k, 2) + 1) * math.log(2.0), abs=1e-12)
 
 
 def test_cbow_loss_matches_reference():
-    matrix = _random_matrix(seed=5)
+    vectors, context = _random_matrix(seed=5)
     context_ids, center, negs = [3, 7, 7], 4, [2, 6, 6]
-    loss, _, _ = cbow_gradients(context_ids, center, negs, matrix)
-    h = matrix.vectors[context_ids].mean(axis=0)
+    loss, _, _ = cbow_gradients(context_ids, center, negs, vectors, context)
+    h = vectors[context_ids].mean(axis=0)
     want = negative_sampling_loss_ref(
         h.tolist(),
-        matrix.context_vectors[center].tolist(),
-        [matrix.context_vectors[n].tolist() for n in negs],
+        context[center].tolist(),
+        [context[n].tolist() for n in negs],
     )
     assert loss == pytest.approx(want, abs=1e-12)
 
@@ -94,50 +94,50 @@ def _check_rows(analytic: dict, loss_fn, array, tol=1e-5, step=1e-5):
 
 
 def test_cbow_gradients_match_finite_differences():
-    matrix = _random_matrix(seed=1)
+    vectors, context = _random_matrix(seed=1)
     context_ids, center, negs = [3, 5, 5], 4, [2, 6, 6, 8]
 
     def loss_fn():
-        loss, _, _ = cbow_gradients(context_ids, center, negs, matrix)
+        loss, _, _ = cbow_gradients(context_ids, center, negs, vectors, context)
         return loss
 
-    loss, in_grads, out_grads = cbow_gradients(context_ids, center, negs, matrix)
-    _check_rows(in_grads, loss_fn, matrix.vectors)
-    _check_rows(out_grads, loss_fn, matrix.context_vectors)
+    loss, in_grads, out_grads = cbow_gradients(context_ids, center, negs, vectors, context)
+    _check_rows(in_grads, loss_fn, vectors)
+    _check_rows(out_grads, loss_fn, context)
 
 
 def test_skipgram_gradients_match_finite_differences():
-    matrix = _random_matrix(seed=2)
+    vectors, context = _random_matrix(seed=2)
     center, ctx, negs = 3, 7, [2, 5, 5]
 
     def loss_fn():
-        loss, _, _ = skipgram_gradients(center, ctx, negs, matrix)
+        loss, _, _ = skipgram_gradients(center, ctx, negs, vectors, context)
         return loss
 
-    loss, in_grads, out_grads = skipgram_gradients(center, ctx, negs, matrix)
-    _check_rows(in_grads, loss_fn, matrix.vectors)
-    _check_rows(out_grads, loss_fn, matrix.context_vectors)
+    loss, in_grads, out_grads = skipgram_gradients(center, ctx, negs, vectors, context)
+    _check_rows(in_grads, loss_fn, vectors)
+    _check_rows(out_grads, loss_fn, context)
 
 
 def test_single_step_decreases_loss():
     for seed in range(5):
         matrix = _random_matrix(seed=seed)
-        before, in_g, out_g = cbow_gradients([3, 5], 4, [2, 6], matrix)
-        cbow_step([3, 5], 4, [2, 6], matrix, lr=0.05)
-        after, _, _ = cbow_gradients([3, 5], 4, [2, 6], matrix)
+        before, in_g, out_g = cbow_gradients([3, 5], 4, [2, 6], *matrix)
+        cbow_step([3, 5], 4, [2, 6], *matrix, lr=0.05)
+        after, _, _ = cbow_gradients([3, 5], 4, [2, 6], *matrix)
         assert after < before
 
         matrix = _random_matrix(seed=seed + 100)
-        before, _, _ = skipgram_gradients(3, 7, [2, 5], matrix)
-        skipgram_step(3, 7, [2, 5], matrix, lr=0.05)
-        after, _, _ = skipgram_gradients(3, 7, [2, 5], matrix)
+        before, _, _ = skipgram_gradients(3, 7, [2, 5], *matrix)
+        skipgram_step(3, 7, [2, 5], *matrix, lr=0.05)
+        after, _, _ = skipgram_gradients(3, 7, [2, 5], *matrix)
         assert after < before
 
 
 def test_step_returns_pre_update_loss():
     matrix = _random_matrix(seed=3)
-    want, _, _ = cbow_gradients([3, 5], 4, [2, 6], matrix)
-    got = cbow_step([3, 5], 4, [2, 6], matrix, lr=0.05)
+    want, _, _ = cbow_gradients([3, 5], 4, [2, 6], *matrix)
+    got = cbow_step([3, 5], 4, [2, 6], *matrix, lr=0.05)
     assert got == pytest.approx(want, abs=0.0)
 
 
@@ -148,9 +148,9 @@ def test_step_matches_the_rowwise_reference_bit_for_bit(dim):
     must round every value as the row-by-row step does.
     """
     rng = np.random.default_rng(dim)
-    matrix = _random_matrix(vocab_size=9, dim=dim, seed=dim)
-    ref_vectors = matrix.vectors.copy()
-    ref_context = matrix.context_vectors.copy()
+    vectors, context_vectors = _random_matrix(vocab_size=9, dim=dim, seed=dim)
+    ref_vectors = vectors.copy()
+    ref_context = context_vectors.copy()
     repeats = 0
     for _ in range(300):
         context = rng.integers(1, 9, size=rng.integers(1, 9)).tolist()
@@ -159,9 +159,9 @@ def test_step_matches_the_rowwise_reference_bit_for_bit(dim):
         repeats += len(set(context)) < len(context) and len(set(negatives)) < len(negatives)
         lr = float(rng.uniform(0.001, 0.5))
         want = cbow_step_rowwise_ref(context, center, negatives, ref_vectors, ref_context, lr)
-        assert cbow_step(context, center, negatives, matrix, lr) == want
-        assert np.array_equal(matrix.vectors, ref_vectors)
-        assert np.array_equal(matrix.context_vectors, ref_context)
+        assert cbow_step(context, center, negatives, vectors, context_vectors, lr) == want
+        assert np.array_equal(vectors, ref_vectors)
+        assert np.array_equal(context_vectors, ref_context)
     assert repeats >= 30
 
 
@@ -225,7 +225,6 @@ def test_init_embedding_matrix_shape_and_pad_row():
     emb = init_embedding_matrix(vocab, dim=16, seed=4)
     assert emb.vectors.shape == (len(vocab), 16)
     assert np.all(emb.vectors[PAD_ID] == 0.0)
-    assert np.all(emb.context_vectors == 0.0)
     bound = 0.5 / 16
     others = emb.vectors[1:]
     assert np.all(np.abs(others) <= bound)
@@ -287,6 +286,7 @@ def _replay_step_stream(seqs, vocab, cfg):
     Returns the matrix, the epoch losses and each epoch's step count.
     """
     want = init_embedding_matrix(vocab, cfg.dim, cfg.seed)
+    context = np.zeros_like(want.vectors)
     counts = token_counts(seqs, len(vocab))
     sampler = NegativeSampler(counts, substream(cfg.seed, "negative_sampling"))
     rng_sub = substream(cfg.seed, "subsample")
@@ -320,7 +320,7 @@ def _replay_step_stream(seqs, vocab, cfg):
         for step_fn, first, second, exclude in epoch:
             lr = lr0 - (lr0 - floor) * (step / total)
             negatives = sampler.sample(cfg.negatives, exclude=exclude)
-            loss += step_fn(first, second, negatives, want, lr)
+            loss += step_fn(first, second, negatives, want.vectors, context, lr)
             step += 1
         want_losses.append(loss / len(epoch))
         epoch_steps.append(len(epoch))
@@ -338,7 +338,6 @@ def test_training_replays_the_scalar_step_stream(mode):
     got, losses = cs.train_embeddings(seqs, vocab, cfg)
     want, want_losses, _ = _replay_step_stream(seqs, vocab, cfg)
     assert np.array_equal(got.vectors, want.vectors)
-    assert np.array_equal(got.context_vectors, want.context_vectors)
     assert losses == want_losses
 
 
@@ -354,7 +353,6 @@ def test_training_replays_the_subsampled_step_stream(mode):
     full = _replay_step_stream(seqs, vocab, replace(cfg, subsample_threshold=None))[2][0]
     assert 0 < min(epoch_steps) <= max(epoch_steps) < full  # some windows lost, some kept
     assert np.array_equal(got.vectors, want.vectors)
-    assert np.array_equal(got.context_vectors, want.context_vectors)
     assert losses == want_losses
 
 
@@ -504,7 +502,6 @@ def test_training_is_deterministic():
     _, a, _ = _train_setup("cbow")
     _, b, _ = _train_setup("cbow")
     assert np.array_equal(a.vectors, b.vectors)
-    assert np.array_equal(a.context_vectors, b.context_vectors)
 
 
 def test_modes_differ_on_same_seed():
@@ -518,7 +515,6 @@ def test_zero_epochs_returns_seeded_init():
     fresh = init_embedding_matrix(vocab, dim=8, seed=6)
     assert losses == []
     assert np.array_equal(matrix.vectors, fresh.vectors)
-    assert np.array_equal(matrix.context_vectors, fresh.context_vectors)
 
 
 def test_subsampling_changes_training_but_keeps_shapes():
@@ -534,7 +530,7 @@ def test_nearest_neighbors_ranking():
     vectors[2] = [1.0, 0.0, 0.0, 0.0]  # query row
     vectors[3] = [0.9, 0.1, 0.0, 0.0]  # close
     vectors[4] = [-1.0, 0.0, 0.0, 0.0]  # opposite
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, vocab_hash="h")
     token = vocab.id_to_token[2]
     got = cs.nearest_neighbors(token, 2, matrix, vocab)
     assert [t for t, _ in got] == [vocab.id_to_token[3], vocab.id_to_token[4]]
@@ -547,14 +543,14 @@ def test_nearest_neighbors_zero_rows_rank_last():
     vectors = np.zeros((5, 4))
     vectors[2] = [1.0, 0.0, 0.0, 0.0]
     vectors[3] = [0.5, 0.5, 0.0, 0.0]
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, vocab_hash="h")
     got = cs.nearest_neighbors(vocab.id_to_token[2], 5, matrix, vocab)
     assert got[-1][1] == -1.0  # the all-zero row
 
 
 def test_nearest_neighbors_errors():
     vocab = cs.build_vocab(["好坏"], min_count=1)
-    matrix = EmbeddingMatrix(vectors=np.zeros((4, 3)), context_vectors=None, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=np.zeros((4, 3)), vocab_hash="h")
     with pytest.raises(DataError):
         cs.nearest_neighbors("好" if "好" not in vocab else "新", 2, matrix, vocab)
     with pytest.raises(DataError):
@@ -565,7 +561,7 @@ def test_nearest_neighbors_errors():
 def test_nearest_neighbors_rejects_k_below_one(k):
     vocab = cs.build_vocab(["好坏中"], min_count=1)
     vectors = np.eye(5, 4)
-    matrix = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash="h")
+    matrix = EmbeddingMatrix(vectors=vectors, vocab_hash="h")
     with pytest.raises(ConfigError, match="k must be >= 1"):
         cs.nearest_neighbors(vocab.id_to_token[2], k, matrix, vocab)
 

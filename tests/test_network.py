@@ -33,7 +33,7 @@ def _random_model(vocab, hsize=4, dim=3, seed=0, max_len=12, scale=0.4):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(0, scale, (len(vocab), dim))
     vectors[PAD_ID] = 0.0
-    emb = EmbeddingMatrix(vectors=vectors, context_vectors=None, vocab_hash=vocab.content_hash())
+    emb = EmbeddingMatrix(vectors=vectors, vocab_hash=vocab.content_hash())
     return cs.Model(
         vocab=vocab,
         embeddings=emb,
@@ -403,7 +403,6 @@ def test_model_validates_embedding_match(small_vocab):
     with pytest.raises(DataError):
         bad_dim = EmbeddingMatrix(
             vectors=np.zeros((len(small_vocab), 5)),
-            context_vectors=None,
             vocab_hash=small_vocab.content_hash(),
         )
         cs.Model(vocab=small_vocab, embeddings=bad_dim, params=model.params, max_len=8)

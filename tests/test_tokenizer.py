@@ -125,9 +125,27 @@ def test_vocab_roundtrip_and_hash(tmp_path):
     path = tmp_path / "vocab.json"
     vocab.save(path)
     back = Vocabulary.load(path)
+    assert back == vocab == Vocabulary(vocab.tokens, vocab.min_count)
     assert back.token_to_id == vocab.token_to_id
-    assert back.min_count == vocab.min_count
+    assert back.id_to_token == (PAD_TOKEN, UNK_TOKEN, *vocab.tokens)
     assert back.content_hash() == vocab.content_hash()
+
+
+@pytest.mark.parametrize(
+    "tokens, min_count, match",
+    [
+        (["好", PAD_TOKEN], 1, "may not include"),
+        ([UNK_TOKEN, "好"], 1, "may not include"),
+        (["好", "坏", "好"], 1, "duplicate"),
+        (["好", 2], 1, "strings"),
+        (["好"], 0, "min_count"),
+        (["好"], True, "min_count"),
+        (["好"], 1.5, "min_count"),
+    ],
+)
+def test_vocab_constructor_checks_its_rules(tokens, min_count, match):
+    with pytest.raises(DataError, match=match):
+        Vocabulary(tokens, min_count)
 
 
 def test_vocab_hash_sensitive_to_content():

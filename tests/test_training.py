@@ -696,16 +696,14 @@ _WEIGHTS = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, 3.5e38, -1.7e308]) 
     st.data(),
 )
 def test_save_then_load_is_the_model_bit_for_bit(tmp_path_factory, hidden, dim, tokens, data):
-    vocab = cs.Vocabulary.from_tokens(tokens, min_count=1)
+    vocab = cs.Vocabulary(tokens, min_count=1)
 
     def draw(shape):
         size = math.prod(shape)
         return np.array(data.draw(st.lists(_WEIGHTS, min_size=size, max_size=size))).reshape(shape)
 
     params = cs.LstmParams(**{name: draw(shape) for name, shape in param_shapes(hidden, dim).items()})
-    embeddings = cs.EmbeddingMatrix(
-        vectors=draw((len(vocab), dim)), context_vectors=None, vocab_hash=vocab.content_hash()
-    )
+    embeddings = cs.EmbeddingMatrix(vectors=draw((len(vocab), dim)), vocab_hash=vocab.content_hash())
     model = cs.Model(
         vocab=vocab,
         embeddings=embeddings,
