@@ -23,13 +23,14 @@ only the n_t rows still running, in the forward pass and in BPTT; the
 head puts the rows back in input order. predict_proba takes the same
 steps holding only the step in flight. The loss is binary
 cross-entropy, and backward_batch runs exact BPTT over the cache
-forward_batch writes. Only the recurrence through the hidden-state
+forward_batch writes, which keeps no hidden state: BPTT rebuilds each
+as o_t * tanh(c_t). Only the recurrence through the hidden-state
 columns of W stays in its time loop. After the loop, one product over
 all steps' rows gives each of W's column blocks (hidden, input) and the
-input gradient, and one sum the gradient of b. BPTT writes those rows
-into the cache's gate and input arrays, so it consumes the cache. The
-two weight products also run over zero rows that pad the step rows to a
-multiple of 32, so their bits do not depend on the BLAS thread count.
+input gradient, and one sum the gradient of b. BPTT writes its results
+over the cache's arrays, so it consumes the cache. The two weight
+products also run over zero rows that pad the step rows to a multiple
+of 32, so their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class Model:
 # h=32, d=16 and h=128, d=64, such K never differed between one and two
 # threads, other K from about 392 up mostly did, and zero rows appended
 # up to the next multiple never did. BPTT's two hoisted products run
-# over a batch's T B step rows, so the inputs, hidden states and gates
+# over a batch's T B step rows, so the inputs, cell states and gates
 # are row arrays padded with zero rows to that multiple.
 _ROW_MULTIPLE = 32
 
@@ -258,31 +259,29 @@ class BatchCache:
     """One forward_batch pass, laid out for BPTT. The rows are sorted by
     length, descending and stable: sorted row k is input row order[k],
     and step t ran only the first n_t rows, those with length > t.
-    `ids` (T, B) is time-major. `x_rows` and `h_rows` hold the inputs
-    and hidden states as rows of width dim and hidden, row t B + k for
-    sorted row k at step t, then zero rows up to a multiple of
-    _ROW_MULTIPLE. `gate_rows` has rows of width 4 hidden, padded alike,
-    and step t owns its B rows from t B: the forward pass fills that
-    block gate-major, as (4, B, hidden), and only BPTT writes row t B + k
-    as sorted row k's gate gradients, stacked f, i, o, c. `xs` (T, B,
-    dim), `hs` (T + 1, B, hidden) and `gates` (T, 4, B, hidden) show the
-    same memory by step.
-    `hs` and `cs` have T + 1 slots, slot 0 the zero start state, so
-    `hs[t]`/`cs[t]` feed step t and `hs[t + 1]`/`cs[t + 1]` are its
-    outputs; `gates` holds f, i, o and c_tilde as the cell returns them.
-    Only a step's live rows are written: the state and gate rows of a
-    row past its end stay zero. `dropout_masks`, `h_out` (the final
+    `ids` (T, B) is time-major. `x_rows` holds the inputs as rows of
+    width dim, row t B + k for sorted row k at step t, then zero rows up
+    to a multiple of _ROW_MULTIPLE. `c_rows` holds the cell states alike
+    in T + 1 slots, slot 0 the zero start state, so slot t feeds step t
+    and slot t + 1 is its output; no hidden state is kept but `h_out`.
+    `gate_rows` has rows of width 4 hidden, padded alike, and step t owns
+    its B rows from t B: the forward pass fills that block gate-major, as
+    (4, B, hidden), with f, i, o and c_tilde as the cell returns them, and
+    only BPTT writes row t B + k as sorted row k's gate gradients,
+    stacked f, i, o, c. `xs`, `cs` and `gates` show the same memory by
+    step. Only a step's live rows are written: the state and gate rows
+    of a row past its end stay zero. `dropout_masks`, `h_out` (the final
     hidden states times the masks) and `ps` are in input order.
-    backward_batch overwrites the gates and inputs with their gradients,
-    zeroes the last hidden-state slot and marks the cache spent.
+    backward_batch overwrites the gates and inputs with their gradients
+    and each cell state c_t with h_t = o_t * tanh(c_t), zeroes slot T
+    and marks the cache spent.
     """
 
     order: np.ndarray
     lengths: np.ndarray
     ids: np.ndarray
     x_rows: np.ndarray
-    h_rows: np.ndarray
-    cs: np.ndarray
+    c_rows: np.ndarray
     gate_rows: np.ndarray
     dropout_masks: np.ndarray | None
     h_out: np.ndarray
@@ -294,21 +293,19 @@ class BatchCache:
         return _by_step(self.x_rows, *self.ids.shape, self.x_rows.shape[1])
 
     @property
-    def hs(self) -> np.ndarray:
-        return _by_step(self.h_rows, *self.cs.shape)
+    def cs(self) -> np.ndarray:
+        return _by_step(self.c_rows, len(self.ids) + 1, *self.h_out.shape)
 
     @property
     def gates(self) -> np.ndarray:
-        t_max, batch = self.ids.shape
-        return _by_step(self.gate_rows, t_max, 4, batch, self.cs.shape[2])
+        return _by_step(self.gate_rows, len(self.ids), 4, *self.h_out.shape)
 
 
-def _batch_inputs(sequences: list[TokenSequence], model: Model):
+def _batch_inputs(sequences: list[TokenSequence]):
     """Sort a batch by length, descending and stable. Returns the sort
-    order (input positions of the sorted rows), the sorted lengths, the
-    (T, B) time-major id matrix of the sorted rows, PAD past each row's
-    end and T its longest row, and the embedded inputs as rows (see
-    BatchCache's `x_rows`).
+    order (input positions of the sorted rows), the sorted lengths and
+    the (T, B) time-major id matrix of the sorted rows, PAD past each
+    row's end and T its longest row.
     """
     if not sequences:
         raise DataError("empty batch")
@@ -319,9 +316,7 @@ def _batch_inputs(sequences: list[TokenSequence], model: Model):
     # ids.T is (B, T), so the mask takes sorted row k's first lengths[k] slots, in order
     flat = chain.from_iterable(sequences[b].ids for b in order)
     ids.T[np.arange(len(ids)) < lengths[:, None]] = np.fromiter(flat, np.int64, int(lengths.sum()))
-    x_rows = _zero_rows(ids.size, model.embeddings.dim)
-    x_rows[: ids.size] = model.embeddings.vectors[ids.ravel()]
-    return order, lengths, ids, x_rows
+    return order, lengths, ids
 
 
 def _live_rows(lengths: np.ndarray) -> np.ndarray:
@@ -332,38 +327,42 @@ def _live_rows(lengths: np.ndarray) -> np.ndarray:
     return len(lengths) - np.cumsum(np.bincount(lengths, minlength=t_max + 1))
 
 
-def _run_cell(
-    x_rows: np.ndarray, lengths: np.ndarray, order: np.ndarray, params: LstmParams, history: int
-):
-    """Step the cell from zero state over the inputs `x_rows` (as in
-    BatchCache) of rows sorted by `lengths`, descending, where sorted
-    row k is input row order[k]; step t runs only the first n_t rows,
-    those still going. Holds `history` time slots of
-    hidden and cell state and history - 1 of gates: step t reads state
-    slot t % history, writes slot (t + 1) % history and its gates to
-    slot t % (history - 1). history = T + 1 keeps every step, as BPTT
-    needs; history = 2 keeps only the step in flight. Returns h_rows, cs
-    and gate_rows (as in BatchCache) in sorted order, and h_final in
-    input order, each row's hidden state copied out at its own last step.
+def _run_cell(ids: np.ndarray, lengths: np.ndarray, order: np.ndarray, model: Model, history: int):
+    """Step the cell from zero state over the (T, B) id matrix `ids` of
+    rows sorted by `lengths`, descending, where sorted row k is input
+    row order[k]; step t runs only the first n_t rows, those still
+    going. Holds two slots of hidden state, `history` of cell state and
+    history - 1 of inputs and gates: step t reads cell slot t % history,
+    writes slot (t + 1) % history, and takes its inputs from and writes
+    its gates to slot t % (history - 1). When that slot is 0, one gather
+    from the embedding matrix fills the input slots. history = T + 1
+    keeps every step's inputs, cell states and gates, as BPTT needs;
+    history = 2 keeps only the step in flight. Returns x_rows, c_rows and
+    gate_rows (as in BatchCache) in sorted order, and h_final in input
+    order, each row's hidden state copied out at its own last step.
     """
-    t_max, batch = int(lengths[0]), len(lengths)
+    t_max, batch = ids.shape
+    if ids.min() < 0 or ids.max() >= model.embeddings.vocab_size:
+        raise DataError(f"a token id lies outside [0, {model.embeddings.vocab_size})")
+    params = model.params
     hsize = params.hidden_size
     live = _live_rows(lengths)
-    xs = _by_step(x_rows, t_max, batch, params.input_dim)
-    h_rows = _zero_rows(history * batch, hsize)
+    x_rows = _zero_rows((history - 1) * batch, params.input_dim)
+    c_rows = _zero_rows(history * batch, hsize)
     gate_rows = _zero_rows((history - 1) * batch, 4 * hsize)
-    hs = _by_step(h_rows, history, batch, hsize)
-    cs = np.zeros((history, batch, hsize))
+    xs = _by_step(x_rows, history - 1, batch, params.input_dim)
+    cs = _by_step(c_rows, history, batch, hsize)
     gates = _by_step(gate_rows, history - 1, 4, batch, hsize)
+    hs = np.zeros((2, batch, hsize))
     h_final = np.empty((batch, hsize))
     for t in range(t_max):
-        now, nxt, n = t % history, (t + 1) % history, live[t]
-        _cell_into(
-            xs[t, :n], hs[now, :n], cs[now, :n], params, hs[nxt, :n], cs[nxt, :n],
-            gates[t % (history - 1), :, :n],
-        )
-        h_final[order[live[t + 1] : n]] = hs[nxt, live[t + 1] : n]
-    return h_rows, cs, gate_rows, h_final
+        now, nxt, slot, n = t % history, (t + 1) % history, t % (history - 1), live[t]
+        if slot == 0:  # numpy's default mode fills a copy of `out`; no id needs clipping
+            np.take(model.embeddings.vectors, ids[t : t + history - 1], axis=0, out=xs, mode="clip")
+        h, c = hs[(t + 1) % 2, :n], cs[nxt, :n]
+        _cell_into(xs[slot, :n], hs[t % 2, :n], cs[now, :n], params, h, c, gates[slot, :, :n])
+        h_final[order[live[t + 1] : n]] = h[live[t + 1] :]
+    return x_rows, c_rows, gate_rows, h_final
 
 
 def _head(h_out: np.ndarray, params: LstmParams) -> np.ndarray:
@@ -387,18 +386,16 @@ def forward_batch(
     sits in the batch. The dropout masks, when given (training only),
     multiply the final hidden states.
     """
-    order, lengths, ids, x_rows = _batch_inputs(sequences, model)
-    p = model.params
-    h_rows, cs, gate_rows, h_final = _run_cell(x_rows, lengths, order, p, ids.shape[0] + 1)
+    order, lengths, ids = _batch_inputs(sequences)
+    x_rows, c_rows, gate_rows, h_final = _run_cell(ids, lengths, order, model, len(ids) + 1)
     h_out = h_final if dropout_masks is None else h_final * dropout_masks
-    ps = _head(h_out, p)
+    ps = _head(h_out, model.params)
     cache = BatchCache(
         order=order,
         lengths=lengths,
         ids=ids,
         x_rows=x_rows,
-        h_rows=h_rows,
-        cs=cs,
+        c_rows=c_rows,
         gate_rows=gate_rows,
         dropout_masks=dropout_masks,
         h_out=h_out,
@@ -417,21 +414,21 @@ def predict_proba(model: Model, sequences: list[TokenSequence]) -> np.ndarray:
     ceil(n / 256) parts whose sizes differ by at most one. Each part
     takes forward_batch's steps over its length-sorted live rows, so it
     steps only to its own longest row, but holds only the step in
-    flight, two slots of hidden and cell state and one of gates, and
-    builds no BPTT cache. A part's probabilities are forward_batch's bit
-    for bit. A row's bits can still depend on how many rows run beside
-    it at each step, since OpenBLAS picks its gate-product kernel by the
-    product's size (README's design notes give the measured counts); the
-    read-out sums within a row and adds no such dependence.
+    flight: two slots of hidden and cell state and one of inputs and
+    gates, each step's inputs gathered when it runs. It builds no BPTT
+    cache. A part's probabilities are forward_batch's bit for bit. A
+    row's bits can still depend on how many rows run beside it at each
+    step, since OpenBLAS picks its gate-product kernel by the product's
+    size (README's design notes give the measured counts); the read-out
+    sums within a row and adds no such dependence.
     """
     ps = np.empty(len(sequences))
     if not sequences:
         return ps
     by_length = np.argsort([s.true_length for s in sequences], kind="stable")
     for part in np.array_split(by_length, math.ceil(len(by_length) / _EVAL_CHUNK)):
-        order, lengths, ids, x_rows = _batch_inputs([sequences[i] for i in part], model)
-        ps[part] = _head(_run_cell(x_rows, lengths, order, model.params, 2)[3], model.params)
-        del ids, x_rows  # free this part's inputs before the next part lays out its own
+        order, lengths, ids = _batch_inputs([sequences[i] for i in part])
+        ps[part] = _head(_run_cell(ids, lengths, order, model, 2)[3], model.params)
     return ps
 
 
@@ -455,11 +452,12 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     Only the recurrence through the hidden-state block of the gate
     matrix stays in the time loop. Step t's gradients at the gates'
     pre-activations, (B, 4 hidden) rows stacked f, i, o, c with zeros
-    for the rows that did not run, overwrite its spent gate slot; after
-    the loop one product each over all steps' rows gives the gate
-    matrix's hidden and input columns, one sum the gate biases and one
-    product the input gradients, which overwrite the spent inputs. The
-    cache is spent: a second call raises DataError.
+    for the rows that did not run, overwrite its spent gate slot, and
+    its hidden state o * tanh(c), the forward pass's bits, its spent
+    cell state. After the loop one product each over all steps' rows
+    gives the gate matrix's hidden and input columns, one sum the gate
+    biases and one product the input gradients, which overwrite the
+    spent inputs. The cache is spent: a second call raises DataError.
     """
     if cache.spent:
         raise DataError("backward_batch: this cache was already consumed by BPTT")
@@ -467,7 +465,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     p = model.params
     hsize = p.hidden_size
     t_max, batch = cache.ids.shape
-    gates = cache.gates
+    cs, gates = cache.cs, cache.gates
     grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
 
     dlogits = (cache.ps - ys) / batch
@@ -487,27 +485,29 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
         n, ended = live[t], slice(live[t + 1], live[t])
         dh[ended] = dh_head[ended]
         f, i, o, c_tilde = gates[t, :, :n]
-        tanh_c = np.tanh(cache.cs[t + 1, :n])
+        tanh_c = np.tanh(cs[t + 1, :n])
         dc_full = dc[:n] + dh[:n] * o * (1.0 - tanh_c**2)
         d_pre = work[:n]
-        np.multiply(dc_full * cache.cs[t, :n] * f, 1.0 - f, out=d_pre[:, :hsize])
+        np.multiply(dc_full * cs[t, :n] * f, 1.0 - f, out=d_pre[:, :hsize])
         np.multiply(dc_full * c_tilde * i, 1.0 - i, out=d_pre[:, hsize : 2 * hsize])
         np.multiply(dh[:n] * tanh_c * o, 1.0 - o, out=d_pre[:, 2 * hsize : 3 * hsize])
         np.multiply(dc_full * i, 1.0 - c_tilde**2, out=d_pre[:, 3 * hsize :])
         np.multiply(dc_full, f, out=dc[:n])
+        np.multiply(o, tanh_c, out=cs[t + 1, :n])  # the forward's h; no later step reads this c
         slot = cache.gate_rows[t * batch : (t + 1) * batch]
         slot[:n] = d_pre
         slot[n:] = 0.0
         np.matmul(d_pre, w_h, out=dh[:n])
 
-    # The zero rows of the rows that did not run add exact zeros below,
-    # since the states and inputs they meet are finite. The two products
-    # also run over the zero rows past T B (_ROW_MULTIPLE), which reach
-    # into the final states' slot, read by no step; it is zeroed first.
+    # c_rows now holds the hidden states that fed each step. The zero rows
+    # of the rows that did not run add exact zeros below, since the states
+    # and inputs they meet are finite. The two products also run over the
+    # zero rows past T B (_ROW_MULTIPLE), which reach into the final
+    # states' slot, read by no step; it is zeroed first.
     rows = t_max * batch
     d_pres = cache.gate_rows
-    cache.h_rows[rows : rows + batch] = 0.0
-    grads["w_gates"][:, :hsize] = d_pres.T @ cache.h_rows[: len(d_pres)]
+    cache.c_rows[rows : rows + batch] = 0.0
+    grads["w_gates"][:, :hsize] = d_pres.T @ cache.c_rows[: len(d_pres)]
     grads["w_gates"][:, hsize:] = d_pres.T @ cache.x_rows
     grads["b_gates"] += d_pres[:rows].sum(axis=0)
     np.matmul(d_pres[:rows], p.w_gates[:, hsize:], out=cache.x_rows[:rows])

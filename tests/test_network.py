@@ -124,11 +124,11 @@ def test_forward_oracle_random_weights(seed, length):
 
 
 def test_cell_state_decomposition_exact(small_vocab):
-    """The identities c = i*c_tilde + f*c_prev and h = o*tanh(c) hold
-    bit for bit on every live row of a mixed-length batch. The rows run
-    sorted by length, step t runs only the rows still going, an ended
-    row's later states stay exactly zero, and the head reads each row at
-    its own last step.
+    """The identity c = i*c_tilde + f*c_prev holds bit for bit on every
+    live row of a mixed-length batch, and the head reads each row's
+    h = o*tanh(c) at its own last step. The rows run sorted by length,
+    step t runs only the rows still going, and an ended row's later
+    states stay exactly zero.
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
     pool = list("好坏中啊呀很不")
@@ -136,11 +136,11 @@ def test_cell_state_decomposition_exact(small_vocab):
     _, cache = cs.forward_batch(seqs, model)
     assert cache.order.tolist() == [0, 3, 1, 2]
     assert cache.lengths.tolist() == [7, 4, 2, 1]
-    assert cache.cs.shape == cache.hs.shape == (8, 4, 6)  # zero start state, then 7 steps
-    assert not cache.cs[0].any() and not cache.hs[0].any()
+    assert cache.cs.shape == (8, 4, 6)  # zero start state, then 7 steps
+    assert not cache.cs[0].any()
     for k, (row, length) in enumerate(zip(cache.order, cache.lengths, strict=True)):
-        assert np.array_equal(cache.h_out[row], cache.hs[length, k])
-        assert np.array_equal(cache.hs[length + 1 :, k], np.zeros((7 - length, 6)))
+        o = cache.gates[length - 1, 2, k]
+        assert np.array_equal(cache.h_out[row], o * np.tanh(cache.cs[length, k]))
         assert np.array_equal(cache.cs[length + 1 :, k], np.zeros((7 - length, 6)))
     for t in range(7):
         live = int((cache.lengths > t).sum())
@@ -148,7 +148,6 @@ def test_cell_state_decomposition_exact(small_vocab):
         from_input = i * c_tilde
         from_past = f * cache.cs[t, :live]
         assert np.array_equal(cache.cs[t + 1, :live], from_input + from_past)
-        assert np.array_equal(cache.hs[t + 1, :live], o * np.tanh(cache.cs[t + 1, :live]))
         for gate in (f, i, o):
             assert np.all((gate > 0.0) & (gate < 1.0))
         assert np.all(np.abs(c_tilde) < 1.0)
@@ -171,11 +170,15 @@ def test_batch_id_matrix_is_time_major_with_pad_past_each_row_end(small_vocab):
 
 
 def test_cell_forward_equals_the_cache_rows(small_vocab):
-    """lstm_cell_forward and forward_batch run one cell: on a step's
-    inputs it returns that step's cached rows bit for bit, on the live
-    (n_t, .) rows of a mixed-length batch and on 1-D rows against a
-    batch of one (a single row and a row of a larger batch may round
-    apart in the gate matmul). The rows past a row's end stay zero.
+    """lstm_cell_forward and forward_batch run one cell: fed a step's
+    cached inputs and cell state and the h it returned for the step
+    before (zero at step 0), it returns that step's cached rows bit for
+    bit, on the live (n_t, .) rows of a mixed-length batch and on 1-D
+    rows against a batch of one (a single row and a row of a larger
+    batch may round apart in the gate matmul). The head reads each
+    row's h at its own last step, the rows past a row's end stay zero,
+    and BPTT writes each earlier step's h over its cell state bit for
+    bit.
     """
     model = _random_model(small_vocab, hsize=6, dim=3, seed=23)
     pool = list("好坏中啊呀很不")
@@ -183,19 +186,25 @@ def test_cell_forward_equals_the_cache_rows(small_vocab):
     _, batch = cs.forward_batch(seqs, model)
     _, single = cs.sequence_forward(seqs[0], model)
     for cache in (batch, single):
+        one = cache is single  # 1-D rows
+        h, hs = np.zeros(6 if one else (4, 6)), []
         for t in range(7):
             live = int((cache.lengths > t).sum())
-            rows = 0 if cache is single else slice(live)
+            rows = 0 if one else slice(live)
             h, c, gates = cs.lstm_cell_forward(
-                cache.xs[t, rows], cache.hs[t, rows], cache.cs[t, rows], model.params
+                cache.xs[t, rows], h if one else h[:live], cache.cs[t, rows], model.params
             )
-            assert h.shape == cache.hs[t + 1, rows].shape
-            assert np.array_equal(h, cache.hs[t + 1, rows])
+            hs.append(h)
+            assert h.shape == c.shape == cache.cs[t + 1, rows].shape
             assert np.array_equal(c, cache.cs[t + 1, rows])
             assert np.array_equal(gates, cache.gates[t, :, rows])
             ended = slice(live, None)
-            assert not cache.hs[t + 1, ended].any() and not cache.cs[t + 1, ended].any()
-            assert not cache.gates[t, :, ended].any()
+            assert not cache.cs[t + 1, ended].any() and not cache.gates[t, :, ended].any()
+            for k in range(int((cache.lengths > t + 1).sum()), live):  # rows ending at step t
+                assert np.array_equal(cache.h_out[cache.order[k]], h if one else h[k])
+        cs.backward_batch(cache, np.ones(len(cache.lengths)), model)
+        for t, h in enumerate(hs[:-1]):  # BPTT zeroes the final states' slot
+            assert np.array_equal(cache.cs[t + 1, 0 if one else slice(len(h))], h)
 
 
 def test_cell_steps_only_live_rows(small_vocab, monkeypatch):
@@ -313,6 +322,20 @@ def test_forward_rejects_empty_sequence():
         TokenSequence(ids=())
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["negative", "vocabulary size"])
+def test_forward_and_scoring_reject_an_id_outside_the_vocabulary(small_vocab, past_end):
+    """The inputs are gathered from the embedding matrix with clipping,
+    so an id outside it is refused, never read as another row.
+    """
+    model = _random_model(small_vocab, hsize=4, dim=3, seed=3)
+    good = cs.encode(list("好坏"), small_vocab, max_len=4)
+    bad = TokenSequence(ids=(1, len(small_vocab) if past_end else -1))
+    with pytest.raises(DataError, match="outside"):
+        cs.forward_batch([good, bad], model)
+    with pytest.raises(DataError, match="outside"):
+        cs.predict_proba(model, [good, bad])
+
+
 def test_dropout_mask_applies_to_final_state_only(small_vocab):
     model = _random_model(small_vocab, hsize=5, dim=3, seed=13)
     seq = cs.encode(list("好坏中啊"), small_vocab, max_len=6)
@@ -324,7 +347,8 @@ def test_dropout_mask_applies_to_final_state_only(small_vocab):
     ps_zeros, cache_zeros = cs.forward_batch([seq], model, zeros[None])
     assert ps_zeros[0] == pytest.approx(cs.sigmoid(model.params.b_out[0]), abs=0.0)
     # the recurrence itself is untouched by the mask
-    np.testing.assert_array_equal(cache_zeros.hs, cache_plain.hs)
+    np.testing.assert_array_equal(cache_zeros.cs, cache_plain.cs)
+    np.testing.assert_array_equal(cache_zeros.gates, cache_plain.gates)
     assert np.all(cache_zeros.h_out == 0.0)
 
 
@@ -427,21 +451,23 @@ def test_trained_model_flags_planted_polarity(trained_setup):
 
 
 def test_bptt_products_meet_only_zero_rows_past_the_steps(small_vocab):
-    """The input, hidden-state and gate row arrays run on in zero rows to
-    a multiple of 32 rows; BPTT's two weight products read those rows,
-    and after it they are still zero in all three, the final hidden
-    states' slot among them.
+    """The input, cell-state and gate row arrays run on in zero rows to a
+    multiple of 32 rows past the T B step rows (21 here), whose inputs
+    are the gathered embedding rows bit for bit; BPTT's two weight
+    products read the zero rows, and after it they are still zero in
+    all three, the final states' slot among them.
     """
     model = _random_model(small_vocab, hsize=5, dim=3, seed=29)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 3, 5)]
     _, cache = cs.forward_batch(seqs, model)
     steps = 7 * 3
-    assert len(cache.x_rows) == len(cache.gate_rows) == len(cache.h_rows) == 32
+    assert len(cache.x_rows) == len(cache.gate_rows) == len(cache.c_rows) == 32
+    assert np.array_equal(cache.x_rows[:steps], model.embeddings.vectors[cache.ids.ravel()])
     assert not cache.x_rows[steps:].any() and not cache.gate_rows[steps:].any()
-    assert cache.h_rows[steps : steps + 3].any() and not cache.h_rows[steps + 3 :].any()
+    assert cache.c_rows[steps : steps + 3].any() and not cache.c_rows[steps + 3 :].any()
     cs.backward_batch(cache, np.array([1.0, 0.0, 1.0]), model)
-    for rows in (cache.x_rows, cache.h_rows, cache.gate_rows):
+    for rows in (cache.x_rows, cache.c_rows, cache.gate_rows):
         assert not rows[steps:].any()
 
 

@@ -162,7 +162,7 @@ def test_backward_batch_exact_beside_a_long_ended_row():
     assert bcache.order.tolist() == [1, 0]  # the long row runs first
     assert np.abs(bcache.cs[45, 0]).max() > 5.0 * np.abs(bcache.cs[1, 0]).max()
     assert np.array_equal(bcache.cs[2:, 1], np.zeros_like(bcache.cs[2:, 1]))
-    assert np.array_equal(bcache.hs[2:, 1], np.zeros_like(bcache.hs[2:, 1]))
+    assert np.array_equal(bcache.gates[1:, :, 1], np.zeros_like(bcache.gates[1:, :, 1]))
     batch_grads = cs.backward_batch(bcache, ys, model)
     # the spent gate slots hold the pre-activation gradients, zero in the rows that did not run
     d_pres = bcache.gates.reshape(45, 2, -1)
@@ -413,9 +413,9 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     calls = []
     real_batch_inputs = network._batch_inputs
 
-    def recording_batch_inputs(batch, model):
+    def recording_batch_inputs(batch):
         calls.append([index_of[id(seq)] for seq in batch])
-        return real_batch_inputs(batch, model)
+        return real_batch_inputs(batch)
 
     monkeypatch.setattr(network, "_batch_inputs", recording_batch_inputs)
     training.predict_proba(model, seqs)
@@ -432,33 +432,47 @@ def test_predict_proba_runs_equal_length_sorted_parts(monkeypatch):
     assert flat == sorted(range(len(seqs)), key=lambda i: seqs[i].true_length)
 
 
+def _scoring_peak(hidden_size: int, dim: int, length: int) -> int:
+    """tracemalloc's peak while predict_proba scores one 256-row part of
+    random rows of `length` ids.
+    """
+    vocab = cs.build_vocab(generate_corpus(60, seed=7).texts(), min_count=1)
+    model = make_model(vocab, hidden_size=hidden_size, dim=dim, max_len=length, seed=7, scale=0.4)
+    rng = np.random.default_rng(7)
+    seqs = [
+        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()))
+        for _ in range(_EVAL_CHUNK)
+    ]
+    tracemalloc.start()
+    try:
+        training.predict_proba(model, seqs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_predict_proba_peaks_below_a_quarter_of_one_gates_array():
     """Scoring holds only the step in flight, never a part's BPTT cache:
     one 256-row part of length-60 rows at h=64 peaks far below the
     (T, 4, B, h) gates array that forward_batch would keep.
     """
-    hsize, length, rows = 64, 60, 256
-    vocab = cs.build_vocab(generate_corpus(60, seed=7).texts(), min_count=1)
-    model = make_model(vocab, hidden_size=hsize, dim=16, max_len=length, seed=7, scale=0.4)
-    rng = np.random.default_rng(7)
-    seqs = [
-        TokenSequence(ids=tuple(rng.integers(PAD_ID + 1, len(vocab), size=length).tolist()))
-        for _ in range(rows)
-    ]
-    gates_bytes = length * 4 * rows * hsize * 8
-    tracemalloc.start()
-    try:
-        training.predict_proba(model, seqs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < gates_bytes / 4
+    hsize, length = 64, 60
+    assert _scoring_peak(hsize, 16, length) < length * 4 * _EVAL_CHUNK * hsize * 8 / 4
+
+
+def test_predict_proba_peaks_below_a_quarter_of_one_parts_inputs():
+    """Scoring gathers each step's inputs when the step runs: one 256-row
+    part of length-120 rows at d=64 peaks far below the (T, B, dim)
+    embedded inputs that the part's steps read in all.
+    """
+    dim, length = 64, 120
+    assert _scoring_peak(32, dim, length) < length * _EVAL_CHUNK * dim * 8 / 4
 
 
 def test_predict_proba_frees_each_part_before_the_next():
     """Three 256-row parts peak no higher than one, give or take a
-    quarter of one part's embedded inputs: a part's inputs are gone
-    before the next part lays out its own.
+    quarter of one part's embedded inputs: nothing a part allocates
+    outlives it.
     """
     length, dim, rows = 60, 16, 3 * _EVAL_CHUNK
     vocab = cs.build_vocab(generate_corpus(60, seed=7).texts(), min_count=1)
