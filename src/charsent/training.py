@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .corpus import Corpus, clean_text
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError, DataError, NumericalError
-from .files import SIZE_LIMIT, located, parse_json, read_bytes, read_text, write_atomic
+from .files import SIZE_LIMIT, located, parse_json, read_bytes, write_atomic
 from .network import (
     LstmParams,
     Model,
@@ -201,23 +200,13 @@ def evaluate(model: Model, dataset: Dataset) -> Metrics:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch's losses and accuracies: `epoch` an integer >= 1 and the
-    four metrics real numbers, no bool among them.
-    """
+    """One epoch's losses and accuracies, as train measured them."""
 
     epoch: int
     train_loss: float
     train_acc: float
     val_loss: float
     val_acc: float
-
-    def __post_init__(self):
-        if type(self.epoch) is not int or self.epoch < 1:
-            raise DataError(f"epoch must be an integer >= 1, got {self.epoch!r}")
-        for name in ("train_loss", "train_acc", "val_loss", "val_acc"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise DataError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -305,27 +294,6 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
     """Write the per-epoch records as a plot-ready JSON array."""
     payload = [asdict(r) for r in history.records]
     write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-
-
-def load_history(path: str | Path) -> list[EpochRecord]:
-    """Read the records save_history wrote; DataError, naming the file
-    and the entry, unless the file is a JSON array of objects with
-    exactly the EpochRecord fields and values EpochRecord accepts.
-    """
-    path = Path(path)
-    text = read_text(path, "history file")
-    keys = {f.name for f in fields(EpochRecord)}
-    records = []
-    with located(path):
-        rows = parse_json(text, "history file")
-        if not isinstance(rows, list):
-            raise DataError("history must be a JSON array of epoch records")
-        for n, row in enumerate(rows):
-            with located(f"history entry {n}"):
-                if not isinstance(row, dict) or set(row) != keys:
-                    raise DataError(f"must be an object with keys {sorted(keys)}")
-                records.append(EpochRecord(**row))
-    return records
 
 
 def save_model(model: Model, path: str | Path) -> None:

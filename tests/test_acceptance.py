@@ -24,7 +24,7 @@ from charsent.embedding import (
 from charsent.network import LstmParams, lstm_cell_forward
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID
-from charsent.training import AdamState, load_history
+from charsent.training import AdamState
 
 from helpers import make_model
 from oracles import (
@@ -241,17 +241,17 @@ def test_criterion_06_end_to_end_synthetic_pipeline(tmp_path):
     assert cli.main(["embed", "--config", str(tmp_path / "cfg.json")]) == 0
     assert cli.main(["train", "--config", str(tmp_path / "cfg.json")]) == 0
 
-    records = load_history(tmp_path / "history.json")
+    records = json.loads((tmp_path / "history.json").read_text(encoding="utf-8"))
     assert len(records) <= 30
-    best = min(records, key=lambda r: r.val_loss)
-    assert best.val_acc >= 0.95, f"best validation accuracy {best.val_acc}"
-    assert best.val_loss <= records[0].val_loss
+    best = min(records, key=lambda r: r["val_loss"])
+    assert best["val_acc"] >= 0.95, f"best validation accuracy {best['val_acc']}"
+    assert best["val_loss"] <= records[0]["val_loss"]
     model = cs.load_model(tmp_path / "model.ssm")
     assert model.metrics_snapshot["accuracy"] >= 0.95
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print(
-        f"ACCEPTANCE 06 PASS - val acc {best.val_acc:.3f} at epoch {best.epoch} ({elapsed:.1f}s)"
+        f"ACCEPTANCE 06 PASS - val acc {best['val_acc']:.3f} at epoch {best['epoch']} ({elapsed:.1f}s)"
     )
 
 

@@ -369,8 +369,20 @@ def test_pipeline_train(pipeline):
     assert set(out["val"]) >= {"loss", "mae", "accuracy", "precision", "recall"}
     assert "test" in out
     assert (pipeline / "model.ssm").read_bytes()[:4] == b"SSM1"
-    history = json.loads((pipeline / "history.json").read_text(encoding="utf-8"))
-    assert isinstance(history, list) and len(history) == out["epochs_run"]
+
+
+def test_pipeline_train_history_agrees_with_its_summary(pipeline):
+    """history.json holds one record per epoch run, and the record at
+    the best epoch holds the validation figures the summary reports.
+    """
+    code, out = _summary(pipeline, "train")
+    assert code == 0
+    records = json.loads((pipeline / "history.json").read_text(encoding="utf-8"))
+    keys = {"epoch", "train_loss", "train_acc", "val_loss", "val_acc"}
+    assert all(set(r) == keys for r in records)
+    assert [r["epoch"] for r in records] == list(range(1, out["epochs_run"] + 1))
+    best = records[out["best_epoch"] - 1]
+    assert (best["val_loss"], best["val_acc"]) == (out["val"]["loss"], out["val"]["accuracy"])
 
 
 def test_pipeline_evaluate(pipeline, capsys):

@@ -8,7 +8,7 @@ import charsent as cs
 from charsent.corpus import Corpus, Review
 from charsent.errors import DataError
 from charsent.files import read_text
-from charsent.training import EpochRecord, load_history
+from charsent.training import EpochRecord
 
 from helpers import make_model
 
@@ -79,7 +79,6 @@ LOADERS = [
     pytest.param(cs.Vocabulary.load, "vocab.json", id="vocabulary"),
     pytest.param(cs.load_embeddings, "emb.bin", id="embeddings"),
     pytest.param(cs.load_model, "model.ssm", id="model"),
-    pytest.param(load_history, "history.json", id="history"),
 ]
 
 

@@ -1,19 +1,17 @@
 """The exit-code contract under mutated input files.
 
 Each file the pipeline reads (the config, a JSONL and a CSV corpus, the
-lexicon, `vocab.json`, the W2V1 embeddings, the SSM1 model and the
-history) is damaged in one way: truncated, a byte flipped, a value
-nested deep, a value replaced by an integer too long to read or by a
-value of another JSON type, a byte made invalid UTF-8, or a byte order
-mark put in front. A value is a JSON scalar, a CSV cell, or a field of
-the W2V1 header line. A W2V1 field that is not JSON counts as a
-string, and a CSV corpus gets a label that is not a number. Every stage
-that reads the file then runs in-process and must exit 0, 2 or 3; on a
-non-zero exit its one `error:` line starts with the damaged file and
-the stage leaves its output directory as it was. No CLI stage reads the
-history file, so `load_history` stands in for one, its DataError
-counting as exit 3. Hypothesis draws the damage, derandomized, so every
-run tries the same cases.
+lexicon, `vocab.json`, the W2V1 embeddings and the SSM1 model) is
+damaged in one way: truncated, a byte flipped, a value nested deep, a
+value replaced by an integer too long to read or by a value of another
+JSON type, a byte made invalid UTF-8, or a byte order mark put in
+front. A value is a JSON scalar, a CSV cell, or a field of the W2V1
+header line. A W2V1 field that is not JSON counts as a string, and a
+CSV corpus gets a label that is not a number. Every stage that reads
+the file then runs in-process and must exit 0, 2 or 3; on a non-zero
+exit its one `error:` line starts with the damaged file and the stage
+leaves its output directory as it was. Hypothesis draws the damage,
+derandomized, so every run tries the same cases.
 """
 
 import contextlib
@@ -33,9 +31,7 @@ from hypothesis import strategies as st
 import charsent as cs
 from charsent import cli
 from charsent.corpus import sample_lexicon_path
-from charsent.errors import DataError
 from charsent.synthetic import generate_corpus
-from charsent.training import load_history
 
 # tiny sizes: a stage takes milliseconds
 CONFIG = {
@@ -55,7 +51,6 @@ KINDS = {
     "vocab": ("vocab.json", ["train"]),
     "embeddings": ("emb.bin", ["train"]),
     "model": ("model.ssm", ["evaluate", "predict"]),
-    "history": ("history.json", ["load_history"]),
 }
 # a CSV corpus is read where the JSONL one is
 STANDS_FOR = {"labeled.csv": "labeled.jsonl"}
@@ -80,17 +75,6 @@ def _run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
-
-
-def _stage(command: str, files: dict[str, Path], out: Path) -> tuple[int, str]:
-    """Exit code and stderr of `command` reading `files`, writing into `out`."""
-    if command != "load_history":
-        return _run(_argv(command, files, out))
-    try:
-        load_history(files["history.json"])
-    except DataError as exc:
-        return 3, f"error: {exc}\n"
-    return 0, ""
 
 
 def _argv(command: str, files: dict[str, Path], out: Path) -> list[str]:
@@ -277,7 +261,7 @@ def test_a_mutated_input_exits_0_2_or_3_naming_the_file(built, tmp_path_factory,
         files = {path.name: path for path in built.iterdir()} | {STANDS_FOR.get(name, name): mutated}
         for command in stages:
             before = _digest(out)
-            code, err = _stage(command, files, out)
+            code, err = _run(_argv(command, files, out))
             assert code in (0, 2, 3), (command, code, err)
             if code == 0:
                 continue

@@ -1,12 +1,11 @@
 import inspect
 import json
 import math
-import re
 import struct
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -906,12 +905,7 @@ def test_history_roundtrip_is_plain_json_array(tmp_path, trained_setup):
     path = tmp_path / "history.json"
     cs.save_history(history, path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    assert isinstance(raw, list) and len(raw) == len(history.records)
-    assert set(raw[0]) == {"epoch", "train_loss", "train_acc", "val_loss", "val_acc"}
-    from charsent.training import load_history
-
-    back = load_history(path)
-    assert back == history.records
+    assert raw == [asdict(r) for r in history.records]
 
 
 def test_ssm1_per_gate_file_loads_as_stacked_f_i_o_c(tmp_path):
@@ -943,50 +937,6 @@ def test_ssm1_per_gate_file_loads_as_stacked_f_i_o_c(tmp_path):
     (header_len,) = struct.unpack("<I", again[4:8])
     assert json.loads(again[8 : 8 + header_len])["version"] == 2
     assert _model_bits(cs.load_model(tmp_path / "again.ssm")) == _model_bits(model)
-
-
-@pytest.mark.parametrize(
-    "content", [None, '[{"epoch": 1}]', '{"a": 1}', "[1]", "[{", '[{"epoch": 1, "x": 2}]']
-)
-def test_load_history_rejects_missing_or_malformed_files(tmp_path, content):
-    from charsent.training import load_history
-
-    path = tmp_path / "history.json"
-    if content is not None:
-        path.write_text(content, encoding="utf-8")
-    with pytest.raises(DataError) as err:
-        load_history(path)
-    assert str(path) in str(err.value)
-
-
-GOOD_RECORD = {"epoch": 1, "train_loss": 0.5, "train_acc": 0.75, "val_loss": 0.25, "val_acc": 1}
-
-
-@pytest.mark.parametrize(
-    "changes, field",
-    [
-        ({"epoch": "x", "train_loss": None, "train_acc": [], "val_loss": "a", "val_acc": {}}, "epoch"),
-        ({"epoch": 0}, "epoch"),
-        ({"epoch": 1.0}, "epoch"),
-        ({"epoch": True}, "epoch"),
-        ({"train_loss": None}, "train_loss"),
-        ({"train_acc": []}, "train_acc"),
-        ({"val_loss": "0.5"}, "val_loss"),
-        ({"val_acc": {}}, "val_acc"),
-        ({"val_acc": False}, "val_acc"),
-    ],
-)
-def test_load_history_rejects_mistyped_values_naming_file_and_entry(tmp_path, changes, field):
-    from charsent.training import EpochRecord, load_history
-
-    path = tmp_path / "history.json"
-    path.write_text(json.dumps([GOOD_RECORD, GOOD_RECORD | changes]), encoding="utf-8")
-    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: history entry 1: {field} must be"):
-        load_history(path)
-    with pytest.raises(DataError, match=f"^{field} must be"):
-        EpochRecord(**(GOOD_RECORD | changes))
-    path.write_text(json.dumps([GOOD_RECORD]), encoding="utf-8")
-    assert load_history(path) == [EpochRecord(**GOOD_RECORD)]
 
 
 def test_trained_model_beats_chance(trained_setup):
