@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 from .corpus import (
@@ -309,7 +309,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         "model_path": str(model_path),
     }
     if test_set:
-        summary["test"] = evaluate(best, test_set).to_dict()
+        summary["test"] = asdict(evaluate(best, test_set))
     save_model(best, model_path)
     history_path = cfg.paths.history
     if history_path is not None:
@@ -326,7 +326,7 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus = load_corpus(corpus_path)
     with located(corpus_path):
         metrics = evaluate(model, encode_labeled(corpus, model.vocab, model.max_len))
-    _emit(metrics.to_dict())
+    _emit(asdict(metrics))
     return 0
 
 

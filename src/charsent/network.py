@@ -198,8 +198,8 @@ class Model:
     copy (another threshold, say); the arrays inside stay writable, and
     training updates them in place.
 
-    `metrics_snapshot`, when set, is train's validation report
-    (Metrics.to_dict) for these weights at the best epoch.
+    `metrics_snapshot`, when set, is train's validation report (the
+    fields of its Metrics, as a dict) for these weights at the best epoch.
     """
 
     vocab: Vocabulary

@@ -134,9 +134,6 @@ class Metrics:
     fn: int
     tn: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def compute_metrics(ps: np.ndarray, ys: np.ndarray, threshold: float) -> Metrics:
     """Confusion counts and the five headline quantities from predicted
@@ -200,7 +197,11 @@ def evaluate(model: Model, dataset: Dataset) -> Metrics:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch's losses and accuracies, as train measured them."""
+    """One epoch's losses and accuracies, as train measured them. The
+    training figures score each example by the forward pass of the batch
+    that updated on it, with dropout on and the weights moving between
+    batches; the validation figures evaluate the weights at the epoch's end.
+    """
 
     epoch: int
     train_loss: float
@@ -245,6 +246,8 @@ def train(
     rng_shuffle = substream(config.seed, "shuffle")
     rng_dropout = substream(config.seed, "dropout")
     hsize = work.params.hidden_size
+    labels = np.array([y for _, y in train_set], dtype=np.float64)
+    epoch_ps = np.empty(len(train_set))
 
     history = TrainHistory(records=[], stopped_early=False)
     best = work
@@ -254,12 +257,13 @@ def train(
             for batch_index, start in enumerate(range(0, len(order), config.batch_size)):
                 picks = order[start : start + config.batch_size]
                 seqs = [train_set[i][0] for i in picks]
-                ys = np.array([train_set[i][1] for i in picks], dtype=np.float64)
+                ys = labels[picks]
                 masks = None
                 if config.dropout_rate > 0:
                     keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
                     masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
                 ps, cache = forward_batch(seqs, work, masks)
+                epoch_ps[picks] = ps
                 batch_loss = float(bce_loss(ps, ys).mean())
                 if not np.isfinite(batch_loss):
                     raise NumericalError(
@@ -269,7 +273,7 @@ def train(
                 adam_step(tensors, grads, state, config)
                 del cache, grads  # free this batch's activations before the next pass
 
-            train_metrics = evaluate(work, train_set)
+            train_metrics = compute_metrics(epoch_ps, labels, work.threshold)
             val_metrics = evaluate(work, val_set)
         if not np.isfinite(val_metrics.loss):
             raise NumericalError(f"training diverged: non-finite validation loss at epoch {epoch}")
@@ -283,7 +287,7 @@ def train(
             )
         )
         if history.best_epoch == epoch:
-            best = replace(work.copy(), metrics_snapshot=val_metrics.to_dict())
+            best = replace(work.copy(), metrics_snapshot=asdict(val_metrics))
         elif epoch - history.best_epoch >= config.patience:
             history.stopped_early = True
             break

@@ -6,6 +6,7 @@ criterion. Tolerances and budgets are asserted inside the tests.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ def test_criterion_08_metrics_match_brute_force(trained_setup):
     assert (got.tp, got.fp, got.fn, got.tn) == (tp, fp, fn, tn)
     assert got.accuracy == (tp + tn) / len(test_set)
 
-    payload = got.to_dict()
+    payload = asdict(got)
     for field in ("loss", "mae", "accuracy", "precision", "recall"):
         assert field in payload
     print("ACCEPTANCE 08 PASS - confusion recount exact on 1000 pairs and fixture")

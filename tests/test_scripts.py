@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -64,7 +65,7 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
     assert sweep.main(["--reviews", "60", "--seeds", "3-4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [run["seed"] for run in report["runs"]] == [3, 4]
-    metric_keys = set(Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0).to_dict())
+    metric_keys = set(asdict(Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0)))
     for run in report["runs"]:
         assert 1 <= run["best_epoch"] <= run["epochs_run"] <= 30
         assert run["val_reviews"] == 9

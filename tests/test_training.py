@@ -579,6 +579,38 @@ def test_train_frees_each_batch_before_the_next_pass(monkeypatch):
     assert live == [0] * len(live)
 
 
+@pytest.mark.parametrize("batch_size", [200, 256])
+def test_train_figures_of_one_undropped_batch_are_the_input_models(batch_size):
+    # one batch holds the whole training set and dropout is off, so the
+    # epoch's only forward pass scores the input model's weights
+    corpus = generate_corpus(300, seed=3)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
+    dataset = cs.encode_labeled(corpus, vocab, 60)
+    train_set, val_set = dataset[:200], dataset[200:]
+    model = make_model(vocab, hidden_size=16, dim=8, seed=3, scale=0.3)
+    cfg = cs.TrainConfig(epochs=1, batch_size=batch_size, dropout_rate=0.0, seed=3)
+    _, history = cs.train(train_set, val_set, model, cfg)
+    before = cs.evaluate(model, train_set)
+    record = history.records[0]
+    assert (record.train_loss, record.train_acc) == (before.loss, before.accuracy)
+
+
+def test_train_scores_only_the_validation_set_each_epoch(monkeypatch):
+    train_set, val_set, model = _quick_sets()
+    calls = []
+
+    def recording_predict_proba(model, sequences):
+        calls.append(list(sequences))
+        return network.predict_proba(model, sequences)
+
+    monkeypatch.setattr(training, "predict_proba", recording_predict_proba)
+    _, history = training.train(
+        train_set, val_set, model, cs.TrainConfig(epochs=3, batch_size=16, patience=5, seed=6)
+    )
+    assert len(history.records) == 3
+    assert calls == [[seq for seq, _ in val_set]] * 3
+
+
 def test_train_zero_epochs_returns_copy():
     train_set, val_set, model = _quick_sets()
     best, history = cs.train(train_set, val_set, model, cs.TrainConfig(epochs=0))
