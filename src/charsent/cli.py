@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, is_dataclass, replace
@@ -34,7 +35,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import CharsentError, ConfigError, DataError, NumericalError
 from .files import located, parse_json, read_text
 from .network import Model, check_hidden_size, init_lstm_params, predict, threshold_ok
 from .rng import check_seed
@@ -174,9 +175,7 @@ def _set_dotted(tree: dict, dotted: str, value) -> None:
     tree[last] = value
 
 
-def build_config(
-    config_path: str | None, overrides: list[str], seed_flag: int | None
-) -> PipelineConfig:
+def build_config(config_path: str | None, overrides: list[str]) -> PipelineConfig:
     cfg = PipelineConfig()
     if config_path is not None:
         path = Path(config_path)
@@ -201,9 +200,8 @@ def build_config(
             value = raw  # bare strings (paths, mode names) need no quoting
         _set_dotted(tree, key, value)
     cfg = _merge(cfg, tree)
-    seed = cfg.seed if seed_flag is None else seed_flag
-    w2v, training = replace(cfg.word2vec, seed=seed), replace(cfg.training, seed=seed)
-    return replace(cfg, seed=seed, word2vec=w2v, training=training)
+    w2v, training = replace(cfg.word2vec, seed=cfg.seed), replace(cfg.training, seed=cfg.seed)
+    return replace(cfg, word2vec=w2v, training=training)
 
 
 def _emit(payload: dict) -> None:
@@ -350,6 +348,8 @@ def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+_EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
+
 _COMMANDS = {
     "prelabel": cmd_prelabel,
     "embed": cmd_embed,
@@ -362,9 +362,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument(
-        "--seed", type=int, metavar="N", help="override the pipeline seed"
-    )
     common.add_argument(
         "--set",
         action="append",
@@ -395,17 +392,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = build_config(args.config, args.overrides, args.seed)
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+        cfg = build_config(args.config, args.overrides)
+        code = _COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught below
+        return code
+    except CharsentError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
+    except BrokenPipeError:
+        # the reader of stdout is gone: devnull takes the rest, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

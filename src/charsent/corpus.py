@@ -107,22 +107,27 @@ def load_corpus(path: str | Path) -> Corpus:
                     raise DataError("record must be an object with a 'text' field")
                 reviews.append(Review(record["text"], record.get("label"), record.get("source_id")))
     else:
-        reader = csv.DictReader(io.StringIO(read_text(path, "corpus file"), newline=""))
+        reader = csv.reader(io.StringIO(read_text(path, "corpus file"), newline=""))
         try:
-            rows = list(reader)
+            header = next(reader, [])
+            if "text" not in header:
+                raise DataError(f"{path}: CSV header must include a 'text' column")
+            # a record is named by its first line; a quoted field may span several
+            lineno = reader.line_num + 1
+            for fields in reader:
+                if fields:  # a blank line holds no record
+                    row = dict(zip(header, fields))
+                    label = row.get("label")
+                    if label in (None, ""):
+                        label = None
+                    elif label in ("0", "1"):
+                        label = int(label)
+                    source_id = row.get("source_id") or None
+                    with located(f"{path}:{lineno}"):
+                        reviews.append(Review(row.get("text"), label, source_id))
+                lineno = reader.line_num + 1
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
-        if reader.fieldnames is None or "text" not in reader.fieldnames:
-            raise DataError(f"{path}: CSV header must include a 'text' column")
-        for lineno, row in enumerate(rows, start=2):
-            label = row.get("label")
-            if label in (None, ""):
-                label = None
-            elif label in ("0", "1"):
-                label = int(label)
-            source_id = row.get("source_id") or None
-            with located(f"{path}:{lineno}"):
-                reviews.append(Review(row.get("text"), label, source_id))
     return Corpus(reviews=reviews, name=path.stem)
 
 

@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+The CLI maps each onto a process exit code (`cli._EXIT_CODES`).
 """
 
 

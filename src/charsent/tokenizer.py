@@ -40,7 +40,7 @@ class Vocabulary:
     """What vocab.json holds: the real tokens, which get ids 2.. in
     order, and the min_count they were kept at. PAD=0 and UNK=1 are
     always present. DataError unless min_count is an integer >= 1 and
-    the tokens are distinct strings other than PAD and UNK.
+    the tokens are a list or tuple of distinct strings, not PAD or UNK.
 
     build_vocab orders the tokens by descending corpus frequency, ties
     broken by codepoint order, so a rebuild from the same corpus is
@@ -56,6 +56,8 @@ class Vocabulary:
         min_count = self.min_count
         if type(min_count) is not int or min_count < 1:
             raise DataError(f"vocabulary 'min_count' must be an integer >= 1, got {min_count!r}")
+        if not isinstance(self.tokens, (list, tuple)):
+            raise DataError("vocabulary 'tokens' must be a list")
         tokens = tuple(self.tokens)
         if not all(isinstance(t, str) for t in tokens):
             raise DataError("vocabulary 'tokens' must all be strings")
@@ -98,8 +100,6 @@ class Vocabulary:
             payload = parse_json(text, "vocabulary file")
             if not (isinstance(payload, dict) and {"min_count", "tokens"} <= payload.keys()):
                 raise DataError("vocabulary JSON needs 'min_count' and 'tokens'")
-            if not isinstance(payload["tokens"], list):
-                raise DataError("vocabulary field 'tokens' must be a list")
             return cls(payload["tokens"], payload["min_count"])
 
 

@@ -328,8 +328,8 @@ def save_model(model: Model, path: str | Path) -> None:
 def _check_header(header) -> None:
     """Raise DataError unless the header is a JSON object of a format
     version this charsent reads, holding what sizes and fills the tensor
-    blocks: the integers h, d and vocab_size, each in [1, SIZE_LIMIT),
-    and a token list. The types the header builds check the rest.
+    blocks: the integers h, d and vocab_size, each in [1, SIZE_LIMIT).
+    The types the header builds check the rest.
     """
     if not isinstance(header, dict):
         raise DataError("model header must be a JSON object")
@@ -343,8 +343,6 @@ def _check_header(header) -> None:
         value = header.get(key)
         if type(value) is not int or not 1 <= value < SIZE_LIMIT:
             raise DataError(f"model header field '{key}' is missing or invalid")
-    if not isinstance(header.get("tokens"), list):
-        raise DataError("model header field 'tokens' is missing or invalid")
 
 
 def load_model(path: str | Path) -> Model:
@@ -379,7 +377,7 @@ def load_model(path: str | Path) -> Model:
             offset += dtype.itemsize * count
         vectors = tensors.pop("embeddings")
         return Model(
-            vocab=Vocabulary(header["tokens"], header.get("min_count")),
+            vocab=Vocabulary(header.get("tokens"), header.get("min_count")),
             embeddings=EmbeddingMatrix(vectors=vectors, vocab_hash=header.get("vocab_hash")),
             params=LstmParams(**tensors),
             max_len=header.get("max_len"),

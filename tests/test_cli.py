@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,14 +15,14 @@ import pytest
 import charsent as cs
 from charsent import cli
 from charsent.corpus import Corpus, Review, save_corpus
-from charsent.errors import ConfigError, DataError
+from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
 from charsent.synthetic import generate_corpus
 
 from helpers import make_model
 
 
 def test_build_config_defaults():
-    cfg = cli.build_config(None, [], None)
+    cfg = cli.build_config(None, [])
     assert cfg.seed == 0
     assert cfg.threshold is None  # the model's stored threshold
     assert cfg.tokenizer.max_len == 120
@@ -36,7 +38,7 @@ def test_build_config_file_and_overrides(tmp_path):
         json.dumps({"seed": 5, "word2vec": {"dim": 32}, "paths": {"model": "m.ssm"}}),
         encoding="utf-8",
     )
-    cfg = cli.build_config(str(path), ["training.epochs=4", "threshold=0.6"], None)
+    cfg = cli.build_config(str(path), ["training.epochs=4", "threshold=0.6"])
     assert cfg.seed == 5
     assert cfg.word2vec.dim == 32
     assert cfg.word2vec.window == 4  # untouched defaults survive
@@ -49,7 +51,7 @@ def test_build_config_file_and_overrides(tmp_path):
 def test_build_config_file_with_a_byte_order_mark(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 5, "word2vec": {"dim": 32}}), encoding="utf-8-sig")
-    cfg = cli.build_config(str(path), [], None)
+    cfg = cli.build_config(str(path), [])
     assert (cfg.seed, cfg.word2vec.dim) == (5, 32)
 
 
@@ -65,7 +67,6 @@ def test_build_config_set_value_types():
             "split.train_frac=1",
             "split.val_frac=0",
         ],
-        None,
     )
     assert cfg.training.freeze_embeddings is True
     assert cfg.word2vec.subsample_threshold is None
@@ -77,10 +78,10 @@ def test_build_config_set_value_types():
 
 
 def test_build_config_checks_the_set_values_together():
-    cfg = cli.build_config(None, ["split.train_frac=0.9", "split.val_frac=0.05"], None)
+    cfg = cli.build_config(None, ["split.train_frac=0.9", "split.val_frac=0.05"])
     assert (cfg.split.train_frac, cfg.split.val_frac) == (0.9, 0.05)
     with pytest.raises(ConfigError, match=r"^split\.train_frac must be > 0 .* got train_frac=0.9, val_frac=0.15$"):
-        cli.build_config(None, ["split.train_frac=0.9"], None)
+        cli.build_config(None, ["split.train_frac=0.9"])
 
 
 def test_split_fractions_are_checked_when_the_config_is_read(tmp_path, capsys):
@@ -95,45 +96,46 @@ def test_split_fractions_are_checked_when_the_config_is_read(tmp_path, capsys):
     )
 
 
-def test_build_config_seed_flag_wins(tmp_path):
+def test_build_config_set_seed_beats_the_files(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 5}), encoding="utf-8")
-    cfg = cli.build_config(str(path), ["seed=6"], 7)
-    assert cfg.seed == cfg.word2vec.seed == cfg.training.seed == 7
+    assert cli.build_config(str(path), []).training.seed == 5
+    cfg = cli.build_config(str(path), ["seed=6"])
+    assert cfg.seed == cfg.word2vec.seed == cfg.training.seed == 6
 
 
 def test_build_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError) as err:
-        cli.build_config(None, ["word2vec.windw=3"], None)
+        cli.build_config(None, ["word2vec.windw=3"])
     assert "word2vec.windw" in str(err.value)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"wordvec": {}}), encoding="utf-8")
     with pytest.raises(ConfigError):
-        cli.build_config(str(path), [], None)
+        cli.build_config(str(path), [])
     for key in ("word2vec.seed", "training.seed"):  # only the pipeline seed is a key
         with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
-            cli.build_config(None, [f"{key}=3"], None)
+            cli.build_config(None, [f"{key}=3"])
 
 
 def test_build_config_rejects_malformed_inputs(tmp_path):
     with pytest.raises(ConfigError):
-        cli.build_config(None, ["no_equals_sign"], None)
+        cli.build_config(None, ["no_equals_sign"])
     with pytest.raises(ConfigError):
-        cli.build_config(str(tmp_path / "missing.json"), [], None)
+        cli.build_config(str(tmp_path / "missing.json"), [])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
-        cli.build_config(str(bad), [], None)
+        cli.build_config(str(bad), [])
     arr = tmp_path / "arr.json"
     arr.write_text("[1,2]", encoding="utf-8")
     with pytest.raises(ConfigError):
-        cli.build_config(str(arr), [], None)
+        cli.build_config(str(arr), [])
     with pytest.raises(ConfigError):
-        cli.build_config(None, ["seed=1.5"], None)
+        cli.build_config(None, ["seed=1.5"])
     with pytest.raises(ConfigError, match="beta1"):  # section range checks still run
-        cli.build_config(None, ["training.beta1=1"], None)
+        cli.build_config(None, ["training.beta1=1"])
     with pytest.raises(ConfigError, match="split.train_frac"):  # an int beyond float range
-        cli.build_config(None, ["split.train_frac=1" + "0" * 400], None)
+        cli.build_config(None, ["split.train_frac=1" + "0" * 400])
 
 
 MISTYPED_VALUES = [
@@ -223,6 +225,32 @@ def test_readme_config_table_matches_pipeline_config():
             if leaf.name != "seed":  # the pipeline seed is the only seed key
                 expected.add((f.name, leaf.name, json.dumps(getattr(value, leaf.name))))
     assert _readme_config_table() == expected
+
+
+def test_readme_cli_section_names_the_parser_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named == options == {"--config", "--set", "--text"}
+
+
+@pytest.mark.parametrize("error", CharsentError.__subclasses__(), ids=lambda e: e.__name__)
+def test_main_exit_code_of_each_error_class(monkeypatch, capsys, error):
+    def build_config(config_path, overrides):
+        raise error("no good")
+
+    monkeypatch.setattr(cli, "build_config", build_config)
+    assert cli.main(["train"]) == {ConfigError: 2, DataError: 3, NumericalError: 4}[error]
+    assert capsys.readouterr().err == "error: no good\n"
 
 
 def test_main_usage_errors_exit_2(capsys):
@@ -457,6 +485,31 @@ def test_pipeline_predict_invalid_utf8_stdin(pipeline, io_encoding):
     assert rows[3] == {"error": "empty input"}
 
 
+@pytest.mark.parametrize("lines, read", [(5000, 1), (1, 0)], ids=["head-1", "true"])
+def test_pipeline_predict_into_a_closed_stdout_exits_0_quietly(pipeline, tmp_path, lines, read):
+    """As `charsent predict ... | head -1` does, the reader takes a line
+    and goes; as `| true` does, it goes at once, so the one result is
+    still in stdout's buffer when the run ends.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    texts, errors = tmp_path / "texts.txt", tmp_path / "stderr.txt"
+    texts.write_text("好棒\n" * lines, encoding="utf-8")
+    with texts.open("rb") as stdin, errors.open("wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "charsent.cli", "predict", "--config", str(pipeline / "cfg.json")],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+        for _ in range(read):
+            assert set(json.loads(proc.stdout.readline())) == {"label", "p"}
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert (code, errors.read_text(encoding="utf-8")) == (0, "")
+
+
 def test_prelabel_empty_corpus_succeeds(tmp_path, capsys):
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     code, out = _run(
@@ -644,7 +697,7 @@ def test_evaluate_unlabeled_corpus_names_the_problem(pipeline, tmp_path, capsys)
     ids=["unlabeled", "no-token-after-cleaning"],
 )
 def test_train_finds_a_bad_test_split_review_before_training(pipeline, tmp_path, capsys, bad, message):
-    cfg = cli.build_config(str(pipeline / "cfg.json"), [], None)
+    cfg = cli.build_config(str(pipeline / "cfg.json"), [])
     reviews = cs.load_corpus(pipeline / "labeled.jsonl").reviews
     *_, test_c = cs.split(Corpus(reviews), cfg.split.train_frac, cfg.split.val_frac, cfg.seed)
     target = test_c.reviews[0]

@@ -152,6 +152,21 @@ def test_load_corpus_csv_rejects_bad_label_with_its_line(tmp_path):
         cs.load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        'text,label\n"line one\nline two",1\nok,7\n',  # a quoted field spans lines 2 and 3
+        "text,label\nok,1\n\nok,7\n",  # a blank line 3 holds no record
+    ],
+    ids=["quoted-newline", "blank-line"],
+)
+def test_load_corpus_csv_names_a_record_by_its_first_line(tmp_path, content):
+    path = tmp_path / "c.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(DataError, match=r"c\.csv:4: label must be the integer 0 or 1, got '7'"):
+        cs.load_corpus(path)
+
+
 def test_load_corpus_missing_file(tmp_path):
     with pytest.raises(DataError):
         cs.load_corpus(tmp_path / "nope.jsonl")

@@ -148,6 +148,16 @@ def test_vocab_constructor_checks_its_rules(tokens, min_count, match):
         Vocabulary(tokens, min_count)
 
 
+@pytest.mark.parametrize(
+    "tokens",
+    ["好坏", {"好": 1}, {"好"}, (t for t in ["好"])],
+    ids=["str", "dict", "set", "generator"],
+)
+def test_vocab_tokens_must_be_a_list(tokens):
+    with pytest.raises(DataError, match="'tokens' must be a list"):
+        Vocabulary(tokens, 1)
+
+
 def test_vocab_hash_sensitive_to_content():
     a = cs.build_vocab(["好坏"], min_count=1)
     b = cs.build_vocab(["好中"], min_count=1)
