@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print nearest neighbors of probe characters in an embedding space.
 
-Loads an embedding file as written by CLI `embed`.
+Loads an embedding file as written by CLI `embed`. A missing or
+malformed file prints one `error:` line and exits 3, as the CLI does.
 
 Usage:
     python3 scripts/inspect_neighbors.py --embeddings runs/emb.bin --queries 好坏
@@ -16,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import charsent as cs
+from charsent.files import located
 
 
 def parse_args(argv=None):
@@ -31,9 +33,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    matrix, tokens = cs.load_embeddings(args.embeddings)
-    # rows 0 and 1 are the reserved padding/unknown ids
-    vocab = cs.Vocabulary(tokens[2:], min_count=1)
+    try:
+        matrix, tokens = cs.load_embeddings(args.embeddings)
+        with located(args.embeddings):
+            # rows 0 and 1 are the reserved padding/unknown ids
+            vocab = cs.Vocabulary(tokens[2:], min_count=1)
+    except cs.DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3  # the CLI's data-error code
 
     for ch in args.queries:
         if ch not in vocab:

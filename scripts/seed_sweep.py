@@ -96,8 +96,9 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
     # the last stage, CLI train, printed one JSON summary line
     summary = json.loads(out.getvalue())
     model = cs.load_model(work / "model.ssm")
-    defaults = cli.PipelineConfig().split
-    val = split(corpus, defaults.train_frac, defaults.val_frac, seed)[1]
+    # the validation split CLI train made, from the config file it read
+    cfg = cli.build_config(str(work / "cfg.json"), [])
+    val = split(corpus, cfg.split.train_frac, cfg.split.val_frac, cfg.seed)[1]
     dataset = cs.encode_labeled(val, model.vocab, model.max_len)
     ps = predict_proba(model, [s for s, _ in dataset])
     wrong = (ps >= model.threshold) != np.array([y == 1 for _, y in dataset])

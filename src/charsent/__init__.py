@@ -47,7 +47,6 @@ from .tokenizer import (
     TokenSequence,
     Vocabulary,
     build_vocab,
-    decode,
     encode,
     segment_chars,
 )

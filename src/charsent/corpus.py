@@ -124,6 +124,8 @@ def load_corpus(path: str | Path) -> Corpus:
                         label = int(label)
                     source_id = row.get("source_id") or None
                     with located(f"{path}:{lineno}"):
+                        if len(fields) > len(header):  # an unquoted comma, say
+                            raise DataError(f"{len(fields)} fields, but the header names {len(header)}")
                         reviews.append(Review(row.get("text"), label, source_id))
                 lineno = reader.line_num + 1
         except csv.Error as exc:  # a field longer than csv.field_size_limit()

@@ -296,7 +296,12 @@ def train_embeddings(
     Runs `config.epochs` passes of cbow_step over every example of the
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
-    to MIN_LEARNING_RATE. Each pass builds one text's windows at a time.
+    step toward MIN_LEARNING_RATE, which it would reach at `epochs` times
+    the example count of the texts as given. Subsampling drops examples
+    but not that count, so a subsampled run stops above the floor (2
+    CBOW epochs over generate_corpus(400, 42) end at 1.0e-4 unsampled,
+    3.0e-3 at t=1e-2 and 1.8e-2 at t=1e-3). Each pass builds one text's
+    windows at a time.
     Returns the input-side matrix and each epoch's mean example loss;
     the output-side matrix starts at zero and is dropped on return.
     Sequences with no window at all (no token with a neighbor), or an

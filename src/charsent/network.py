@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -104,9 +104,6 @@ class LstmParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(**{name: getattr(self, name).copy() for name in PARAM_NAMES})
 
 
 def check_hidden_size(hidden_size: int) -> None:
@@ -223,10 +220,6 @@ class Model:
         snapshot = self.metrics_snapshot
         if snapshot is not None and not isinstance(snapshot, dict):
             raise DataError(f"metrics_snapshot must be a dict or None, got {snapshot!r}")
-
-    def copy(self) -> "Model":
-        emb = replace(self.embeddings, vectors=self.embeddings.vectors.copy())
-        return replace(self, embeddings=emb, params=self.params.copy())
 
 
 # OpenBLAS 0.3.31 (SkylakeX kernels) splits a product's inner dimension

@@ -21,7 +21,11 @@ def sigmoid(z, out=None):
     """
     # the two ufuncs give np.clip's bits without its Python wrapper
     z = np.minimum(np.maximum(z, -SIGMOID_CLAMP, out=out), SIGMOID_CLAMP, out=out)
-    if out is None:  # the operator form is faster on numpy scalars
+    # without `out`, the operator form beats the in-place steps on a fresh
+    # array for the small arrays that call it (k+1 Word2Vec scores, a
+    # batch's read-out): best of 40x20,000 calls, 3.94 against 4.64 us at
+    # 6 elements and 4.66 against 4.83 us at 32
+    if out is None:
         return 1.0 / (1.0 + np.exp(-z))
     np.exp(np.negative(z, out=out), out=out)
     out += 1.0

@@ -158,8 +158,3 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Ids of the first max_len tokens, UNK for out-of-vocabulary ones."""
     check_max_len(max_len)
     return TokenSequence(ids=tuple(map(vocab.token_to_id.get, tokens[:max_len], repeat(UNK_ID))))
-
-
-def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:
-    """Tokens of an encoded sequence."""
-    return [vocab.id_to_token[i] for i in seq.ids]

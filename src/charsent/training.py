@@ -5,6 +5,7 @@ recall) and the SSM1 model and history files.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -238,7 +239,7 @@ def train(
             "train and validation sets must be non-empty, got "
             f"{len(train_set)} training and {len(val_set)} validation examples"
         )
-    work = model.copy()
+    work = copy.deepcopy(model)
     tensors = dict(work.params.tensors())
     if not config.freeze_embeddings:
         tensors["embeddings"] = work.embeddings.vectors
@@ -258,10 +259,8 @@ def train(
                 picks = order[start : start + config.batch_size]
                 seqs = [train_set[i][0] for i in picks]
                 ys = labels[picks]
-                masks = None
-                if config.dropout_rate > 0:
-                    keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
-                    masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
+                keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate
+                masks = keep.astype(np.float64) / (1.0 - config.dropout_rate)
                 ps, cache = forward_batch(seqs, work, masks)
                 epoch_ps[picks] = ps
                 batch_loss = float(bce_loss(ps, ys).mean())
@@ -287,7 +286,7 @@ def train(
             )
         )
         if history.best_epoch == epoch:
-            best = replace(work.copy(), metrics_snapshot=asdict(val_metrics))
+            best = replace(copy.deepcopy(work), metrics_snapshot=asdict(val_metrics))
         elif epoch - history.best_epoch >= config.patience:
             history.stopped_early = True
             break

@@ -153,6 +153,16 @@ def test_load_corpus_csv_rejects_bad_label_with_its_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "record", ["很好,1,extra", "很好,很棒,1"], ids=["extra-field", "unquoted-comma"]
+)
+def test_load_corpus_csv_rejects_a_record_with_more_fields_than_its_header(tmp_path, record):
+    path = tmp_path / "c.csv"
+    path.write_text(f"text,label\n好,1\n{record}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"c\.csv:3: 3 fields, but the header names 2"):
+        cs.load_corpus(path)
+
+
+@pytest.mark.parametrize(
     "content",
     [
         'text,label\n"line one\nline two",1\nok,7\n',  # a quoted field spans lines 2 and 3

@@ -432,15 +432,6 @@ def test_model_validates_embedding_match(small_vocab):
         cs.Model(vocab=small_vocab, embeddings=bad_dim, params=model.params, max_len=8)
 
 
-def test_model_copy_is_independent(small_vocab):
-    model = _random_model(small_vocab, seed=23)
-    clone = model.copy()
-    clone.params.w_gates[0, 0] += 1.0
-    clone.embeddings.vectors[2, 0] += 1.0
-    assert model.params.w_gates[0, 0] != clone.params.w_gates[0, 0]
-    assert model.embeddings.vectors[2, 0] != clone.embeddings.vectors[2, 0]
-
-
 def test_trained_model_flags_planted_polarity(trained_setup):
     model = trained_setup["model"]
     label_pos, p_pos = cs.predict("这家店很好很棒真的赞", model)

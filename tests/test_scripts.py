@@ -48,6 +48,29 @@ def test_scripts_run_end_to_end(tmp_path, capsys):
     assert err.startswith("usage: ") and "--top must be at least 1, got 0" in err
 
 
+def _w2v1(tokens: list[str]) -> bytes:
+    rows = (t.encode("utf-8") + b" " + bytes(8) + b"\n" for t in tokens)
+    return f"W2V1 {len(tokens)} 2 abc\n".encode("utf-8") + b"".join(rows)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [None, b"W2V1 3 2 abc\n<pad> ", _w2v1(["<pad>", "<unk>", "好", "好"])],
+    ids=["missing", "truncated", "duplicate-token"],
+)
+def test_inspect_neighbors_reports_a_bad_embeddings_file_as_a_data_error(tmp_path, capsys, blob):
+    path = tmp_path / "emb.bin"
+    if blob is not None:
+        path.write_bytes(blob)
+    neighbors = _load_script("inspect_neighbors")
+    assert neighbors.main(["--embeddings", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])
 def test_seed_sweep_rejects_an_empty_seed_range_as_a_usage_error(capsys, seeds):
     sweep = _load_script("seed_sweep")
@@ -78,3 +101,11 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
         assert test["tp"] + test["fp"] + test["fn"] + test["tn"] == 9
     accs = sorted(run["best_val_acc"] for run in report["runs"])
     assert report["summary"] == {"min_val_acc": accs[0], "median_val_acc": sum(accs) / 2}
+
+
+def test_seed_sweep_scores_the_split_its_config_sets(tmp_path, monkeypatch):
+    sweep = _load_script("seed_sweep")
+    monkeypatch.setitem(sweep.CONFIG, "split", {"train_frac": 0.5, "val_frac": 0.3})
+    run = sweep.run_seed(3, 60, tmp_path)
+    assert run["val_reviews"] == 18
+    assert sum(run["val_errors_by_margin"].values()) == round(18 * (1 - run["best_val_acc"]))

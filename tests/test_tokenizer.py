@@ -101,12 +101,6 @@ def test_token_sequence_invariants_enforced():
         TokenSequence(ids=(2, 3)).true_length = 1
 
 
-def test_decode_drops_padding():
-    vocab = cs.build_vocab(["好坏"], min_count=1)
-    seq = cs.encode(["好", "坏"], vocab, max_len=6)
-    assert cs.decode(seq, vocab) == ["好", "坏"]
-
-
 @given(st.lists(st.sampled_from(list("好坏中啊呀很不太")), max_size=30), st.integers(4, 16))
 def test_encode_shape_properties(tokens, max_len):
     vocab = cs.build_vocab(["好坏中啊呀很不太"], min_count=1)

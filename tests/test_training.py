@@ -103,7 +103,7 @@ def test_backward_batch_equals_mean_of_per_example():
     # mixed lengths, so most rows end before the batch's longest row
     lengths = (15, 3, 20, 8, 1, 12, 5)
     seqs = [
-        cs.encode(cs.decode(seq, model.vocab)[:n], model.vocab, 20)
+        cs.encode([model.vocab.id_to_token[i] for i in seq.ids[:n]], model.vocab, 20)
         for (seq, _), n in zip(dataset[:7], lengths, strict=True)
     ]
     assert [s.true_length for s in seqs] == list(lengths)
@@ -153,7 +153,7 @@ def test_backward_batch_exact_beside_a_long_ended_row():
     """
     model, dataset = _grad_setup(seed=7, max_len=48)
     model.params.b_gates[: model.params.hidden_size] = 30.0  # forget gate open
-    pool = [token for seq, _ in dataset for token in cs.decode(seq, model.vocab)]
+    pool = [model.vocab.id_to_token[i] for seq, _ in dataset for i in seq.ids]
     seqs = [cs.encode(pool[:n], model.vocab, 48) for n in (1, 45)]
     assert [s.true_length for s in seqs] == [1, 45]
     ys = np.array([1.0, 0.0])
@@ -692,7 +692,7 @@ def test_encode_labeled_cleans_as_predict_does():
     [(seq, label)] = cs.encode_labeled(Corpus(reviews=[Review(text=text, label=1)], name="c"), vocab, 12)
     assert label == 1
     assert seq == cs.encode(cs.segment_chars(cs.clean_text(text)), vocab, 12)
-    assert cs.decode(seq, vocab) == list("好棒真好话题")
+    assert [vocab.id_to_token[i] for i in seq.ids] == list("好棒真好话题")
     _, p = cs.predict(text, model)
     assert abs(training.predict_proba(model, [seq])[0] - p) <= 1e-12
 
