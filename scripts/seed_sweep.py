@@ -15,6 +15,16 @@ its error count matches that epoch's `val_acc`. The summary gives the minimum an
 Each seed's record also carries the `test` metrics that CLI `train`
 prints for the held-out split.
 
+Fine-tuned random embeddings reach CBOW's `val_acc` here, so two more
+figures per seed judge the embeddings themselves: the best-epoch `val`
+and `test` accuracy of a second CLI `train` on the same `emb.bin` with
+the embeddings frozen (`training.freeze_embeddings`, saved beside the
+fine-tuned model, which it leaves alone), and the pool purity of
+`emb.bin`: for each positive- and negative-pool character in the
+vocabulary, the share of its 5 nearest neighbours from its own pool,
+averaged over those characters. The summary gives the minimum and the
+median of each.
+
 The seeds run in 2 spawned worker processes (fewer if there are fewer
 seeds), each with one BLAS thread, so a seed's numbers do not depend on
 how many seeds run beside it.
@@ -56,6 +66,14 @@ CONFIG = {
     "training": {"epochs": 30},
 }
 MARGINS = ("tie", "pm1", "rest")
+NEIGHBORS = 5
+# the summary's figures, by name: each gets its minimum and median over the seeds
+FIGURES = {
+    "val_acc": "best_val_acc",
+    "frozen_val_acc": "frozen_val_acc",
+    "frozen_test_acc": "frozen_test_acc",
+    "pool_purity": "pool_purity",
+}
 WORKERS = 2
 
 
@@ -77,6 +95,28 @@ def _margin(text: str) -> str:
     return "tie" if gap == 0 else "pm1" if gap == 1 else "rest"
 
 
+def _pool_purity(matrix: cs.EmbeddingMatrix, vocab: cs.Vocabulary) -> float:
+    """The mean, over the pool characters in `vocab`, of the share of
+    each one's NEIGHBORS nearest neighbours that come from its own pool.
+    """
+    shares = []
+    for pool in (POSITIVE_POOL, NEGATIVE_POOL):
+        for ch in filter(vocab.__contains__, pool):
+            near = [token for token, _ in cs.nearest_neighbors(ch, NEIGHBORS, matrix, vocab)]
+            shares.append(sum(token in pool for token in near) / len(near))
+    return statistics.fmean(shares)
+
+
+def _cli(seed: int, args: list[str]) -> dict:
+    """Run one CLI stage in this process; the JSON summary it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(args)
+    if code != 0:
+        raise RuntimeError(f"seed {seed}: CLI {args[0]} exited {code}")
+    return json.loads(out.getvalue())
+
+
 def run_seed(seed: int, reviews: int, workdir: str) -> dict:
     """Embed and train one pipeline seed in `workdir`; the sweep's record."""
     work = Path(workdir) / f"seed{seed}"
@@ -87,14 +127,11 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
              "model": "model.ssm"}
     config = dict(CONFIG, seed=seed, paths={k: str(work / v) for k, v in names.items()})
     (work / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
-    for stage in ("embed", "train"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([stage, "--config", str(work / "cfg.json")])
-        if code != 0:
-            raise RuntimeError(f"seed {seed}: CLI {stage} exited {code}")
-    # the last stage, CLI train, printed one JSON summary line
-    summary = json.loads(out.getvalue())
+    config_arg = ["--config", str(work / "cfg.json")]
+    _cli(seed, ["embed", *config_arg])
+    summary = _cli(seed, ["train", *config_arg])
+    freeze = ["--set", "training.freeze_embeddings=true", "--set", f"paths.model={work / 'frozen.ssm'}"]
+    frozen = _cli(seed, ["train", *config_arg, *freeze])
     model = cs.load_model(work / "model.ssm")
     # the validation split CLI train made, from the config file it read
     cfg = cli.build_config(str(work / "cfg.json"), [])
@@ -113,14 +150,19 @@ def run_seed(seed: int, reviews: int, workdir: str) -> dict:
         "val_reviews": len(dataset),
         "val_errors_by_margin": errors,
         "test": summary["test"],
+        "frozen_val_acc": frozen["val"]["accuracy"],
+        "frozen_test_acc": frozen["test"]["accuracy"],
+        "pool_purity": _pool_purity(cs.load_embeddings(work / "emb.bin")[0], model.vocab),
     }
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=_seeds, default=_seeds("1-10"), help="e.g. 1-10 or 1,4,42")
-    ap.add_argument("--reviews", type=int, default=2000, help="corpus size")
+    ap.add_argument("--reviews", type=int, default=2000, help="corpus size, at least 1")
     args = ap.parse_args(argv)
+    if args.reviews < 1:
+        ap.error(f"--reviews must be at least 1, got {args.reviews}")
     # one BLAS thread per worker, set before the workers load numpy
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     spawn = multiprocessing.get_context("spawn")
@@ -128,8 +170,10 @@ def main(argv=None) -> int:
         n = len(args.seeds)
         with ProcessPoolExecutor(min(WORKERS, n), mp_context=spawn) as pool:
             runs = list(pool.map(run_seed, args.seeds, [args.reviews] * n, [workdir] * n))
-    accs = [r["best_val_acc"] for r in runs]
-    summary = {"min_val_acc": min(accs), "median_val_acc": statistics.median(accs)}
+    summary = {}
+    for name, key in FIGURES.items():
+        values = [r[key] for r in runs]
+        summary.update({f"min_{name}": min(values), f"median_{name}": statistics.median(values)})
     print(json.dumps({"corpus": [args.reviews, CORPUS_SEED], "runs": runs, "summary": summary}))
     return 0
 

@@ -51,6 +51,8 @@ from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
 
 _P_CLAMP = 1e-12
+# every matrix product of the LSTM: the only calls whose bits depend on the BLAS kernel and threads
+_matmul = np.matmul
 
 
 def param_shapes(hidden_size: int, input_dim: int) -> dict[str, tuple[int, ...]]:
@@ -169,7 +171,7 @@ def _cell_into(x_t, h_prev, c_prev, params: LstmParams, h, c, gates) -> None:
     # as a contiguous block, gates[k] = z @ W_k.T + b_k, whose elementwise
     # steps run faster than on column slices of a (B, 4 hidden) product
     w = params.w_gates.reshape(4, hsize, -1).swapaxes(1, 2)
-    np.matmul(z, w, out=gates)
+    _matmul(z, w, out=gates)
     gates += params.b_gates.reshape((4,) + (1,) * (z.ndim - 1) + (hsize,))
     sigmoid(gates[:3], out=gates[:3])
     np.tanh(gates[3], out=gates[3])
@@ -462,7 +464,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
 
     dlogits = (cache.ps - ys) / batch
-    grads["w_out"] += cache.h_out.T @ dlogits
+    grads["w_out"] += _matmul(cache.h_out.T, dlogits)
     grads["b_out"] += dlogits.sum()
     dh_head = dlogits[:, None] * p.w_out[None, :]
     if cache.dropout_masks is not None:
@@ -490,7 +492,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
         slot = cache.gate_rows[t * batch : (t + 1) * batch]
         slot[:n] = d_pre
         slot[n:] = 0.0
-        np.matmul(d_pre, w_h, out=dh[:n])
+        _matmul(d_pre, w_h, out=dh[:n])
 
     # c_rows now holds the hidden states that fed each step. The zero rows
     # of the rows that did not run add exact zeros below, since the states
@@ -500,10 +502,10 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     rows = t_max * batch
     d_pres = cache.gate_rows
     cache.c_rows[rows : rows + batch] = 0.0
-    grads["w_gates"][:, :hsize] = d_pres.T @ cache.c_rows[: len(d_pres)]
-    grads["w_gates"][:, hsize:] = d_pres.T @ cache.x_rows
+    grads["w_gates"][:, :hsize] = _matmul(d_pres.T, cache.c_rows[: len(d_pres)])
+    grads["w_gates"][:, hsize:] = _matmul(d_pres.T, cache.x_rows)
     grads["b_gates"] += d_pres[:rows].sum(axis=0)
-    np.matmul(d_pres[:rows], p.w_gates[:, hsize:], out=cache.x_rows[:rows])
+    _matmul(d_pres[:rows], p.w_gates[:, hsize:], out=cache.x_rows[:rows])
     grads["embeddings"] = np.zeros_like(model.embeddings.vectors)
     np.add.at(grads["embeddings"], cache.ids, cache.xs)
     grads["embeddings"][PAD_ID] = 0.0  # PAD row never trains

@@ -80,17 +80,15 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
+    def _json(self) -> str:
+        """vocab.json's text without its final newline, which content_hash hashes."""
+        return json.dumps({"min_count": self.min_count, "tokens": list(self.tokens)}, ensure_ascii=False)
+
     def content_hash(self) -> str:
-        payload = json.dumps(
-            {"min_count": self.min_count, "tokens": list(self.tokens)},
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(self._json().encode("utf-8")).hexdigest()[:16]
 
     def save(self, path: str | Path) -> None:
-        payload = {"min_count": self.min_count, "tokens": list(self.tokens)}
-        write_atomic(path, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
+        write_atomic(path, (self._json() + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -129,15 +129,20 @@ def test_json_is_parsed_only_in_files_py():
 
 def test_only_network_names_its_private_functions():
     """One home for the LSTM core: no other charsent module and no
-    script names a private function of charsent.network, so no second
-    loop over the cell, for scoring or for training, grows outside it.
+    script names a private function or module-level name of
+    charsent.network, so no second loop over the cell, for scoring or
+    for training, and no second matrix product grows outside it.
     """
     package = Path(cs.__file__).parent
     tree = ast.parse((package / "network.py").read_text(encoding="utf-8"))
-    private = {
-        node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-    }
-    assert {"_batch_inputs", "_run_cell", "_head"} <= private
+    private = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            private.add(node.name)
+        elif isinstance(node, ast.Assign):
+            private.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    private = {name for name in private if name.startswith("_")}
+    assert {"_batch_inputs", "_run_cell", "_head", "_matmul", "_EVAL_CHUNK"} <= private
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "network.py"]
     sources += sorted(scripts.glob("*.py"))
@@ -153,4 +158,30 @@ def test_only_network_names_its_private_functions():
                 name = getattr(node, "id", None)
             if name in private:
                 found.append(f"{source.parent.name}/{source.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_network_multiplies_matrices_only_through_matmul():
+    """One home for the LSTM's matrix products, the calls whose rounding
+    depends on the BLAS kernel and thread count: network.py binds
+    `_matmul = np.matmul` once and writes no other product, neither `@`
+    nor a numpy product function or method.
+    """
+    tree = ast.parse((Path(cs.__file__).parent / "network.py").read_text(encoding="utf-8"))
+    bindings = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_matmul"]
+    ]
+    assert [ast.unparse(node.value) for node in bindings] == ["np.matmul"]
+    products = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"network.py:{node.lineno}: @")
+        if node is bindings[0].value:
+            continue
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", getattr(node, "name", None))
+        if name in products:
+            found.append(f"network.py:{node.lineno}: {name}")
     assert found == []

@@ -9,7 +9,8 @@ naming the artifacts whose bytes went unchecked.
 
 A second test runs the golden run in child interpreters under each
 OpenBLAS kernel this CPU supports, at one and at two threads, and
-requires the same artifact bytes at both thread counts of a kernel.
+requires the same artifact bytes at both thread counts of a kernel and
+the same emb.bin under every kernel.
 
 After a change that moves these numbers on purpose, rewrite the file
 with `PYTHONPATH=src python3 tests/test_golden.py` and say why in the
@@ -168,8 +169,10 @@ def test_each_blas_kernel_gives_one_set_of_bits_at_one_and_two_threads():
     """The golden run writes the same artifacts at one and at two
     OpenBLAS threads under every kernel this CPU runs. Each run is a
     child interpreter, since OpenBLAS reads OPENBLAS_CORETYPE and
-    OPENBLAS_NUM_THREADS when numpy loads. Kernels are compared only
-    with themselves: they round the same products differently.
+    OPENBLAS_NUM_THREADS when numpy loads. Word2Vec's emb.bin is one set
+    of bits under every kernel too; the LSTM's model.ssm and
+    history.json are compared only within a kernel, since the kernels
+    round its matrix products differently.
     """
     if runtime_kernel() is None:
         pytest.skip("numpy's OpenBLAS does not report its kernel")
@@ -178,6 +181,7 @@ def test_each_blas_kernel_gives_one_set_of_bits_at_one_and_two_threads():
     if not kernels:
         pytest.skip("no listed OpenBLAS kernel runs on this CPU")
     pythonpath = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
+    embeddings = set()
     for kernel in kernels:
         env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": pythonpath}
         runs = [
@@ -194,6 +198,8 @@ def test_each_blas_kernel_gives_one_set_of_bits_at_one_and_two_threads():
         for run, (out, err) in zip(runs, outputs):
             assert run.returncode == 0, (kernel, err)
         assert outputs[0][0] == outputs[1][0], kernel
+        embeddings.add(json.loads(outputs[0][0])["emb.bin"])
+    assert len(embeddings) == 1, embeddings
 
 
 if __name__ == "__main__":

@@ -230,6 +230,40 @@ def test_cell_steps_only_live_rows(small_vocab, monkeypatch):
         assert sum(stepped) == sum(s.true_length for s in seqs)
 
 
+def test_every_product_runs_through_the_one_matmul(small_vocab, monkeypatch):
+    """network._matmul makes every matrix product of the LSTM, so a fake
+    put in its place sees them all: on a batch whose longest row has T
+    steps, the gate product at each step forward and in scoring, and in
+    BPTT the read-out gradient, the recurrence at each step, the two
+    weight-gradient products and the input gradient. A fake that hands
+    each call to np.matmul leaves every bit as it was.
+    """
+    model = _random_model(small_vocab, hsize=6, dim=3, seed=27)
+    pool = list("好坏中啊呀很不")
+    seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
+    ys = np.array([1.0, 0.0, 0.0, 1.0])
+    want_ps, cache = cs.forward_batch(seqs, model)
+    want_grads = cs.backward_batch(cache, ys, model)
+    want_scores = cs.predict_proba(model, seqs)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args))
+        return np.matmul(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_matmul", counting)
+    ps, cache = cs.forward_batch(seqs, model)
+    assert len(calls) == 7
+    grads = cs.backward_batch(cache, ys, model)
+    assert len(calls) == 7 + 7 + 4
+    scores = cs.predict_proba(model, seqs)
+    assert len(calls) == 7 + 11 + 7
+    assert np.array_equal(ps, want_ps) and np.array_equal(scores, want_scores)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, want_grads[name]), name
+
+
 @pytest.mark.parametrize("seed", [31, 37])
 def test_permuting_a_batch_permutes_its_probabilities(small_vocab, seed):
     """A row's probability does not depend on its position in the batch:

@@ -81,6 +81,16 @@ def test_seed_sweep_rejects_an_empty_seed_range_as_a_usage_error(capsys, seeds):
     assert err.startswith("usage: ") and "is empty" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("reviews", ["0", "-3"])
+def test_seed_sweep_rejects_fewer_than_one_review_as_a_usage_error(capsys, reviews):
+    sweep = _load_script("seed_sweep")
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(["--reviews", reviews, "--seeds", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"--reviews must be at least 1, got {reviews}" in err
+
+
 def test_seed_sweep_smoke(capsys, monkeypatch):
     # imported by name, so that the worker processes can import it too
     monkeypatch.syspath_prepend(str(SCRIPTS))
@@ -99,8 +109,20 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
         test = run["test"]
         assert set(test) == metric_keys
         assert test["tp"] + test["fp"] + test["fn"] + test["tn"] == 9
-    accs = sorted(run["best_val_acc"] for run in report["runs"])
-    assert report["summary"] == {"min_val_acc": accs[0], "median_val_acc": sum(accs) / 2}
+        # the frozen-embedding run scores the same 9 validation and 9 test reviews
+        for key in ("frozen_val_acc", "frozen_test_acc"):
+            assert 9 * run[key] == pytest.approx(round(9 * run[key]), abs=1e-9)
+        assert 0.0 <= run["pool_purity"] <= 1.0
+    summary = {}
+    for name, key in (
+        ("val_acc", "best_val_acc"),
+        ("frozen_val_acc", "frozen_val_acc"),
+        ("frozen_test_acc", "frozen_test_acc"),
+        ("pool_purity", "pool_purity"),
+    ):
+        values = sorted(run[key] for run in report["runs"])
+        summary.update({f"min_{name}": values[0], f"median_{name}": sum(values) / 2})
+    assert report["summary"] == summary
 
 
 def test_seed_sweep_scores_the_split_its_config_sets(tmp_path, monkeypatch):
