@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     try:
         matrix, tokens = cs.load_embeddings(args.embeddings)
         with located(args.embeddings):
-            # rows 0 and 1 are the reserved padding/unknown ids
+            # load_embeddings checked that rows 0 and 1 are the reserved <pad> and <unk>
             vocab = cs.Vocabulary(tokens[2:], min_count=1)
     except cs.DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

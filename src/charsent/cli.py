@@ -209,7 +209,11 @@ def _emit(payload: dict) -> None:
 
 
 def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+    """One line on stderr, never stdout; a missing or unwritable stderr loses it."""
+    try:
+        sys.stderr.write(message + "\n")
+    except (AttributeError, OSError):  # None after 2>&-; EBADF on a read-only fd 2
+        pass
 
 
 def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
@@ -330,6 +334,8 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model_path = cfg.require_path("model", "predict")
+    if not args.text and sys.stdin is None:  # as with <&-
+        raise ConfigError("predict needs --text or a standard input to read")
     model = cfg.scoring(load_model(model_path))
     if isinstance(sys.stdin, io.TextIOWrapper):
         sys.stdin.reconfigure(errors="surrogateescape")  # as argv: bad bytes become surrogates
@@ -394,10 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.config, args.overrides)
         code = _COMMANDS[args.command](cfg, args)
-        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught below
+        if sys.stdout is not None:  # None when started with stdout closed (>&-)
+            sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
         return code
     except CharsentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return _EXIT_CODES[type(exc)]
     except BrokenPipeError:
         # the reader of stdout is gone: devnull takes the rest, so the flush at exit is quiet

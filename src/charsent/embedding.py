@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError
 from .files import SIZE_LIMIT, located, read_bytes, write_atomic
 from .numerics import divergence_raises, sigmoid
 from .rng import substream
-from .tokenizer import PAD_ID, Vocabulary
+from .tokenizer import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 MIN_LEARNING_RATE = 1e-4
 NOISE_POWER = 0.75
@@ -98,8 +98,6 @@ def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
     Context is the up-to-2*window neighbors, truncated at the sequence
     edges; a one-token list has no context and gives no record.
     """
-    if window < 1:
-        raise ConfigError("window must be >= 1")
     ids = list(ids)  # slices of a list concatenate; an array's would add
     if len(ids) < 2:
         return []
@@ -109,20 +107,6 @@ def extract_windows(ids, window: int) -> list[tuple[int, list[int]]]:
         (center, ids[lo:pos] + ids[pos + 1 : pos + window + 1])
         for (pos, center), lo in zip(enumerate(ids), starts)
     ]
-
-
-def _example_count(n: int, mode: str, window: int) -> int:
-    """Examples per epoch from a text of n tokens, in closed form. Every
-    position of a text of two or more tokens is one CBOW example; each
-    ordered pair of positions at distance 1..window is one skip-gram
-    example, 2 * (n - k) of them at distance k.
-    """
-    if n < 2:
-        return 0
-    if mode == "cbow":
-        return n
-    m = min(window, n - 1)
-    return 2 * m * n - m * (m + 1)
 
 
 def _objective(context_ids, center_id, negative_ids, vectors, context_vectors):
@@ -297,11 +281,11 @@ def train_embeddings(
     chosen mode, windows in corpus order, negatives drawn from
     unigram^(3/4), with the learning rate decaying linearly per example
     step toward MIN_LEARNING_RATE, which it would reach at `epochs` times
-    the example count of the texts as given. Subsampling drops examples
-    but not that count, so a subsampled run stops above the floor (2
-    CBOW epochs over generate_corpus(400, 42) end at 1.0e-4 unsampled,
-    3.0e-3 at t=1e-2 and 1.8e-2 at t=1e-3). Each pass builds one text's
-    windows at a time.
+    the example count of the texts as given, which a walk of their
+    windows counts first. Subsampling drops examples but not that count,
+    so a subsampled run stops above the floor (2 CBOW epochs over
+    generate_corpus(400, 42) end at 1.0e-4 unsampled, 3.0e-3 at t=1e-2
+    and 1.8e-2 at t=1e-3). Each pass builds one text's windows at a time.
     Returns the input-side matrix and each epoch's mean example loss;
     the output-side matrix starts at zero and is dropped on return.
     Sequences with no window at all (no token with a neighbor), or an
@@ -310,7 +294,7 @@ def train_embeddings(
     stops the run with NumericalError.
     """
     counts = token_counts(sequences, len(vocab))
-    per_epoch = sum(_example_count(len(seq), config.mode, config.window) for seq in sequences)
+    per_epoch = sum(1 for _ in _examples(sequences, config.mode, config.window))
     if per_epoch == 0:
         raise DataError(
             f"cannot train embeddings: no token has a neighbor within window {config.window}"
@@ -394,8 +378,8 @@ def save_embeddings(matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
     """Read a W2V1 file; returns the matrix and the token list in id
-    order for validation by the caller. The file must end exactly after
-    its last row.
+    order for validation by the caller. Rows 0 and 1 must be PAD and
+    UNK, and the file must end exactly after its last row.
     """
     path = Path(path)
     blob = read_bytes(path, "embedding file")
@@ -434,5 +418,7 @@ def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
         # checked before the cast, which warns on a signaling NaN
         if not np.isfinite(stored).all():
             raise DataError("embedding matrix contains non-finite entries")
+        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise DataError(f"embedding rows 0 and 1 must be {PAD_TOKEN} and {UNK_TOKEN}, got {tokens[:2]}")
         matrix = EmbeddingMatrix(vectors=stored.astype(np.float64), vocab_hash=vocab_hash)
     return matrix, tokens

@@ -40,7 +40,9 @@ class Vocabulary:
     """What vocab.json holds: the real tokens, which get ids 2.. in
     order, and the min_count they were kept at. PAD=0 and UNK=1 are
     always present. DataError unless min_count is an integer >= 1 and
-    the tokens are a list or tuple of distinct strings, not PAD or UNK.
+    the tokens are a list or tuple of distinct strings, not PAD or UNK,
+    that hold no whitespace (segment_chars drops it, and a W2V1 row's
+    token ends at its first space).
 
     build_vocab orders the tokens by descending corpus frequency, ties
     broken by codepoint order, so a rebuild from the same corpus is
@@ -63,6 +65,8 @@ class Vocabulary:
             raise DataError("vocabulary 'tokens' must all be strings")
         if PAD_TOKEN in tokens or UNK_TOKEN in tokens:
             raise DataError(f"vocabulary tokens may not include {PAD_TOKEN} or {UNK_TOKEN}")
+        if any(ch.isspace() for token in tokens for ch in token):
+            raise DataError("vocabulary tokens may not hold whitespace")
         id_to_token = (PAD_TOKEN, UNK_TOKEN, *tokens)
         token_to_id = {t: i for i, t in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):

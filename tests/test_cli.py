@@ -510,6 +510,50 @@ def test_pipeline_predict_into_a_closed_stdout_exits_0_quietly(pipeline, tmp_pat
     assert (code, errors.read_text(encoding="utf-8")) == (0, "")
 
 
+def _run_with_a_standard_stream(pipeline, argv, closed=None, **streams):
+    """Run the CLI in a fresh interpreter with the standard stream
+    `closed` (0, 1 or 2) closed, as `<&-`, `>&-` or `2>&-` leave it, or
+    with `streams` in place of the captured ones; returns (exit code,
+    stdout, stderr), "" for a stream not captured.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "charsent.cli", *argv, "--config", str(pipeline / "cfg.json")],
+        **{"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+        preexec_fn=None if closed is None else lambda: os.close(closed),
+        env=env,
+        timeout=120,
+    )
+    return done.returncode, (done.stdout or b"").decode(), (done.stderr or b"").decode()
+
+
+def test_predict_without_text_or_stdin_is_a_usage_error(pipeline):
+    code, out, err = _run_with_a_standard_stream(pipeline, ["predict"], closed=0)
+    assert (code, out) == (2, "")
+    assert err == "error: predict needs --text or a standard input to read\n"
+
+
+def test_evaluate_into_a_closed_stdout_exits_0_quietly(pipeline):
+    assert _run_with_a_standard_stream(pipeline, ["evaluate"], closed=1) == (0, "", "")
+
+
+def test_train_with_stderr_closed_writes_only_its_summary_to_stdout(pipeline, tmp_path):
+    paths = ["--set", f"paths.model={tmp_path / 'model.ssm'}",
+             "--set", f"paths.history={tmp_path / 'history.json'}"]
+    code, out, _ = _run_with_a_standard_stream(pipeline, ["train", *paths], closed=2)
+    assert code == 0
+    assert len(out.splitlines()) == 1 and "best_epoch" in json.loads(out)
+
+
+def test_an_error_line_stderr_cannot_take_is_lost_and_keeps_exit_3(pipeline, tmp_path):
+    argv = ["evaluate", "--set", f"paths.model={tmp_path / 'missing.ssm'}"]
+    assert _run_with_a_standard_stream(pipeline, argv, closed=2) == (3, "", "")
+    # a stderr that is open but not writable, as the read-only fd 2 that
+    # some launcher scripts leave behind: each write fails with EBADF
+    with open(os.devnull, "rb") as unwritable:
+        assert _run_with_a_standard_stream(pipeline, argv, stderr=unwritable) == (3, "", "")
+
+
 def test_prelabel_empty_corpus_succeeds(tmp_path, capsys):
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     code, out = _run(
@@ -639,6 +683,24 @@ def test_train_with_embeddings_for_other_tokens_exits_3(pipeline, tmp_path, caps
     )
     assert code == 3
     assert f"error: {swapped}: embedding tokens do not match the vocabulary" in capsys.readouterr().err
+
+
+def test_train_with_embeddings_without_pad_and_unk_rows_exits_3(pipeline, tmp_path, capsys):
+    # the real tokens, with the header's size, but no <pad> and <unk> rows
+    blob = (pipeline / "emb.bin").read_bytes()
+    header, _, rows = blob.partition(b"\n")
+    magic, size, dim, vocab_hash = header.split(b" ")
+    row_bytes = 4 * int(dim) + 2
+    rows = rows[rows.index(b" ") + row_bytes :]  # drop <pad>
+    rows = rows[rows.index(b" ") + row_bytes :]  # and <unk>
+    edited = tmp_path / "edited.bin"
+    edited.write_bytes(b" ".join([magic, b"%d" % (int(size) - 2), dim, vocab_hash]) + b"\n" + rows)
+    code = cli.main(
+        ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={edited}"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {edited}: embedding rows 0 and 1 must be <pad> and <unk>, got ")
 
 
 def test_evaluate_output_is_reproducible(pipeline, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import charsent as cs
@@ -15,7 +15,6 @@ from charsent.embedding import (
     SAMPLE_BLOCK,
     EmbeddingMatrix,
     NegativeSampler,
-    _example_count,
     _keep_probabilities,
     cbow_gradients,
     cbow_step,
@@ -464,15 +463,6 @@ def test_subsampling_draws_each_texts_uniforms_in_one_call(mode, monkeypatch):
     assert losses == plain_losses
 
 
-@pytest.mark.parametrize("mode", ["cbow", "skipgram"])
-def test_example_count_is_the_number_of_enumerated_examples(mode):
-    for window in range(1, 8):
-        for n in range(16):
-            windows = extract_windows(list(range(2, n + 2)), window)
-            want = len(windows) if mode == "cbow" else sum(len(context) for _, context in windows)
-            assert _example_count(n, mode, window) == want, (window, n)
-
-
 def test_training_memory_does_not_grow_with_the_windows():
     """One epoch holds one text's windows at a time, so beyond its inputs
     the peak traced memory grows by at most about 32 bytes per token; a
@@ -576,6 +566,28 @@ def test_embeddings_roundtrip(tmp_path):
     assert back.vocab_hash == vocab.content_hash()
     # float32 write: loading must reproduce the quantized values exactly
     assert np.array_equal(back.vectors, matrix.vectors.astype("<f4").astype(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=3), max_size=6))
+def test_every_admitted_vocabulary_round_trips_through_w2v1(tmp_path_factory, tokens):
+    try:
+        vocab = cs.Vocabulary(tokens, 1)
+    except DataError:
+        reject()
+    path = tmp_path_factory.mktemp("w2v1") / "emb.bin"
+    cs.save_embeddings(init_embedding_matrix(vocab, dim=1, seed=0), vocab, path)
+    _, back = cs.load_embeddings(path)
+    assert tuple(back) == vocab.id_to_token
+
+
+def test_load_embeddings_refuses_a_file_without_pad_and_unk_first(tmp_path):
+    rows = (t.encode("utf-8") + b" " + bytes(8) + b"\n" for t in "甲乙丙丁")
+    path = tmp_path / "emb.bin"
+    path.write_bytes(b"W2V1 4 2 h\n" + b"".join(rows))
+    with pytest.raises(DataError) as err:
+        cs.load_embeddings(path)
+    assert str(err.value) == f"{path}: embedding rows 0 and 1 must be <pad> and <unk>, got ['甲', '乙']"
 
 
 def test_load_embeddings_bad_magic(tmp_path):

@@ -55,8 +55,8 @@ def _w2v1(tokens: list[str]) -> bytes:
 
 @pytest.mark.parametrize(
     "blob",
-    [None, b"W2V1 3 2 abc\n<pad> ", _w2v1(["<pad>", "<unk>", "好", "好"])],
-    ids=["missing", "truncated", "duplicate-token"],
+    [None, b"W2V1 3 2 abc\n<pad> ", _w2v1(["<pad>", "<unk>", "好", "好"]), _w2v1(list("甲乙丙丁"))],
+    ids=["missing", "truncated", "duplicate-token", "no-reserved-rows"],
 )
 def test_inspect_neighbors_reports_a_bad_embeddings_file_as_a_data_error(tmp_path, capsys, blob):
     path = tmp_path / "emb.bin"

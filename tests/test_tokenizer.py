@@ -135,6 +135,9 @@ def test_vocab_roundtrip_and_hash(tmp_path):
         (["好"], 0, "min_count"),
         (["好"], True, "min_count"),
         (["好"], 1.5, "min_count"),
+        (["a b", "c"], 1, "whitespace"),
+        ([" ", "c"], 1, "whitespace"),
+        (["好\u3000"], 1, "whitespace"),
     ],
 )
 def test_vocab_constructor_checks_its_rules(tokens, min_count, match):
