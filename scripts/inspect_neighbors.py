@@ -2,7 +2,9 @@
 """Print nearest neighbors of probe characters in an embedding space.
 
 Loads an embedding file as written by CLI `embed`. A missing or
-malformed file prints one `error:` line and exits 3, as the CLI does.
+malformed file writes one `error:` line with the CLI's diagnostic writer
+(stderr only, lost if stderr is closed or unwritable) and exits 3, as
+the CLI does.
 
 Usage:
     python3 scripts/inspect_neighbors.py --embeddings runs/emb.bin --queries 好坏
@@ -17,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import charsent as cs
+from charsent.cli import note
 from charsent.files import located
 
 
@@ -39,7 +42,7 @@ def main(argv=None) -> int:
             # load_embeddings checked that rows 0 and 1 are the reserved <pad> and <unk>
             vocab = cs.Vocabulary(tokens[2:], min_count=1)
     except cs.DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        note(f"error: {exc}")
         return 3  # the CLI's data-error code
 
     for ch in args.queries:

@@ -53,6 +53,11 @@ from .training import (
 
 @dataclass(frozen=True)
 class PathsConfig:
+    """Each path is null or one the system can take: os.fsencode encodes
+    it (an undecodable argv byte, a surrogate escape, stays that byte)
+    and it holds no NUL.
+    """
+
     corpus: str | None = None
     lexicon: str | None = None
     labeled: str | None = None
@@ -60,6 +65,15 @@ class PathsConfig:
     embeddings: str | None = None
     model: str | None = None
     history: str | None = None
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            try:
+                refused = value is not None and b"\0" in os.fsencode(value)
+            except UnicodeEncodeError:  # a lone surrogate outside the escapes
+                refused = True
+            if refused:
+                raise ConfigError(f"{key} is not a path the system can take: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +222,10 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
-def _note(message: str) -> None:
-    """One line on stderr, never stdout; a missing or unwritable stderr loses it."""
+def note(message: str) -> None:
+    """One line on stderr, never stdout; a missing or unwritable stderr
+    loses it. The one diagnostic writer of the CLI and the scripts.
+    """
     try:
         sys.stderr.write(message + "\n")
     except (AttributeError, OSError):  # None after 2>&-; EBADF on a read-only fd 2
@@ -222,7 +238,7 @@ def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     lexicon_path = cfg.paths.lexicon
     if lexicon_path is None:
         lexicon_path = sample_lexicon_path()
-        _note(f"no lexicon configured, using bundled sample: {lexicon_path}")
+        note(f"no lexicon configured, using bundled sample: {lexicon_path}")
     lexicon = load_lexicon(lexicon_path)
     corpus = load_corpus(corpus_path)
     cleaned, dropped = clean_corpus(corpus)
@@ -296,7 +312,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     params = init_lstm_params(cfg.network.hidden_size, embeddings.dim, cfg.seed)
     model = cfg.scoring(Model(vocab=vocab, embeddings=embeddings, params=params, max_len=max_len))
-    _note(
+    note(
         f"training on {len(train_set)} reviews, validating on {len(val_set)}, "
         f"h={cfg.network.hidden_size}, d={embeddings.dim}"
     )
@@ -404,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
         return code
     except CharsentError as exc:
-        _note(f"error: {exc}")
+        note(f"error: {exc}")
         return _EXIT_CODES[type(exc)]
     except BrokenPipeError:
         # the reader of stdout is gone: devnull takes the rest, so the flush at exit is quiet

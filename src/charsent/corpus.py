@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import json_lines, located, read_text, write_atomic
+from .files import check_string, json_lines, located, read_text, write_atomic
 from .rng import substream
 from .tokenizer import segment_chars
 
@@ -40,21 +40,11 @@ class Review:
     source_id: str | None = None
 
     def __post_init__(self):
-        _check_string("text", self.text)
+        check_string("text", self.text)
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise DataError(f"label must be the integer 0 or 1, got {self.label!r}")
         if self.source_id is not None:
-            _check_string("source_id", self.source_id)
-
-
-def _check_string(name: str, value) -> None:
-    """Raise DataError unless `value` is a string that UTF-8 can encode."""
-    if not isinstance(value, str):
-        raise DataError(f"{name} must be a string, not {type(value).__name__}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise DataError(f"{name} is not valid Unicode (a lone surrogate at index {exc.start})") from None
+            check_string("source_id", self.source_id)
 
 
 @dataclass

@@ -26,6 +26,19 @@ from .errors import CharsentError, DataError
 SIZE_LIMIT = 2**31
 
 
+def check_string(name: str, value) -> None:
+    """Raise DataError unless `value` is a string that UTF-8 can encode,
+    as every text the pipeline writes must be: a lone surrogate, which a
+    JSON `\\ud800` escape gives, cannot be written.
+    """
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, not {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{name} is not valid Unicode (a lone surrogate at index {exc.start})") from None
+
+
 def read_bytes(path: Path, what: str, error: type[CharsentError] = DataError) -> bytes:
     """The bytes of the file `what` at `path`, or `error` if it cannot
     be read (missing, a directory, no permission).

@@ -265,8 +265,9 @@ class BatchCache:
     only BPTT writes row t B + k as sorted row k's gate gradients,
     stacked f, i, o, c. `xs`, `cs` and `gates` show the same memory by
     step. Only a step's live rows are written: the state and gate rows
-    of a row past its end stay zero. `dropout_masks`, `h_out` (the final
-    hidden states times the masks) and `ps` are in input order.
+    of a row past its end stay zero. `dropout_masks` (ones for no
+    dropout), `h_out` (the final hidden states times the masks) and `ps`
+    are in input order.
     backward_batch overwrites the gates and inputs with their gradients
     and each cell state c_t with h_t = o_t * tanh(c_t), zeroes slot T
     and marks the cache spent.
@@ -278,7 +279,7 @@ class BatchCache:
     x_rows: np.ndarray
     c_rows: np.ndarray
     gate_rows: np.ndarray
-    dropout_masks: np.ndarray | None
+    dropout_masks: np.ndarray
     h_out: np.ndarray
     ps: np.ndarray
     spent: bool = False
@@ -370,7 +371,7 @@ def _head(h_out: np.ndarray, params: LstmParams) -> np.ndarray:
 def forward_batch(
     sequences: list[TokenSequence],
     model: Model,
-    dropout_masks: np.ndarray | None = None,
+    dropout_masks: np.ndarray,
 ) -> tuple[np.ndarray, BatchCache]:
     """Run the cell over the batch from zero state and classify each
     row's hidden state at its own last step, keeping every step's
@@ -378,12 +379,12 @@ def forward_batch(
     runs only the rows that have not ended, so padding is never stepped
     and cannot change a probability; the head reads the rows back in
     input order, and a row's probability does not depend on where it
-    sits in the batch. The dropout masks, when given (training only),
-    multiply the final hidden states.
+    sits in the batch. The dropout masks (B, hidden), in input order,
+    multiply the final hidden states; ones for no dropout.
     """
     order, lengths, ids = _batch_inputs(sequences)
     x_rows, c_rows, gate_rows, h_final = _run_cell(ids, lengths, order, model, len(ids) + 1)
-    h_out = h_final if dropout_masks is None else h_final * dropout_masks
+    h_out = h_final * dropout_masks
     ps = _head(h_out, model.params)
     cache = BatchCache(
         order=order,
@@ -466,10 +467,7 @@ def backward_batch(cache: BatchCache, ys: np.ndarray, model: Model) -> dict[str,
     dlogits = (cache.ps - ys) / batch
     grads["w_out"] += _matmul(cache.h_out.T, dlogits)
     grads["b_out"] += dlogits.sum()
-    dh_head = dlogits[:, None] * p.w_out[None, :]
-    if cache.dropout_masks is not None:
-        dh_head = dh_head * cache.dropout_masks
-    dh_head = dh_head[cache.order]
+    dh_head = (dlogits[:, None] * p.w_out[None, :] * cache.dropout_masks)[cache.order]
     live = _live_rows(cache.lengths)
     w_h = p.w_gates[:, :hsize]
     dh = np.zeros((batch, hsize))
@@ -520,10 +518,10 @@ def backward(cache: BatchCache, y: int, model: Model) -> dict[str, np.ndarray]:
 
 
 def sequence_forward(seq: TokenSequence, model: Model) -> tuple[float, BatchCache]:
-    """forward_batch on a batch of one, without dropout: the probability
-    of `seq` and the cache of its pass.
+    """forward_batch on a batch of one with masks of ones (no dropout):
+    the probability of `seq` and the cache of its pass.
     """
-    ps, cache = forward_batch([seq], model)
+    ps, cache = forward_batch([seq], model, np.ones((1, model.params.hidden_size)))
     return float(ps[0]), cache
 
 

@@ -17,7 +17,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .files import located, parse_json, read_text, write_atomic
+from .files import check_string, located, parse_json, read_text, write_atomic
 
 PAD_ID = 0
 UNK_ID = 1
@@ -40,9 +40,10 @@ class Vocabulary:
     """What vocab.json holds: the real tokens, which get ids 2.. in
     order, and the min_count they were kept at. PAD=0 and UNK=1 are
     always present. DataError unless min_count is an integer >= 1 and
-    the tokens are a list or tuple of distinct strings, not PAD or UNK,
-    that hold no whitespace (segment_chars drops it, and a W2V1 row's
-    token ends at its first space).
+    the tokens are a list or tuple of distinct strings that UTF-8 can
+    encode (vocab.json and a W2V1 file hold them as UTF-8), not PAD or
+    UNK, that hold no whitespace (segment_chars drops it, and a W2V1
+    row's token ends at its first space).
 
     build_vocab orders the tokens by descending corpus frequency, ties
     broken by codepoint order, so a rebuild from the same corpus is
@@ -63,6 +64,8 @@ class Vocabulary:
         tokens = tuple(self.tokens)
         if not all(isinstance(t, str) for t in tokens):
             raise DataError("vocabulary 'tokens' must all be strings")
+        for token in tokens:
+            check_string("vocabulary token", token)
         if PAD_TOKEN in tokens or UNK_TOKEN in tokens:
             raise DataError(f"vocabulary tokens may not include {PAD_TOKEN} or {UNK_TOKEN}")
         if any(ch.isspace() for token in tokens for ch in token):

@@ -6,6 +6,11 @@ import charsent as cs
 from charsent.embedding import init_embedding_matrix
 
 
+def no_dropout(sequences, model):
+    """forward_batch's dropout masks for no dropout: ones, one row per sequence."""
+    return np.ones((len(sequences), model.params.hidden_size))
+
+
 def make_model(vocab, hidden_size=6, dim=8, max_len=60, seed=3, scale=None):
     """Small model with seeded random embeddings; scale bumps the
     embedding magnitudes so gradients are not vanishingly small.

@@ -1085,3 +1085,51 @@ def test_diverging_training_exits_4_and_writes_nothing(pipeline, tmp_path):
     assert "error: training diverged at epoch 1: " in err
     assert "Warning" not in err and "NaN" not in out and "Infinity" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("embed", "vocab", "\\ud800.json"),
+        ("evaluate", "model", "\\ud800.ssm"),
+        ("evaluate", "model", "a\\u0000b.ssm"),
+        ("predict", "model", "\\udfff.ssm"),
+        ("prelabel", "lexicon", "\\ud800.json"),
+        ("prelabel", "labeled", "a\\u0000b.jsonl"),
+    ],
+)
+def test_a_config_path_the_system_cannot_take_exits_2(
+    pipeline, tmp_path, capsys, monkeypatch, command, key, value
+):
+    """A path os.fsencode cannot encode (a lone surrogate from a JSON
+    escape) or holding a NUL is refused when the config is read, before
+    any stage runs or writes.
+    """
+    monkeypatch.setattr(cli, "train_embeddings", lambda *a: pytest.fail("word2vec ran"))
+    argv = [command, "--config", str(pipeline / "cfg.json"),
+            "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
+            "--set", f'paths.{key}="{tmp_path}/{value}"',
+            *(["--text", "好"] if command == "predict" else [])]
+    assert cli.main(argv) == 2
+    refused = json.loads(f'"{tmp_path}/{value}"')
+    assert capsys.readouterr().err == f"error: paths.{key} is not a path the system can take: {refused!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_file_path_holding_a_nul_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"paths": {"model": "a\0b.ssm"}}), encoding="utf-8")
+    assert cli.main(["evaluate", "--config", str(path), "--set", "paths.labeled=x.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: paths.model is not a path the system can take: 'a\\x00b.ssm'\n"
+
+
+def test_an_undecodable_argv_byte_in_a_path_is_still_a_path(tmp_path):
+    """Such a byte arrives as a surrogate escape, which os.fsencode turns
+    back into the byte: the path is taken, and a missing file exits 3.
+    """
+    code, out, err = _diverging_run(
+        ["predict", "--set", b"paths.model=" + bytes(tmp_path) + b"/x\xff.ssm", "--text", "好"]
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("x\\udcff.ssm: model file not found\n")

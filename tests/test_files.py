@@ -185,3 +185,32 @@ def test_network_multiplies_matrices_only_through_matmul():
         if name in products:
             found.append(f"network.py:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_the_cli_note_writes_to_stderr():
+    """One diagnostic writer: no charsent module and no script names
+    sys.stderr, as `print(..., file=sys.stderr)` and `sys.stderr.write`
+    do, outside cli.note, which writes to stderr alone and never falls
+    back to stdout when stderr is closed.
+    """
+    package = Path(cs.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    sources = sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))
+    assert any(p.parent == scripts for p in sources)
+    found, in_note = [], []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        note = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "note"]
+        exempt = {id(n) for n in ast.walk(note[0])} if source.name == "cli.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__"):
+                hit = ast.unparse(node) in ("sys.stderr", "sys.__stderr__")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                hit = any(alias.name in ("stderr", "__stderr__") for alias in node.names)
+            else:
+                continue
+            if hit:
+                where = f"{source.parent.name}/{source.name}:{node.lineno}"
+                (in_note if id(node) in exempt else found).append(where)
+    assert found == []
+    assert len(in_note) == 1  # the writer itself

@@ -17,6 +17,7 @@ from charsent import network
 from charsent.network import LstmParams
 from charsent.tokenizer import PAD_ID, TokenSequence
 
+from helpers import no_dropout
 from oracles import lstm_sequence_ref, params_to_lists, sigmoid_ref
 
 
@@ -133,7 +134,7 @@ def test_cell_state_decomposition_exact(small_vocab):
     model = _random_model(small_vocab, hsize=6, dim=3, seed=9)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
-    _, cache = cs.forward_batch(seqs, model)
+    _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     assert cache.order.tolist() == [0, 3, 1, 2]
     assert cache.lengths.tolist() == [7, 4, 2, 1]
     assert cache.cs.shape == (8, 4, 6)  # zero start state, then 7 steps
@@ -161,7 +162,7 @@ def test_batch_id_matrix_is_time_major_with_pad_past_each_row_end(small_vocab):
     model = _random_model(small_vocab, hsize=2, dim=3, seed=5)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (3, 7, 1, 7, 4)]
-    _, cache = cs.forward_batch(seqs, model)
+    _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     want = np.full((7, len(seqs)), PAD_ID, dtype=np.int64)
     for k, b in enumerate(cache.order):
         want[: cache.lengths[k], k] = seqs[b].ids
@@ -183,7 +184,7 @@ def test_cell_forward_equals_the_cache_rows(small_vocab):
     model = _random_model(small_vocab, hsize=6, dim=3, seed=23)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
-    _, batch = cs.forward_batch(seqs, model)
+    _, batch = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     _, single = cs.sequence_forward(seqs[0], model)
     for cache in (batch, single):
         one = cache is single  # 1-D rows
@@ -223,7 +224,10 @@ def test_cell_steps_only_live_rows(small_vocab, monkeypatch):
         real(x_t, *rest)
 
     monkeypatch.setattr(network, "_cell_into", counting)
-    for run in (lambda: cs.forward_batch(seqs, model), lambda: cs.predict_proba(model, seqs)):
+    for run in (
+        lambda: cs.forward_batch(seqs, model, no_dropout(seqs, model)),
+        lambda: cs.predict_proba(model, seqs),
+    ):
         stepped.clear()
         run()
         assert stepped == [4, 3, 2, 2, 1, 1, 1]
@@ -242,7 +246,7 @@ def test_every_product_runs_through_the_one_matmul(small_vocab, monkeypatch):
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 2, 1, 4)]
     ys = np.array([1.0, 0.0, 0.0, 1.0])
-    want_ps, cache = cs.forward_batch(seqs, model)
+    want_ps, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     want_grads = cs.backward_batch(cache, ys, model)
     want_scores = cs.predict_proba(model, seqs)
     calls = []
@@ -252,7 +256,7 @@ def test_every_product_runs_through_the_one_matmul(small_vocab, monkeypatch):
         return np.matmul(*args, **kwargs)
 
     monkeypatch.setattr(network, "_matmul", counting)
-    ps, cache = cs.forward_batch(seqs, model)
+    ps, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     assert len(calls) == 7
     grads = cs.backward_batch(cache, ys, model)
     assert len(calls) == 7 + 7 + 4
@@ -279,7 +283,10 @@ def test_permuting_a_batch_permutes_its_probabilities(small_vocab, seed):
     seqs = [cs.encode(pool[k % 3 :][:n], small_vocab, max_len=10) for k, n in enumerate(lengths)]
     perm = rng.permutation(len(seqs))
     shuffled = [seqs[i] for i in perm]
-    for run in (lambda s: cs.forward_batch(s, model)[0], lambda s: cs.predict_proba(model, s)):
+    for run in (
+        lambda s: cs.forward_batch(s, model, no_dropout(s, model))[0],
+        lambda s: cs.predict_proba(model, s),
+    ):
         assert np.array_equal(run(shuffled), run(seqs)[perm])
 
 
@@ -294,7 +301,7 @@ def test_predict_proba_equals_forward_batch_bit_for_bit(small_vocab):
     mixed = [cs.encode(pool[:n], small_vocab, max_len=10) for n in (10, 1, 4, 10, 2, 7, 1, 5)]
     equal = [cs.encode(pool[k : k + 6], small_vocab, max_len=10) for k in range(4)]
     for seqs in (mixed, mixed[2:3], equal):
-        want, _ = cs.forward_batch(seqs, model)
+        want, _ = cs.forward_batch(seqs, model, no_dropout(seqs, model))
         assert np.array_equal(cs.predict_proba(model, seqs), want)
 
 
@@ -365,7 +372,7 @@ def test_forward_and_scoring_reject_an_id_outside_the_vocabulary(small_vocab, pa
     good = cs.encode(list("好坏"), small_vocab, max_len=4)
     bad = TokenSequence(ids=(1, len(small_vocab) if past_end else -1))
     with pytest.raises(DataError, match="outside"):
-        cs.forward_batch([good, bad], model)
+        cs.forward_batch([good, bad], model, no_dropout([good, bad], model))
     with pytest.raises(DataError, match="outside"):
         cs.predict_proba(model, [good, bad])
 
@@ -396,7 +403,7 @@ def test_batch_forward_matches_per_example(seed, lengths):
     model = _random_model(vocab, hsize=5, dim=4, seed=seed, max_len=9)
     pool = list("好坏中啊呀很不太还")
     seqs = [cs.encode(pool[:n], vocab, max_len=9) for n in lengths]
-    ps_batch, cache = cs.forward_batch(seqs, model)
+    ps_batch, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     params = params_to_lists(model.params)
     for row, (seq, pb) in enumerate(zip(seqs, ps_batch, strict=True)):
         p1, _ = cs.sequence_forward(seq, model)
@@ -485,7 +492,7 @@ def test_bptt_products_meet_only_zero_rows_past_the_steps(small_vocab):
     model = _random_model(small_vocab, hsize=5, dim=3, seed=29)
     pool = list("好坏中啊呀很不")
     seqs = [cs.encode(pool[:n], small_vocab, max_len=8) for n in (7, 3, 5)]
-    _, cache = cs.forward_batch(seqs, model)
+    _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     steps = 7 * 3
     assert len(cache.x_rows) == len(cache.gate_rows) == len(cache.c_rows) == 32
     assert np.array_equal(cache.x_rows[:steps], model.embeddings.vectors[cache.ids.ravel()])
@@ -510,7 +517,7 @@ embeddings = cs.embedding.init_embedding_matrix(vocab, 16, seed=1)
 model = cs.Model(
     vocab=vocab, embeddings=embeddings, params=cs.init_lstm_params(32, 16, seed=1), max_len=60
 )
-_, cache = cs.forward_batch(seqs, model)
+_, cache = cs.forward_batch(seqs, model, np.ones((24, 32)))
 assert cache.ids.size % 32 != 0  # T B = 59 * 24
 grads = cs.backward_batch(cache, np.arange(24) % 2.0, model)
 print(hashlib.sha256(b"".join(grads[k].tobytes() for k in sorted(grads))).hexdigest())

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -69,6 +72,25 @@ def test_inspect_neighbors_reports_a_bad_embeddings_file_as_a_data_error(tmp_pat
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_inspect_neighbors_error_line_never_reaches_stdout(tmp_path, stderr):
+    """With stderr closed (`2>&-`) or open read-only, as some launcher
+    scripts leave fd 2, the error line is lost and the exit code stays 3.
+    """
+    missing = tmp_path / "missing.bin"
+    argv = [sys.executable, str(SCRIPTS / "inspect_neighbors.py"), "--embeddings", str(missing)]
+    with open(os.devnull, "rb") as unwritable:
+        done = subprocess.run(
+            argv,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=unwritable if stderr == "read-only" else None,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+            timeout=60,
+        )
+    assert (done.returncode, done.stdout) == (3, b"")
 
 
 @pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])

@@ -138,6 +138,7 @@ def test_vocab_roundtrip_and_hash(tmp_path):
         (["a b", "c"], 1, "whitespace"),
         ([" ", "c"], 1, "whitespace"),
         (["好\u3000"], 1, "whitespace"),
+        (["好", "a\ud800"], 1, "vocabulary token is not valid Unicode .* at index 1"),
     ],
 )
 def test_vocab_constructor_checks_its_rules(tokens, min_count, match):

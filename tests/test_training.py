@@ -21,7 +21,7 @@ from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
 from charsent.training import AdamState
 
-from helpers import make_model
+from helpers import make_model, no_dropout
 from oracles import (
     adam_trace_ref,
     bce_ref,
@@ -157,7 +157,7 @@ def test_backward_batch_exact_beside_a_long_ended_row():
     seqs = [cs.encode(pool[:n], model.vocab, 48) for n in (1, 45)]
     assert [s.true_length for s in seqs] == [1, 45]
     ys = np.array([1.0, 0.0])
-    _, bcache = cs.forward_batch(seqs, model)
+    _, bcache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     assert bcache.order.tolist() == [1, 0]  # the long row runs first
     assert np.abs(bcache.cs[45, 0]).max() > 5.0 * np.abs(bcache.cs[1, 0]).max()
     assert np.array_equal(bcache.cs[2:, 1], np.zeros_like(bcache.cs[2:, 1]))
@@ -181,7 +181,7 @@ def test_backward_batch_consumes_its_cache():
     model, dataset = _grad_setup(seed=4)
     seqs = [s for s, _ in dataset[:5]]
     ys = np.array([float(y) for _, y in dataset[:5]])
-    _, cache = cs.forward_batch(seqs, model)
+    _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     cs.backward_batch(cache, ys, model)
     with pytest.raises(DataError):
         cs.backward_batch(cache, ys, model)
@@ -249,7 +249,7 @@ def test_backward_zero_params_gives_readout_residual():
     # PAD's row is exactly +0.0 on a mixed-length batch, whose padding BPTT meets
     seqs = [s for s, _ in dataset]
     assert len({s.true_length for s in seqs}) > 1
-    _, cache = cs.forward_batch(seqs, model)
+    _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
     grads = cs.backward_batch(cache, np.array([float(y) for _, y in dataset]), model)
     assert np.all(grads["embeddings"][PAD_ID] == 0.0)
     assert not np.signbit(grads["embeddings"][PAD_ID]).any()
@@ -271,11 +271,11 @@ def test_one_small_adam_step_does_not_increase_batch_loss():
         ys = np.array([float(y) for _, y in dataset])
 
         def batch_loss():
-            ps, _ = cs.forward_batch(seqs, model)
+            ps, _ = cs.forward_batch(seqs, model, no_dropout(seqs, model))
             return float(np.mean([cs.bce_loss(p, y) for p, y in zip(ps, ys)]))
 
         before = batch_loss()
-        _, cache = cs.forward_batch(seqs, model)
+        _, cache = cs.forward_batch(seqs, model, no_dropout(seqs, model))
         grads = cs.backward_batch(cache, ys, model)
         tensors = dict(model.params.tensors())
         tensors["embeddings"] = model.embeddings.vectors
@@ -402,7 +402,7 @@ def test_predict_proba_matches_single_forward_in_input_order():
     ps = training.predict_proba(model, seqs)
     assert ps.shape == (len(seqs),)
     for i, seq in enumerate(seqs):
-        p1, _ = cs.forward_batch([seq], model)
+        p1, _ = cs.forward_batch([seq], model, no_dropout([seq], model))
         assert abs(ps[i] - p1[0]) < 1e-12
 
 
