@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Print nearest neighbors of probe characters in an embedding space.
 
-Loads an embedding file as written by CLI `embed`. A missing or
-malformed file writes one `error:` line with the CLI's diagnostic writer
-(stderr only, lost if stderr is closed or unwritable) and exits 3, as
-the CLI does.
+Loads an embedding file as written by CLI `embed` and ends as the CLI
+does (`cli.run`): a missing or malformed file is one `error:` line on
+stderr only and exit 3, and a reader of stdout that goes away ends it with 0.
 
 Usage:
     python3 scripts/inspect_neighbors.py --embeddings runs/emb.bin --queries 好坏
@@ -19,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import charsent as cs
-from charsent.cli import note
+from charsent.cli import run
 from charsent.files import located
 
 
@@ -34,17 +33,11 @@ def parse_args(argv=None):
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        matrix, tokens = cs.load_embeddings(args.embeddings)
-        with located(args.embeddings):
-            # load_embeddings checked that rows 0 and 1 are the reserved <pad> and <unk>
-            vocab = cs.Vocabulary(tokens[2:], min_count=1)
-    except cs.DataError as exc:
-        note(f"error: {exc}")
-        return 3  # the CLI's data-error code
-
+def show_neighbors(args) -> int:
+    matrix, tokens = cs.load_embeddings(args.embeddings)
+    with located(args.embeddings):
+        # load_embeddings checked that rows 0 and 1 are the reserved <pad> and <unk>
+        vocab = cs.Vocabulary(tokens[2:], min_count=1)
     for ch in args.queries:
         if ch not in vocab:
             print(f"{ch}: not in vocabulary")
@@ -53,6 +46,10 @@ def main(argv=None) -> int:
         listing = "  ".join(f"{tok} {sim:+.3f}" for tok, sim in pairs)
         print(f"{ch}: {listing}")
     return 0
+
+
+def main(argv=None) -> int:
+    return run(show_neighbors, parse_args(argv))
 
 
 if __name__ == "__main__":

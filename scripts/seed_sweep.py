@@ -109,11 +109,11 @@ def _pool_purity(matrix: cs.EmbeddingMatrix, vocab: cs.Vocabulary) -> float:
 
 def _cli(seed: int, args: list[str]) -> dict:
     """Run one CLI stage in this process; the JSON summary it printed."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
-    if code != 0:
-        raise RuntimeError(f"seed {seed}: CLI {args[0]} exited {code}")
+    if code != 0:  # a failing stage's last stderr line is its `error:` line
+        raise RuntimeError(f"seed {seed}: CLI {args[0]} exited {code}: {err.getvalue().splitlines()[-1]}")
     return json.loads(out.getvalue())
 
 

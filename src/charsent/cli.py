@@ -407,15 +407,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def run(stage, *args) -> int:
+    """The one exit path of the CLI and the scripts: call `stage(*args)`,
+    flush stdout, end a CharsentError as one `error:` line and its exit
+    code, and end with 0 when the reader of stdout went away.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        cfg = build_config(args.config, args.overrides)
-        code = _COMMANDS[args.command](cfg, args)
+        code = stage(*args)
         if sys.stdout is not None:  # None when started with stdout closed (>&-)
             sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
         return code
@@ -426,6 +424,15 @@ def main(argv: list[str] | None = None) -> int:
         # the reader of stdout is gone: devnull takes the rest, so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    return run(lambda: _COMMANDS[args.command](build_config(args.config, args.overrides), args))
 
 
 if __name__ == "__main__":

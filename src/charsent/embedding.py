@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +200,11 @@ class NegativeSampler:
     """Draws noise tokens from the unigram^(3/4) distribution.
 
     PAD never appears; ids named in `exclude` are rejected and redrawn,
-    which renormalizes the distribution over the remaining ids. Uniforms
-    are drawn SAMPLE_BLOCK at a time and mapped to ids in one search;
-    ids are handed out in draw order and only as many as are still
-    needed, so the ids returned are those of drawing one uniform per id.
+    which renormalizes the distribution over the remaining ids. The ids
+    form one stream: SAMPLE_BLOCK uniforms at a time, mapped to ids in
+    one search and drawn only when the last block is spent. `sample`
+    takes the next k ids not excluded from it and no more, so the ids
+    returned are those of drawing one uniform per id.
     """
 
     def __init__(self, counts: np.ndarray, rng: np.random.Generator):
@@ -212,12 +213,14 @@ class NegativeSampler:
         total = weights.sum()
         if total <= 0:
             raise DataError("negative sampler needs at least one counted token")
-        self._cumulative = np.cumsum(weights / total)
-        self._cumulative[-1] = 1.0
+        cumulative = np.cumsum(weights / total)
+        cumulative[-1] = 1.0
         self._support = set(np.flatnonzero(weights).tolist())
-        self._rng = rng
-        self._block: list[int] = []
-        self._next = 0
+        blocks = (
+            cumulative.searchsorted(rng.random(SAMPLE_BLOCK), side="right").tolist()
+            for _ in repeat(None)
+        )
+        self._ids = chain.from_iterable(blocks)  # a block is drawn when the last one is spent
 
     def sample(self, k: int, exclude=()) -> list[int]:
         exclude = set(exclude)
@@ -227,16 +230,8 @@ class NegativeSampler:
                 "cannot draw negatives: every counted token is excluded; "
                 "the corpus needs more distinct tokens"
             )
-        out: list[int] = []
-        while len(out) < k:
-            if self._next == len(self._block):
-                uniforms = self._rng.random(SAMPLE_BLOCK)
-                self._block = self._cumulative.searchsorted(uniforms, side="right").tolist()
-                self._next = 0
-            # never more ids than are still missing, so no draw is skipped
-            start, self._next = self._next, min(self._next + k - len(out), len(self._block))
-            out += [tid for tid in self._block[start : self._next] if tid not in exclude]
-        return out
+        # islice takes no more ids than it returns, so no draw is skipped
+        return list(islice(filterfalse(exclude.__contains__, self._ids), max(k, 0)))
 
 
 def token_counts(sequences, vocab_size: int) -> np.ndarray:

@@ -166,7 +166,8 @@ def test_step_matches_the_rowwise_reference_bit_for_bit(dim):
 
 def test_sampler_matches_the_one_draw_per_round_reference():
     """Block draws hand out the ids of the reference's per-call rounds,
-    across block refills, with and without exclusions.
+    across block refills, with and without exclusions; a count of 0 or
+    below returns no id and draws none.
     """
     counts = np.array([0, 40, 9, 3, 0, 1, 17, 5], dtype=np.float64)
     sampler = NegativeSampler(counts, substream(4, "negative_sampling"))
@@ -174,11 +175,12 @@ def test_sampler_matches_the_one_draw_per_round_reference():
     rng = np.random.default_rng(0)
     drawn = 0
     while drawn < 3 * SAMPLE_BLOCK:
-        k = int(rng.integers(1, 16))
+        k = int(rng.integers(-1, 16))
         exclude = set(rng.choice([1, 2, 3, 6, 7], size=rng.integers(0, 3)).tolist())
         got = sampler.sample(k, exclude=exclude)
         assert got == ref.sample(k, exclude=exclude)
         drawn += len(got)
+    assert sampler.sample(0) == sampler.sample(-1, exclude={6}) == []
     # one call that spans a refill
     assert sampler.sample(SAMPLE_BLOCK + 7, exclude={1}) == ref.sample(SAMPLE_BLOCK + 7, exclude={1})
 

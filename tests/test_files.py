@@ -214,3 +214,25 @@ def test_only_the_cli_note_writes_to_stderr():
                 (in_note if id(node) in exempt else found).append(where)
     assert found == []
     assert len(in_note) == 1  # the writer itself
+
+
+def test_scripts_end_only_through_the_cli_run():
+    """One exit path: no script catches a charsent error class or
+    BrokenPipeError, so each maps errors to exit codes and ends a closed
+    stdout only through cli.run, as the CLI does.
+    """
+    caught = {cls.__name__ for cls in vars(cs.errors).values()
+              if isinstance(cls, type) and issubclass(cls, cs.errors.CharsentError)}
+    assert {"CharsentError", "ConfigError", "DataError", "NumericalError"} <= caught
+    caught.add("BrokenPipeError")
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    found = []
+    for source in scripts:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    ident = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", None)
+                    if ident in caught:
+                        found.append(f"scripts/{source.name}:{node.lineno}: except {ident}")
+    assert found == []

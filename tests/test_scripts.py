@@ -24,7 +24,8 @@ def _load_script(name: str):
     return module
 
 
-def test_scripts_run_end_to_end(tmp_path, capsys):
+def _embed(tmp_path) -> Path:
+    """Run CLI `embed` on a small seeded corpus in `tmp_path`; the embeddings file."""
     save_corpus(generate_corpus(60, seed=5), tmp_path / "labeled.jsonl")
     names = {"labeled": "labeled.jsonl", "vocab": "vocab.json", "embeddings": "emb.bin"}
     config = {
@@ -34,6 +35,11 @@ def test_scripts_run_end_to_end(tmp_path, capsys):
     }
     (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["embed", "--config", str(tmp_path / "cfg.json")]) == 0
+    return tmp_path / "emb.bin"
+
+
+def test_scripts_run_end_to_end(tmp_path, capsys):
+    _embed(tmp_path)
     capsys.readouterr()
 
     neighbors = _load_script("inspect_neighbors")
@@ -91,6 +97,42 @@ def test_inspect_neighbors_error_line_never_reaches_stdout(tmp_path, stderr):
             timeout=60,
         )
     assert (done.returncode, done.stdout) == (3, b"")
+
+
+@pytest.mark.parametrize("queries, read", [("好" * 3000, 1), ("好", 0)], ids=["head-1", "true"])
+def test_inspect_neighbors_into_a_closed_stdout_exits_0_quietly(tmp_path, queries, read):
+    """As `inspect_neighbors.py ... | head -1` does, the reader takes a
+    line and goes; as `| true` does, it goes at once, so the one line is
+    still in stdout's buffer when the script ends.
+    """
+    embeddings = _embed(tmp_path)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, str(SCRIPTS / "inspect_neighbors.py"), "--embeddings", str(embeddings)]
+    errors = tmp_path / "stderr.txt"
+    with errors.open("wb") as stderr:
+        proc = subprocess.Popen(
+            argv + ["--queries", queries],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+        for _ in range(read):
+            assert proc.stdout.readline().decode("utf-8").startswith("好: ")
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert (code, errors.read_text(encoding="utf-8")) == (0, "")
+
+
+def test_seed_sweep_names_the_reason_a_stage_failed(tmp_path):
+    sweep = _load_script("seed_sweep")
+    missing = tmp_path / "missing.jsonl"
+    paths = {"labeled": missing, "vocab": tmp_path / "vocab.json", "embeddings": tmp_path / "emb.bin"}
+    with pytest.raises(RuntimeError) as err:
+        sweep._cli(3, ["embed", *(f"--set=paths.{key}={path}" for key, path in paths.items())])
+    assert str(err.value).startswith("seed 3: CLI embed exited 3: error: ")
+    assert str(missing) in str(err.value)
 
 
 @pytest.mark.parametrize("seeds", ["5-1", "1,4-3"])
