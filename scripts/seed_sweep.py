@@ -84,6 +84,8 @@ def _seeds(text: str) -> list[int]:
         span = range(int(lo), int(hi or lo) + 1)
         if not span:
             raise argparse.ArgumentTypeError(f"seed range {part!r} is empty")
+        if repeated := [s for s in seeds if s in span]:
+            raise argparse.ArgumentTypeError(f"seed {repeated[0]} is given twice")
         seeds.extend(span)
     return seeds
 

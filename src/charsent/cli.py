@@ -242,23 +242,17 @@ def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     lexicon = load_lexicon(lexicon_path)
     corpus = load_corpus(corpus_path)
     cleaned, dropped = clean_corpus(corpus)
-    labeled = []
-    newly = 0
-    for review in cleaned.reviews:
-        if review.label is None:
-            label, _score = prelabel(review.text, lexicon)
-            labeled.append(replace(review, label=label))
-            newly += 1
-        else:
-            labeled.append(review)
-    out = replace(cleaned, reviews=labeled)
-    save_corpus(out, out_path)
+    labeled = [
+        replace(r, label=prelabel(r.text, lexicon)[0]) if r.label is None else r
+        for r in cleaned.reviews
+    ]
+    save_corpus(replace(cleaned, reviews=labeled), out_path)
     positive = sum(1 for r in labeled if r.label == 1)
     _emit(
         {
             "reviews": len(labeled),
             "dropped": dropped,
-            "newly_labeled": newly,
+            "newly_labeled": sum(1 for r in cleaned.reviews if r.label is None),
             "positive": positive,
             "negative": len(labeled) - positive,
             "labeled_path": str(out_path),
@@ -322,7 +316,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     summary: dict = {
         "best_epoch": history.best_epoch,
         "epochs_run": len(history.records),
-        "stopped_early": history.stopped_early,
+        "stopped_early": len(history.records) < cfg.training.epochs,
         "val": best.metrics_snapshot,
         "model_path": str(model_path),
     }

@@ -360,8 +360,13 @@ def nearest_neighbors(
 def save_embeddings(matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -> None:
     """Write the input-side matrix as a W2V1 file: a header line, then
     per id the token, a space, dim little-endian float32 values and a
-    newline.
+    newline. A matrix of another vocabulary raises DataError.
     """
+    if (matrix.vocab_hash, matrix.vocab_size) != (vocab.content_hash(), len(vocab)):
+        raise DataError(
+            f"embedding matrix ({matrix.vocab_size} rows, vocabulary {matrix.vocab_hash}) does not "
+            f"match the vocabulary ({len(vocab)} tokens, {vocab.content_hash()})"
+        )
     header = f"{EMBEDDING_MAGIC} {matrix.vocab_size} {matrix.dim} {matrix.vocab_hash}\n"
     chunks = [header.encode("utf-8")]
     for i in range(matrix.vocab_size):

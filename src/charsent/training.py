@@ -213,8 +213,9 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
+    """train's epoch records; fewer than config.epochs means it stopped early."""
+
     records: list[EpochRecord]
-    stopped_early: bool
 
     @property
     def best_epoch(self) -> int:
@@ -250,7 +251,7 @@ def train(
     labels = np.array([y for _, y in train_set], dtype=np.float64)
     epoch_ps = np.empty(len(train_set))
 
-    history = TrainHistory(records=[], stopped_early=False)
+    history = TrainHistory(records=[])
     best = work
     for epoch in range(1, config.epochs + 1):
         with divergence_raises("training", epoch):
@@ -288,7 +289,6 @@ def train(
         if history.best_epoch == epoch:
             best = replace(copy.deepcopy(work), metrics_snapshot=asdict(val_metrics))
         elif epoch - history.best_epoch >= config.patience:
-            history.stopped_early = True
             break
     return best, history
 

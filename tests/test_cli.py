@@ -375,6 +375,7 @@ def test_pipeline_prelabel(pipeline):
     assert len(lines) == 162
     rows = [json.loads(l) for l in lines]
     assert all(r["label"] in (0, 1) for r in rows)
+    assert out["positive"] == sum(r["label"] == 1 for r in rows)
     assert not any("http" in r["text"] or "@" in r["text"] or "#" in r["text"] for r in rows)
 
 
@@ -400,8 +401,9 @@ def test_pipeline_train(pipeline):
 
 
 def test_pipeline_train_history_agrees_with_its_summary(pipeline):
-    """history.json holds one record per epoch run, and the record at
-    the best epoch holds the validation figures the summary reports.
+    """history.json holds one record per epoch run, the record at the
+    best epoch holds the validation figures the summary reports, and the
+    run stopped early exactly when it ran fewer epochs than its budget.
     """
     code, out = _summary(pipeline, "train")
     assert code == 0
@@ -411,6 +413,45 @@ def test_pipeline_train_history_agrees_with_its_summary(pipeline):
     assert [r["epoch"] for r in records] == list(range(1, out["epochs_run"] + 1))
     best = records[out["best_epoch"] - 1]
     assert (best["val_loss"], best["val_acc"]) == (out["val"]["loss"], out["val"]["accuracy"])
+    budget = json.loads((pipeline / "cfg.json").read_text(encoding="utf-8"))["training"]["epochs"]
+    assert out["stopped_early"] == (len(records) < budget)
+
+
+def test_train_whose_patience_runs_out_on_its_last_epoch_did_not_stop_early(pipeline, tmp_path, capsys):
+    """Early stopping means fewer epochs than the budget: a run stopped by
+    patience prints stopped_early true, and the same run given exactly the
+    epochs it used runs them all and prints false.
+    """
+
+    def run(epochs):
+        code, out = _run(
+            capsys,
+            [
+                "train",
+                "--config",
+                str(pipeline / "cfg.json"),
+                "--set",
+                f"paths.model={tmp_path / 'model.ssm'}",
+                "--set",
+                f"paths.history={tmp_path / 'history.json'}",
+                "--set",
+                "training.patience=1",
+                "--set",
+                f"training.epochs={epochs}",
+            ],
+        )
+        assert code == 0
+        return out
+
+    stopped = run(30)
+    assert stopped["stopped_early"] is True
+    assert stopped["epochs_run"] == stopped["best_epoch"] + 1 < 30
+    spent = run(stopped["epochs_run"])
+    assert spent["stopped_early"] is False
+    assert spent["epochs_run"] == stopped["epochs_run"]
+    assert {k: spent[k] for k in ("best_epoch", "val", "test")} == {
+        k: stopped[k] for k in ("best_epoch", "val", "test")
+    }
 
 
 def test_pipeline_evaluate(pipeline, capsys):
@@ -673,10 +714,16 @@ def test_train_with_corrupt_embeddings_exits_3(pipeline, tmp_path, capsys):
 def test_train_with_embeddings_for_other_tokens_exits_3(pipeline, tmp_path, capsys):
     # ids 2 and 3 swap tokens; the header keeps the vocabulary hash, so
     # only the token list shows that every row of both is misaligned
-    matrix, tokens = cs.load_embeddings(pipeline / "emb.bin")
-    tokens[2], tokens[3] = tokens[3], tokens[2]
+    header, _, body = (pipeline / "emb.bin").read_bytes().partition(b"\n")
+    tail = 4 * int(header.split(b" ")[2]) + 2  # the space, the floats and the newline
+    rows, start = [], 0
+    while start < len(body):
+        space = body.index(b" ", start)  # a token holds no whitespace
+        rows.append([body[start:space], body[space : space + tail]])
+        start = space + tail
+    rows[2][0], rows[3][0] = rows[3][0], rows[2][0]
     swapped = tmp_path / "swapped.bin"
-    cs.save_embeddings(matrix, cs.Vocabulary(tokens[2:], min_count=1), swapped)
+    swapped.write_bytes(header + b"\n" + b"".join(token + rest for token, rest in rows))
     assert swapped.read_bytes().split(b"\n", 1)[0] == (pipeline / "emb.bin").read_bytes().split(b"\n", 1)[0]
     code = cli.main(
         ["train", "--config", str(pipeline / "cfg.json"), "--set", f"paths.embeddings={swapped}"]

@@ -570,6 +570,19 @@ def test_embeddings_roundtrip(tmp_path):
     assert np.array_equal(back.vectors, matrix.vectors.astype("<f4").astype(np.float64))
 
 
+def test_save_embeddings_refuses_a_matrix_of_another_vocabulary(tmp_path):
+    vocab = cs.build_vocab(["好坏中"], min_count=1)
+    matrix = init_embedding_matrix(vocab, dim=2, seed=1)
+    same_size = cs.build_vocab(["好坏差"], min_count=1)
+    fewer = cs.build_vocab(["好坏"], min_count=1)
+    cut = EmbeddingMatrix(vectors=matrix.vectors[:-1], vocab_hash=matrix.vocab_hash)
+    path = tmp_path / "emb.bin"
+    for m, v in [(matrix, same_size), (matrix, fewer), (cut, vocab)]:
+        with pytest.raises(DataError, match="does not match the vocabulary"):
+            cs.save_embeddings(m, v, path)
+        assert not path.exists()
+
+
 # st.text() draws no lone surrogate (category Cs); half the lists draw
 # from an alphabet that adds them, so that most examples are admitted
 _WITH_SURROGATES = st.one_of(st.characters(), st.characters(categories=["Cs"]))

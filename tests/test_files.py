@@ -25,7 +25,7 @@ def _savers():
 
     def history(path, v):
         record = EpochRecord(epoch=v + 1, train_loss=0.5, train_acc=0.5, val_loss=0.5, val_acc=0.5)
-        cs.save_history(cs.TrainHistory(records=[record], stopped_early=False), path)
+        cs.save_history(cs.TrainHistory(records=[record]), path)
 
     return [
         ("corpus", corpus),
@@ -236,3 +236,36 @@ def test_scripts_end_only_through_the_cli_run():
                     if ident in caught:
                         found.append(f"scripts/{source.name}:{node.lineno}: except {ident}")
     assert found == []
+
+
+# the entry points the acceptance criteria call, which no stage needs
+ACCEPTANCE_ENTRY_POINTS = {"lstm_cell_forward", "backward", "skipgram_gradients", "skipgram_step"}
+
+
+def test_every_public_name_is_used_by_the_program():
+    """No public helper is read only by tests: every public module-level
+    function and class of charsent is named by another module, by a
+    script, or elsewhere in its own module. The re-exports of
+    charsent/__init__.py do not count.
+    """
+    package = Path(cs.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(scripts.glob("*.py"))
+    assert any(p.parent == scripts for p in sources)
+    defined, named = set(), set()
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if source.parent == package:
+            defined.update(
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            )
+        for node in ast.walk(tree):  # a def's own name is no Name node
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert {"train", "save_embeddings", "prelabel", "TrainHistory"} <= defined
+    assert defined - named == ACCEPTANCE_ENTRY_POINTS

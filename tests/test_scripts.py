@@ -145,6 +145,17 @@ def test_seed_sweep_rejects_an_empty_seed_range_as_a_usage_error(capsys, seeds):
     assert err.startswith("usage: ") and "is empty" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("1-3,2", 2), ("4,2-5", 4)])
+def test_seed_sweep_rejects_a_repeated_seed_as_a_usage_error(capsys, seeds, repeated):
+    # two workers would share the seed's directory
+    sweep = _load_script("seed_sweep")
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(["--seeds", seeds])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"seed {repeated} is given twice" in err
+
+
 @pytest.mark.parametrize("reviews", ["0", "-3"])
 def test_seed_sweep_rejects_fewer_than_one_review_as_a_usage_error(capsys, reviews):
     sweep = _load_script("seed_sweep")

@@ -550,7 +550,7 @@ def test_train_returns_history_and_leaves_input_untouched():
     assert history.best_epoch == min(
         range(1, 4), key=lambda e: history.records[e - 1].val_loss
     )
-    assert not history.stopped_early
+    assert len(history.records) == cfg.epochs  # did not stop early
     # restored checkpoint reproduces the recorded best validation loss exactly
     got = cs.evaluate(best, val_set)
     assert got.loss == history.records[history.best_epoch - 1].val_loss
@@ -615,7 +615,6 @@ def test_train_zero_epochs_returns_copy():
     train_set, val_set, model = _quick_sets()
     best, history = cs.train(train_set, val_set, model, cs.TrainConfig(epochs=0))
     assert history.records == [] and history.best_epoch == 0
-    assert not history.stopped_early
     assert np.array_equal(best.params.w_gates, model.params.w_gates)
     assert best.params.w_gates is not model.params.w_gates
 
@@ -626,7 +625,7 @@ def test_best_epoch_is_the_first_epoch_of_lowest_validation_loss():
             training.EpochRecord(epoch=e, train_loss=1.0, train_acc=0.5, val_loss=v, val_acc=0.5)
             for e, v in enumerate(val_losses, start=1)
         ]
-        return cs.TrainHistory(records=records, stopped_early=False)
+        return cs.TrainHistory(records=records)
 
     assert history().best_epoch == 0
     assert history(0.7).best_epoch == 1
@@ -659,11 +658,16 @@ def test_train_stops_early_on_adversarial_validation():
         epochs=12, batch_size=8, learning_rate=0.02, dropout_rate=0.0, patience=2, seed=4
     )
     best, history = cs.train(train_set, flipped, model, cfg)
-    assert history.stopped_early
     assert len(history.records) == history.best_epoch + cfg.patience
-    assert len(history.records) < 12
+    assert len(history.records) < cfg.epochs  # stopped early
     val_losses = [r.val_loss for r in history.records]
     assert history.records[history.best_epoch - 1].val_loss == min(val_losses)
+    # a budget of exactly those epochs runs them all: patience runs out on
+    # the last one, which is not stopping early
+    spent = replace(cfg, epochs=len(history.records))
+    again, full = cs.train(train_set, flipped, model, spent)
+    assert full.records == history.records and len(full.records) == spent.epochs
+    assert np.array_equal(again.params.w_gates, best.params.w_gates)
 
 
 def test_train_rejects_empty_sets():
