@@ -6,7 +6,9 @@ h=32, max_len 60, 30 epochs) on `generate_corpus(N, 42)`, once per
 pipeline seed, and prints one JSON object. For each seed it gives,
 from CLI `train`'s summary, the best-epoch `val_acc` (the epoch of
 lowest validation loss, as the test reads it), that epoch and the
-epochs run. It also scores the validation
+epochs run; the summary gives the minimum and the median epochs run,
+since a change that makes an epoch cheaper can make more of them run
+before early stopping. It also scores the validation
 split with the saved model and splits its errors by evidence margin,
 the count of positive- minus negative-pool characters in the text:
 ties (0), +-1 and the rest. The saved model is the best epoch's, so
@@ -73,6 +75,7 @@ FIGURES = {
     "frozen_val_acc": "frozen_val_acc",
     "frozen_test_acc": "frozen_test_acc",
     "pool_purity": "pool_purity",
+    "epochs_run": "epochs_run",
 }
 WORKERS = 2
 

@@ -37,6 +37,7 @@ MODEL_VERSION = 2
 # the tensor blocks' element type in each SSM1 version this charsent reads
 _BLOCK_DTYPES = {1: "<f4", 2: "<f8"}
 _QUOTE_CHARS = 20  # of a review's text, in an error that names the review
+_POOL_BATCHES = 8  # batches per pool of an epoch's shuffled order that train sorts by length
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,17 @@ def train(
     operation or division by zero stops it with NumericalError.
 
     The input model is left untouched; the returned model carries the
-    parameters of the epoch with the lowest validation loss. Epoch
-    shuffling and dropout draw from substreams of config.seed, so a
-    rerun with identical inputs reproduces the history exactly.
+    parameters of the epoch with the lowest validation loss.
+
+    Each epoch shuffles the training set, cuts the shuffled order into
+    pools of _POOL_BATCHES batches and sorts each pool by length,
+    longest first and stable, so a batch holds texts of near-equal
+    length and steps little past most of its rows. The batches, cut
+    from the start of the sorted order, then run in a second shuffled
+    order. Both shuffles draw from one substream of config.seed, and the
+    dropout masks from another, one draw per batch in the order the
+    batches run, so a rerun with identical inputs reproduces the
+    history exactly.
     """
     if not train_set or not val_set:
         raise DataError(
@@ -249,6 +258,9 @@ def train(
     rng_dropout = substream(config.seed, "dropout")
     hsize = work.params.hidden_size
     labels = np.array([y for _, y in train_set], dtype=np.float64)
+    lengths = np.array([seq.true_length for seq, _ in train_set])
+    pool = _POOL_BATCHES * config.batch_size
+    starts = range(0, len(train_set), config.batch_size)
     epoch_ps = np.empty(len(train_set))
 
     history = TrainHistory(records=[])
@@ -256,8 +268,11 @@ def train(
     for epoch in range(1, config.epochs + 1):
         with divergence_raises("training", epoch):
             order = rng_shuffle.permutation(len(train_set))
-            for batch_index, start in enumerate(range(0, len(order), config.batch_size)):
-                picks = order[start : start + config.batch_size]
+            for head in range(0, len(order), pool):
+                part = order[head : head + pool]
+                order[head : head + pool] = part[np.argsort(-lengths[part], kind="stable")]
+            for batch_index, k in enumerate(rng_shuffle.permutation(len(starts))):
+                picks = order[starts[k] : starts[k] + config.batch_size]
                 seqs = [train_set[i][0] for i in picks]
                 ys = labels[picks]
                 keep = rng_dropout.random((len(picks), hsize)) >= config.dropout_rate

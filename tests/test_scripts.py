@@ -194,6 +194,7 @@ def test_seed_sweep_smoke(capsys, monkeypatch):
         ("frozen_val_acc", "frozen_val_acc"),
         ("frozen_test_acc", "frozen_test_acc"),
         ("pool_purity", "pool_purity"),
+        ("epochs_run", "epochs_run"),
     ):
         values = sorted(run[key] for run in report["runs"])
         summary.update({f"min_{name}": values[0], f"median_{name}": sum(values) / 2})

@@ -17,6 +17,7 @@ import charsent as cs
 from charsent import network, training
 from charsent.errors import CharsentError, ConfigError, DataError, NumericalError
 from charsent.network import _EVAL_CHUNK, param_shapes
+from charsent.rng import substream
 from charsent.synthetic import generate_corpus
 from charsent.tokenizer import PAD_ID, TokenSequence
 from charsent.training import AdamState
@@ -593,6 +594,105 @@ def test_train_figures_of_one_undropped_batch_are_the_input_models(batch_size):
     before = cs.evaluate(model, train_set)
     record = history.records[0]
     assert (record.train_loss, record.train_acc) == (before.loss, before.accuracy)
+
+
+def _recorded_batches(monkeypatch, train_set, val_set, model, config):
+    """Run train with training.forward_batch wrapped, then unwrap it;
+    each batch it ran, in order, as (training-set indices in input
+    order, dropout masks).
+    """
+    index_of = {id(seq): i for i, (seq, _) in enumerate(train_set)}
+    real_forward_batch = training.forward_batch
+    batches = []
+
+    def recording_forward_batch(seqs, model, masks):
+        batches.append(([index_of[id(seq)] for seq in seqs], masks.copy()))
+        return real_forward_batch(seqs, model, masks)
+
+    monkeypatch.setattr(training, "forward_batch", recording_forward_batch)
+    training.train(train_set, val_set, model, config)
+    monkeypatch.undo()
+    return batches
+
+
+def _bucket_config(seed):
+    # 56 training examples at B=4: 14 batches, in pools of 32 and 24 examples
+    return cs.TrainConfig(epochs=2, batch_size=4, dropout_rate=0.3, patience=5, seed=seed)
+
+
+def test_train_runs_each_training_example_once_per_epoch(monkeypatch):
+    train_set, val_set, model = _quick_sets()
+    config = _bucket_config(3)
+    batches = _recorded_batches(monkeypatch, train_set, val_set, model, config)
+    per_epoch = math.ceil(len(train_set) / config.batch_size)
+    assert len(batches) == config.epochs * per_epoch
+    for epoch in range(config.epochs):
+        ran = [i for picks, _ in batches[epoch * per_epoch : (epoch + 1) * per_epoch] for i in picks]
+        assert sorted(ran) == list(range(len(train_set)))
+
+
+def test_train_batches_are_runs_of_a_length_sorted_pool_of_the_shuffle(monkeypatch):
+    """Each epoch's shuffle permutation is cut into pools of
+    _POOL_BATCHES batches, each pool sorted by length, longest first and
+    stable; the batches are cut from the start of that order and run in
+    the order of the substream's next permutation.
+    """
+    train_set, val_set, model = _quick_sets()
+    config = _bucket_config(3)
+    batches = _recorded_batches(monkeypatch, train_set, val_set, model, config)
+    lengths = [seq.true_length for seq, _ in train_set]
+    n, size = len(train_set), config.batch_size
+    pool = training._POOL_BATCHES * size
+    assert pool < n  # more than one pool
+    rng = substream(config.seed, "shuffle")
+    runs = iter(picks for picks, _ in batches)
+    for _ in range(config.epochs):
+        perm = rng.permutation(n).tolist()
+        pools = [sorted(perm[s : s + pool], key=lambda i: -lengths[i]) for s in range(0, n, pool)]
+        cuts = [p[s : s + size] for p in pools for s in range(0, len(p), size)]
+        for k in rng.permutation(len(cuts)):
+            picks = next(runs)
+            assert picks == cuts[k]
+            # a contiguous run of one pool's stable descending-length order
+            home = next(p for p in pools if picks[0] in p)
+            start = home.index(picks[0])
+            assert home[start : start + len(picks)] == picks
+    assert next(runs, None) is None
+
+
+def test_train_batches_and_masks_repeat_per_seed(monkeypatch):
+    train_set, val_set, model = _quick_sets()
+
+    def run(seed):
+        batches = _recorded_batches(monkeypatch, train_set, val_set, model, _bucket_config(seed))
+        return [picks for picks, _ in batches], [masks for _, masks in batches]
+
+    picks, masks = run(3)
+    again_picks, again_masks = run(3)
+    assert again_picks == picks
+    assert all(np.array_equal(a, b) for a, b in zip(again_masks, masks, strict=True))
+    other_picks, other_masks = run(4)
+    assert other_picks != picks
+    assert not all(np.array_equal(a, b) for a, b in zip(other_masks, masks, strict=True))
+
+
+def test_train_batches_step_a_quarter_fewer_than_random_batches(monkeypatch):
+    """The cell steps a batch to its longest text, so an epoch costs the
+    sum of its batches' maximum lengths. On 800 reviews of 10-60 tokens
+    at B=32, length-sorted pools bring it below 0.75 of what the same
+    shuffle cut straight into batches costs.
+    """
+    corpus = generate_corpus(800, seed=801)
+    vocab = cs.build_vocab(corpus.texts(), min_count=1)
+    train_set = cs.encode_labeled(corpus, vocab, 60)
+    model = make_model(vocab, hidden_size=4, dim=4, seed=3)
+    config = cs.TrainConfig(epochs=1, batch_size=32, seed=42)
+    batches = _recorded_batches(monkeypatch, train_set, train_set[:8], model, config)
+    lengths = np.array([seq.true_length for seq, _ in train_set])
+    bucketed = sum(int(lengths[picks].max()) for picks, _ in batches)
+    order = substream(config.seed, "shuffle").permutation(len(train_set))
+    random = sum(int(lengths[order[s : s + 32]].max()) for s in range(0, len(order), 32))
+    assert bucketed < 0.75 * random
 
 
 def test_train_scores_only_the_validation_set_each_epoch(monkeypatch):
