@@ -36,8 +36,8 @@ from .embedding import (
     train_embeddings,
 )
 from .errors import CharsentError, ConfigError, DataError, NumericalError
-from .files import located, parse_json, read_text
-from .network import Model, check_hidden_size, init_lstm_params, predict, threshold_ok
+from .files import check_size, located, parse_json, read_text
+from .network import Model, init_lstm_params, predict, threshold_ok
 from .rng import check_seed
 from .tokenizer import Vocabulary, build_vocab, check_max_len, check_min_count, segment_chars
 from .training import (
@@ -54,8 +54,9 @@ from .training import (
 @dataclass(frozen=True)
 class PathsConfig:
     """Each path is null or one the system can take: os.fsencode encodes
-    it (an undecodable argv byte, a surrogate escape, stays that byte)
-    and it holds no NUL.
+    it (an undecodable argv byte, a surrogate escape, stays that byte),
+    it holds no NUL, and it names a file: its last part is not empty, as
+    that of "", ".", "./" or "/" is.
     """
 
     corpus: str | None = None
@@ -69,7 +70,7 @@ class PathsConfig:
     def __post_init__(self):
         for key, value in vars(self).items():
             try:
-                refused = value is not None and b"\0" in os.fsencode(value)
+                refused = value is not None and (b"\0" in os.fsencode(value) or not Path(value).name)
             except UnicodeEncodeError:  # a lone surrogate outside the escapes
                 refused = True
             if refused:
@@ -100,7 +101,7 @@ class NetworkConfig:
     hidden_size: int = 128
 
     def __post_init__(self):
-        check_hidden_size(self.hidden_size)
+        check_size("hidden_size", self.hidden_size)
 
 
 @dataclass(frozen=True)

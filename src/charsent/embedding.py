@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .files import SIZE_LIMIT, located, read_bytes, write_atomic
+from .files import check_size, located, read_bytes, write_atomic
 from .numerics import divergence_raises, sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary
@@ -48,9 +48,7 @@ class W2vConfig:
         if self.mode not in ("cbow", "skipgram"):
             raise ConfigError(f"mode must be 'cbow' or 'skipgram', got {self.mode!r}")
         for name in ("window", "negatives", "dim"):
-            size = getattr(self, name)
-            if not 1 <= size < SIZE_LIMIT:
-                raise ConfigError(f"{name} must lie in [1, {SIZE_LIMIT}), got {size}")
+            check_size(name, getattr(self, name))
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 0:
@@ -82,6 +80,15 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def check_vocabulary(matrix: EmbeddingMatrix, vocab: Vocabulary) -> None:
+    """Raise DataError unless `matrix` carries `vocab`'s hash and one row per token."""
+    if (matrix.vocab_hash, matrix.vocab_size) != (vocab.content_hash(), len(vocab)):
+        raise DataError(
+            f"embedding matrix does not match the vocabulary: {matrix.vocab_size} rows, hash "
+            f"{matrix.vocab_hash}; {len(vocab)} tokens, hash {vocab.content_hash()}"
+        )
 
 
 def init_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
@@ -362,11 +369,7 @@ def save_embeddings(matrix: EmbeddingMatrix, vocab: Vocabulary, path: str | Path
     per id the token, a space, dim little-endian float32 values and a
     newline. A matrix of another vocabulary raises DataError.
     """
-    if (matrix.vocab_hash, matrix.vocab_size) != (vocab.content_hash(), len(vocab)):
-        raise DataError(
-            f"embedding matrix ({matrix.vocab_size} rows, vocabulary {matrix.vocab_hash}) does not "
-            f"match the vocabulary ({len(vocab)} tokens, {vocab.content_hash()})"
-        )
+    check_vocabulary(matrix, vocab)
     header = f"{EMBEDDING_MAGIC} {matrix.vocab_size} {matrix.dim} {matrix.vocab_hash}\n"
     chunks = [header.encode("utf-8")]
     for i in range(matrix.vocab_size):

@@ -17,13 +17,19 @@ import os
 import secrets
 from pathlib import Path
 
-from .errors import CharsentError, DataError
+from .errors import CharsentError, ConfigError, DataError
 
 # Every size in a model header (h, d and the vocabulary size) lies below
 # this, so the byte count they give has too few digits for str() to
 # refuse. The config's sizes share the bound: train writes no model that
 # load_model refuses.
 SIZE_LIMIT = 2**31
+
+
+def check_size(name: str, value: int) -> None:
+    """Raise ConfigError unless 1 <= value < SIZE_LIMIT, as every embedding and LSTM size must."""
+    if not 1 <= value < SIZE_LIMIT:
+        raise ConfigError(f"{name} must lie in [1, {SIZE_LIMIT}), got {value}")
 
 
 def check_string(name: str, value) -> None:

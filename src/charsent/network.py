@@ -43,9 +43,9 @@ from itertools import chain
 import numpy as np
 
 from .corpus import clean_text
-from .embedding import EmbeddingMatrix
-from .errors import ConfigError, DataError
-from .files import SIZE_LIMIT
+from .embedding import EmbeddingMatrix, check_vocabulary
+from .errors import DataError
+from .files import check_size
 from .numerics import sigmoid
 from .rng import substream
 from .tokenizer import PAD_ID, TokenSequence, Vocabulary, encode, segment_chars
@@ -108,22 +108,13 @@ class LstmParams:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
-def check_hidden_size(hidden_size: int) -> None:
-    """Raise ConfigError unless 1 <= hidden_size < SIZE_LIMIT; the rule
-    of init_lstm_params and of the config's network section.
-    """
-    if not 1 <= hidden_size < SIZE_LIMIT:
-        raise ConfigError(f"hidden_size must lie in [1, {SIZE_LIMIT}), got {hidden_size}")
-
-
 def init_lstm_params(hidden_size: int, input_dim: int, seed: int) -> LstmParams:
     """Glorot-uniform gate weights (each gate's own fan-out), zero
     biases except the forget bias at +1.0 (starts with long memory),
     Glorot read-out.
     """
-    check_hidden_size(hidden_size)
-    if input_dim < 1:
-        raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
+    check_size("hidden_size", hidden_size)
+    check_size("input_dim", input_dim)
     rng = substream(seed, "lstm_init")
     fan_in = hidden_size + input_dim
     limit = np.sqrt(6.0 / (fan_in + hidden_size))
@@ -209,12 +200,9 @@ class Model:
     metrics_snapshot: dict | None = None
 
     def __post_init__(self):
-        if self.embeddings.vocab_hash != self.vocab.content_hash():
-            raise DataError("embedding matrix does not match the vocabulary")
+        check_vocabulary(self.embeddings, self.vocab)
         if self.embeddings.dim != self.params.input_dim:
             raise DataError("embedding dim does not match LSTM input dim")
-        if self.embeddings.vocab_size != len(self.vocab):
-            raise DataError("embedding row count does not match vocabulary size")
         if type(self.max_len) is not int or self.max_len < 1:
             raise DataError(f"max_len must be an integer >= 1, got {self.max_len!r}")
         if not threshold_ok(self.threshold):

@@ -1053,7 +1053,8 @@ RULES_IN_FILES = [
     pytest.param("evaluate", "paths.model", "model.ssm", {"tokens": ["好", "好"]},
                  "duplicate token in vocabulary", id="model-duplicate-token"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"vocab_hash": "0" * 16},
-                 "embedding matrix does not match the vocabulary", id="model-wrong-vocab-hash"),
+                 "embedding matrix does not match the vocabulary: 4 rows, hash 0000000000000000; 4 tokens, "
+                 f"hash {cs.build_vocab(['好坏'], min_count=1).content_hash()}", id="model-wrong-vocab-hash"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"threshold": 2},
                  "threshold must be a number in [0, 1], got 2", id="model-threshold-2"),
     pytest.param("evaluate", "paths.model", "model.ssm", {"max_len": 0},
@@ -1143,22 +1144,28 @@ def test_diverging_training_exits_4_and_writes_nothing(pipeline, tmp_path):
         ("predict", "model", "\\udfff.ssm"),
         ("prelabel", "lexicon", "\\ud800.json"),
         ("prelabel", "labeled", "a\\u0000b.jsonl"),
+        ("train", "model", ""),
+        ("train", "history", "."),
+        ("embed", "vocab", "./"),
+        ("embed", "embeddings", "/"),
+        ("evaluate", "labeled", ""),
     ],
 )
 def test_a_config_path_the_system_cannot_take_exits_2(
     pipeline, tmp_path, capsys, monkeypatch, command, key, value
 ):
     """A path os.fsencode cannot encode (a lone surrogate from a JSON
-    escape) or holding a NUL is refused when the config is read, before
-    any stage runs or writes.
+    escape), holding a NUL or naming no file (its last part empty) is
+    refused when the config is read, before any stage runs or writes.
     """
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "train_embeddings", lambda *a: pytest.fail("word2vec ran"))
     argv = [command, "--config", str(pipeline / "cfg.json"),
             "--set", f"paths.embeddings={tmp_path / 'emb.bin'}",
-            "--set", f'paths.{key}="{tmp_path}/{value}"',
+            "--set", f'paths.{key}="{value}"',
             *(["--text", "好"] if command == "predict" else [])]
     assert cli.main(argv) == 2
-    refused = json.loads(f'"{tmp_path}/{value}"')
+    refused = json.loads(f'"{value}"')
     assert capsys.readouterr().err == f"error: paths.{key} is not a path the system can take: {refused!r}\n"
     assert list(tmp_path.iterdir()) == []
 

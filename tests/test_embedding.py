@@ -578,8 +578,12 @@ def test_save_embeddings_refuses_a_matrix_of_another_vocabulary(tmp_path):
     cut = EmbeddingMatrix(vectors=matrix.vectors[:-1], vocab_hash=matrix.vocab_hash)
     path = tmp_path / "emb.bin"
     for m, v in [(matrix, same_size), (matrix, fewer), (cut, vocab)]:
-        with pytest.raises(DataError, match="does not match the vocabulary"):
+        with pytest.raises(DataError) as err:
             cs.save_embeddings(m, v, path)
+        assert str(err.value) == (
+            f"embedding matrix does not match the vocabulary: {m.vocab_size} rows, hash {m.vocab_hash};"
+            f" {len(v)} tokens, hash {v.content_hash()}"
+        )
         assert not path.exists()
 
 

@@ -269,3 +269,54 @@ def test_every_public_name_is_used_by_the_program():
                 named.add(node.attr)
     assert {"train", "save_embeddings", "prelabel", "TrainHistory"} <= defined
     assert defined - named == ACCEPTANCE_ENTRY_POINTS
+
+
+def _where_compared(*names: str) -> list[str]:
+    """`module.function` of each comparison in charsent or a script that
+    reads every one of `names`, as a name or an attribute.
+    """
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted(Path(cs.__file__).parent.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    found = []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        home = {}  # ast.walk reaches an outer def first, so a nested one wins
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                home.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                read = {n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None) for n in ast.walk(node)}
+                if set(names) <= read:
+                    found.append(f"{source.stem}.{home.get(id(node), '<module>')}")
+    return found
+
+
+def test_the_size_bound_is_compared_only_in_its_two_homes():
+    """One home for the bound on every embedding and LSTM size a config
+    or caller sets, files.check_size, and one for the SSM1 header's
+    fields, training._check_header, which refuses a file with its own
+    message: no other code compares a value with SIZE_LIMIT.
+    """
+    assert _where_compared("SIZE_LIMIT") == ["files.check_size", "training._check_header"]
+
+
+def test_an_embedding_matrix_is_matched_to_its_vocabulary_in_two_places():
+    """embedding.check_vocabulary is the one rule for a matrix and the
+    vocabulary it is used with; cli.cmd_train keeps its check of two
+    files, which also compares the W2V1 rows' tokens and names both.
+    """
+    assert _where_compared("vocab_hash", "content_hash") == ["cli.cmd_train", "embedding.check_vocabulary"]
+
+
+def test_every_source_parses_as_the_oldest_python_the_package_supports():
+    """pyproject.toml declares Python 3.10, so no module or script may use
+    syntax a later version added, such as except*, as far as ast.parse's
+    feature_version check finds it on the Python that runs the tests.
+    """
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "scripts").rglob("*.py"))
+    assert {"network.py", "seed_sweep.py"} <= {p.name for p in sources}
+    for source in sources:
+        ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))

@@ -458,14 +458,11 @@ def test_predict_cleans_and_rejects_empty(small_vocab):
 def test_model_validates_embedding_match(small_vocab):
     model = _random_model(small_vocab, hsize=4, dim=3)
     other_vocab = cs.build_vocab(["好坏"], min_count=1)
-    with pytest.raises(DataError):
-        cs.Model(
-            vocab=other_vocab,
-            embeddings=model.embeddings,
-            params=model.params,
-            max_len=8,
-        )
-    with pytest.raises(DataError):
+    one_row_short = EmbeddingMatrix(vectors=model.embeddings.vectors[:-1], vocab_hash=small_vocab.content_hash())
+    for vocab, embeddings in [(other_vocab, model.embeddings), (small_vocab, one_row_short)]:
+        with pytest.raises(DataError, match="^embedding matrix does not match the vocabulary: "):
+            cs.Model(vocab=vocab, embeddings=embeddings, params=model.params, max_len=8)
+    with pytest.raises(DataError, match="^embedding dim does not match LSTM input dim$"):
         bad_dim = EmbeddingMatrix(
             vectors=np.zeros((len(small_vocab), 5)),
             vocab_hash=small_vocab.content_hash(),
