@@ -36,7 +36,7 @@ from .embedding import (
     train_embeddings,
 )
 from .errors import CharsentError, ConfigError, DataError, NumericalError
-from .files import check_size, located, parse_json, read_text
+from .files import check_output, check_size, located, parse_json, read_text
 from .network import Model, init_lstm_params, predict, threshold_ok
 from .rng import check_seed
 from .tokenizer import Vocabulary, build_vocab, check_max_len, check_min_count, segment_chars
@@ -135,6 +135,12 @@ class PipelineConfig:
         if value is None:
             raise ConfigError(f"paths.{key} is required for '{command}'")
         return Path(value)
+
+    def output_path(self, key: str, command: str) -> Path:
+        """require_path for a file `command` writes, checked by files.check_output."""
+        path = self.require_path(key, command)
+        check_output(f"paths.{key}", path)
+        return path
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
@@ -235,7 +241,7 @@ def note(message: str) -> None:
 
 def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("corpus", "prelabel")
-    out_path = cfg.require_path("labeled", "prelabel")
+    out_path = cfg.output_path("labeled", "prelabel")
     lexicon_path = cfg.paths.lexicon
     if lexicon_path is None:
         lexicon_path = sample_lexicon_path()
@@ -264,8 +270,8 @@ def cmd_prelabel(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("labeled", "embed")
-    vocab_path = cfg.require_path("vocab", "embed")
-    emb_path = cfg.require_path("embeddings", "embed")
+    vocab_path = cfg.output_path("vocab", "embed")
+    emb_path = cfg.output_path("embeddings", "embed")
     texts = [clean_text(text) for text in load_corpus(corpus_path).texts()]
     with located(corpus_path):  # a corpus too small to embed
         vocab = build_vocab(texts, min_count=cfg.tokenizer.min_count)
@@ -293,7 +299,8 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     corpus_path = cfg.require_path("labeled", "train")
     vocab_path = cfg.require_path("vocab", "train")
     emb_path = cfg.require_path("embeddings", "train")
-    model_path = cfg.require_path("model", "train")
+    model_path = cfg.output_path("model", "train")
+    history_path = cfg.paths.history and cfg.output_path("history", "train")
 
     corpus = load_corpus(corpus_path)
     vocab = Vocabulary.load(vocab_path)
@@ -324,7 +331,6 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if test_set:
         summary["test"] = asdict(evaluate(best, test_set))
     save_model(best, model_path)
-    history_path = cfg.paths.history
     if history_path is not None:
         save_history(history, history_path)
         summary["history_path"] = str(history_path)

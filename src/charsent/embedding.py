@@ -5,11 +5,12 @@ center token (CBOW) and center-to-context prediction (skip-gram). They
 share one objective and one update: a skip-gram example is a CBOW
 update whose context is the center token alone. Training is one SGD
 step per example, in corpus order; a step gathers its k+1 output rows
-once and updates each matrix with one np.subtract.at call, and still
-gives every value the bits of a row-by-row loop. The input-side
-matrix is the product consumed by the classifier network and the one
-an EmbeddingMatrix holds; the output-side (context) matrix starts at
-zero inside train_embeddings and is dropped when it returns.
+once, scores them with one np.vecdot call and updates each matrix with
+one np.subtract.at call, and still gives every value the bits of a
+row-by-row loop. The input-side matrix is the product consumed by the
+classifier network and the one an EmbeddingMatrix holds; the
+output-side (context) matrix starts at zero inside train_embeddings and
+is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -125,11 +126,12 @@ def _objective(context_ids, center_id, negative_ids, vectors, context_vectors):
     """
     # take() gathers rows faster than a list index; the sum and division
     # give the bits of .mean(axis=0)
-    h = vectors.take(context_ids, axis=0).sum(axis=0) / len(context_ids)
+    n = len(context_ids)
+    h = vectors.take(context_ids, axis=0).sum(axis=0) / n
     out_ids = [center_id, *negative_ids]
     u = context_vectors.take(out_ids, axis=0)
-    # one dot per row: a single u @ h product rounds differently
-    coef = sigmoid(np.fromiter(map(h.dot, u), np.float64, len(out_ids)))
+    # vecdot is one dot per row: a single u @ h product rounds differently
+    coef = sigmoid(np.vecdot(u, h))
     # the clamp keeps s and 1 - s above 9e-14, so every log is finite
     s_pos, *s_negs = coef.tolist()
     loss = -math.log(s_pos)
@@ -139,29 +141,20 @@ def _objective(context_ids, center_id, negative_ids, vectors, context_vectors):
     coef = coef[:, None]
     # accumulate adds row by row; .sum(axis=0) would add pairwise at d=1
     dh = np.add.accumulate(coef * u, axis=0)[-1]
-    return loss, dh / len(context_ids), out_ids, coef * h
+    return loss, (dh / n)[None].repeat(n, axis=0), out_ids, coef * h
 
 
-def _row_sums(ids, grads) -> dict[int, np.ndarray]:
-    """{id: the sum of the grads at its positions, added left to right},
-    ids in first-seen order.
+def _distinct(ids, grads):
+    """(ids, grads) with each id once, in first-seen order, and its grads
+    (one row per position) added left to right; the inputs themselves
+    when no id repeats.
     """
+    if len(set(ids)) == len(ids):
+        return ids, grads
     sums: dict[int, np.ndarray] = {}
     for rid, grad in zip(ids, grads):
         sums[rid] = sums[rid] + grad if rid in sums else grad
-    return sums
-
-
-def _subtract_rows(target: np.ndarray, ids: list, grads: np.ndarray, lr: float) -> None:
-    """target[i] -= lr * g for each distinct id i, where g sums left to
-    right the grads at i's positions in ids; grads holds one row per id,
-    or is one row shared by all of them.
-    """
-    if len(set(ids)) < len(ids):
-        sums = _row_sums(ids, grads if grads.ndim == 2 else [grads] * len(ids))
-        ids, grads = list(sums), np.array(list(sums.values()))
-    # the ids are distinct here, so this is target[ids] -= lr * grads, only faster
-    np.subtract.at(target, np.array(ids), lr * grads)
+    return list(sums), np.array(list(sums.values()))
 
 
 def cbow_gradients(context_ids, center_id, negative_ids, vectors, context_vectors):
@@ -174,11 +167,10 @@ def cbow_gradients(context_ids, center_id, negative_ids, vectors, context_vector
     Returns (loss, input-row grads, output-row grads) as {row id: grad}
     dicts with duplicate ids accumulated.
     """
-    loss, per_context, out_ids, out_grads = _objective(
+    loss, in_grads, out_ids, out_grads = _objective(
         context_ids, center_id, negative_ids, vectors, context_vectors
     )
-    in_grads = _row_sums(context_ids, [per_context] * len(context_ids))
-    return loss, in_grads, _row_sums(out_ids, out_grads)
+    return loss, dict(zip(*_distinct(context_ids, in_grads))), dict(zip(*_distinct(out_ids, out_grads)))
 
 
 def skipgram_gradients(center_id, context_id, negative_ids, vectors, context_vectors):
@@ -190,11 +182,13 @@ def cbow_step(context_ids, center_id, negative_ids, vectors, context_vectors, lr
     """One SGD step on a CBOW example, updating both matrices in place;
     returns the pre-update loss.
     """
-    loss, per_context, out_ids, out_grads = _objective(
+    loss, in_grads, out_ids, out_grads = _objective(
         context_ids, center_id, negative_ids, vectors, context_vectors
     )
-    _subtract_rows(vectors, context_ids, per_context, lr)
-    _subtract_rows(context_vectors, out_ids, out_grads, lr)
+    for target, ids, grads in ((vectors, context_ids, in_grads), (context_vectors, out_ids, out_grads)):
+        ids, grads = _distinct(ids, grads)
+        # the ids are distinct, so this is target[ids] -= lr * grads, only faster
+        np.subtract.at(target, np.array(ids), lr * grads)
     return loss
 
 

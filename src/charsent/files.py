@@ -5,7 +5,8 @@ read whole through `read_bytes` or `read_text`, so a missing, unreadable
 or undecodable file raises the caller's error class (ConfigError for the
 config file, DataError for the rest), as does JSON that `parse_json`
 cannot read. Every artifact is written through `write_atomic`: a reader
-sees the old file or the complete new one, never a partial write. A
+sees the old file or the complete new one, never a partial write; a
+stage checks each place it will write with `check_output` first. A
 loader builds its objects inside `located`, so its errors name its file.
 """
 
@@ -111,6 +112,18 @@ class located:
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, self.error):
             raise self.error(f"{self.where}: {exc}") from exc
+
+
+def check_output(name: str, path: Path) -> None:
+    """Raise DataError, naming the config key `name`, unless write_atomic
+    can put a file at `path`: its parent is an existing directory and it
+    is not a directory itself. A stage calls it before it reads its
+    inputs, so a mistyped output path costs no work and writes nothing.
+    """
+    if not os.path.isdir(path.parent):
+        raise DataError(f"{name}: cannot write {path}: {path.parent} is not a directory")
+    if os.path.isdir(path):
+        raise DataError(f"{name}: cannot write {path}: it is a directory")
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:

@@ -1084,7 +1084,8 @@ def test_a_broken_rule_in_a_file_names_the_file_and_exits_3(
     assert not (tmp_path / "out.ssm").exists()
 
 
-def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys):
+def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_embeddings", lambda *a: pytest.fail("word2vec ran"))
     missing = tmp_path / "no-such-dir" / "emb.bin"
     code = cli.main(
         ["embed", "--config", str(pipeline / "cfg.json"),
@@ -1092,8 +1093,38 @@ def test_embed_into_missing_directory_exits_3(pipeline, tmp_path, capsys):
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {missing}: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]
+    assert err == f"error: paths.embeddings: cannot write {missing}: {missing.parent} is not a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, key, value, problem",
+    [
+        ("prelabel", "labeled", "nodir/l.jsonl", "nodir is not a directory"),
+        ("embed", "vocab", "nodir/v.json", "nodir is not a directory"),
+        ("embed", "embeddings", "afile/e.bin", "afile is not a directory"),
+        ("train", "model", "nodir/m.ssm", "nodir is not a directory"),
+        ("train", "model", "adir", "it is a directory"),
+        ("train", "history", "nodir/h.json", "nodir is not a directory"),
+        ("train", "history", "adir", "it is a directory"),
+    ],
+)
+def test_an_output_path_that_cannot_be_written_exits_3_before_any_read(
+    pipeline, tmp_path, capsys, monkeypatch, command, key, value, problem
+):
+    """Each stage checks every file it will write before it reads its
+    inputs: a missing parent directory, a parent that is a file or a path
+    that names a directory exits 3 without work and writes nothing.
+    """
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_bytes(b"")
+    for name in ("load_corpus", "load_lexicon", "train_embeddings", "train"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    assert cli.main([command, "--config", str(pipeline / "cfg.json"), "--set", f"paths.{key}={value}"]) == 3
+    assert capsys.readouterr().err == f"error: paths.{key}: cannot write {value}: {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def _diverging_run(argv):

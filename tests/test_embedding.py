@@ -140,7 +140,7 @@ def test_step_returns_pre_update_loss():
     assert got == pytest.approx(want, abs=0.0)
 
 
-@pytest.mark.parametrize("dim", [1, 8, 16, 64])
+@pytest.mark.parametrize("dim", [1, 8, 16, 64, 300])
 def test_step_matches_the_rowwise_reference_bit_for_bit(dim):
     """Random examples over a 9-id vocabulary, so context ids and
     negatives repeat and negatives hit the center; the vectorized step

@@ -320,3 +320,12 @@ def test_every_source_parses_as_the_oldest_python_the_package_supports():
     assert {"network.py", "seed_sweep.py"} <= {p.name for p in sources}
     for source in sources:
         ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+
+
+def test_the_declared_numpy_floor_is_the_first_numpy_with_every_function_called():
+    """Word2Vec scores its k+1 output rows with np.vecdot, which numpy 2.0
+    added, so pyproject.toml must not declare an older numpy.
+    """
+    root = Path(__file__).resolve().parents[1]
+    assert 'dependencies = ["numpy>=2.0"]' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert "np.vecdot(" in (Path(cs.__file__).parent / "embedding.py").read_text(encoding="utf-8")
